@@ -3,9 +3,9 @@
 Each dynamic-programming hop searches for a short restless path inside a
 window of the distance/time plane: appearances whose distance-to-target
 lies strictly between the two corner appearances' distances and whose time
-lies in the corners' time span. The subgraph keeps edges interior to that
-window, departure edges leaving the lower corner at exactly its time, and
-arrival edges entering the upper corner within its waiting window.
+lies in the corners' time span. The subgraph keeps the time-edges a
+restless path can cross departing only from window appearances or the
+lower corner, and ending at the upper corner within its waiting window.
 
 The source-side variant has no lower corner: it admits every reachable
 appearance farther from the target than the upper corner.
@@ -90,40 +90,42 @@ class AreaGraph:
     vertices: frozenset[int]
     parent: TemporalGraph = field(repr=False)
 
-    def to_temporal_graph(self) -> TemporalGraph:
-        return TemporalGraph.from_time_edges(
-            self.parent.vertex_count, self.parent.lifetime,
-            self.time_edges, self.parent.aliases)
-
 
 def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph:
     """Materialize the corridor's time-edge set for one spec.
 
-    Kept edges are the union of three clauses: both endpoints in the
-    window; edges leaving the lower corner vertex at exactly the lower
-    time with the other endpoint in the window; edges entering the upper
-    corner vertex no earlier than upper.t - delta whose other endpoint is
-    in the window or is the lower corner itself. A direct lower-to-upper
-    edge therefore qualifies when it sits at the lower time inside the
-    arrival window.
+    A time-edge at stamp t is kept when a restless path can cross it
+    inside the corridor: one endpoint departs at t from a window
+    appearance, or from the lower corner at exactly its time; the other
+    is the upper corner with t >= upper.t - delta, or departs again from a
+    window appearance within [t, t + delta]. Arrivals are matched by that
+    later departure because the window bounds departure distances, and
+    d(y, arrival) <= d(y, departure) can fall below it.
     """
     inside = a_set(dt, spec)
     b, t_up = spec.upper
-    lower = spec.lower
+    a, t_low = spec.lower or (None, None)
+
+    def arrives(y: int, t: int) -> bool:
+        if y == b:
+            return t >= t_up - spec.delta
+        return any((y, t + j) in inside for j in range(1, spec.delta + 1))
+
     kept: list[TimeEdge] = []
     for edge in g.time_edges:
-        ua = VertexAppearance(edge.u, edge.t)
-        va = VertexAppearance(edge.v, edge.t)
-        if ua in inside and va in inside:
+        u, v, t = edge.u, edge.v, edge.t
+        u_in = (u, t) in inside
+        v_in = (v, t) in inside
+        if u_in and v_in:
             kept.append(edge)
-            continue
-        if (lower is not None and edge.t == lower.t and edge.touches(lower.v)
-                and VertexAppearance(edge.other(lower.v), edge.t) in inside):
-            kept.append(edge)
-            continue
-        if edge.touches(b) and edge.t >= t_up - spec.delta:
-            other = VertexAppearance(edge.other(b), edge.t)
-            if other in inside or (lower is not None and other == lower):
+        elif u_in or v_in:
+            # the outside endpoint arrives, or departs from the lower corner
+            # straight into the window
+            y = v if u_in else u
+            if (y == a and t == t_low) or arrives(y, t):
+                kept.append(edge)
+        elif t == t_low and (u == a or v == a):
+            if arrives(v if u == a else u, t):
                 kept.append(edge)
     vertices = frozenset(v for e in kept for v in e.pair)
     return AreaGraph(spec=spec, time_edges=tuple(kept), vertices=vertices, parent=g)

@@ -2,7 +2,8 @@
 
 Subcommands: solve (decide and reconstruct), distances (dump the
 distance table as JSON), validate (check a candidate path), gen (emit a
-random instance), bench (CSV sweep over instance parameters).
+random instance). Timing and work counters come from the benchmark
+harness, ``python3 bench/run.py``.
 
 Exit codes for solve/validate: 0 = yes/valid, 1 = no/invalid, 2 = usage
 or input error. Other subcommands use 0/2.
@@ -12,15 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 
 from .areas import area_graph, area_spec
 from .distances import INF, compute_distances, restless_walk_distance
 from .generate import random_temporal_graph
-from .path_finder import FinderConfig, FinderStats, find_exact_restless_path
-from .rng import MASK64, SeedStream
+from .path_finder import FinderConfig
+from .rng import MASK64
 from .solver import solve, solve_windowed
 from .temporal_graph import (TelParseError, TimeEdge, VertexAppearance,
                              PathValidationError, parse_temporal_graph,
@@ -49,13 +48,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
-
-
 def _vertex(g, text: str) -> int:
     try:
         vid = g.id_for(text)
@@ -64,17 +56,6 @@ def _vertex(g, text: str) -> int:
     if not 0 <= vid < g.vertex_count:
         raise CliError(f"vertex {text!r} out of range")
     return vid
-
-
-def _threads() -> int:
-    raw = os.environ.get("RTP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"RTP_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise CliError("RTP_THREADS must be at least 1")
-    return n
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -104,7 +85,6 @@ def cmd_solve(args) -> int:
     z = _vertex(g, args.target)
     if s == z:
         raise CliError("source and target must differ")
-    _threads()  # validated; execution is single-threaded
     cfg = _finder_config(args)
 
     if args.dump_area:
@@ -180,64 +160,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    print("vertices,lifetime,edges_per_layer,delta,k,temporal_distance,ell,"
-          "backend,rep,seed,decision,areas_built,finder_calls,finder_ops,elapsed_ms")
-    stream = SeedStream(args.seed)
-    for vertices in args.vertices:
-        for lifetime in args.lifetime:
-            for rep in range(args.reps):
-                graph_seed = stream.next()
-                g = random_temporal_graph(vertices, lifetime,
-                                          args.edges_per_layer, graph_seed)
-                s, z = 0, vertices - 1
-                for delta in args.delta:
-                    for k in args.k:
-                        run_seed = stream.next()
-                        cfg = FinderConfig(backend=args.backend,
-                                           error_prob=args.error_prob,
-                                           seed=run_seed)
-                        t0 = time.perf_counter()
-                        result = solve(g, s, z, delta, k, args.error_prob, cfg)
-                        ms = (time.perf_counter() - t0) * 1000.0
-                        dist = result.temporal_distance
-                        print(",".join(str(x) for x in (
-                            vertices, lifetime, args.edges_per_layer, delta, k,
-                            "inf" if dist == INF else dist,
-                            "" if result.ell is None else result.ell,
-                            args.backend, rep, run_seed,
-                            "yes" if result.decision else "no",
-                            result.stats.areas_built, result.stats.finder_calls,
-                            result.stats.finder_ops, f"{ms:.3f}")))
-    return 0
-
-
-def cmd_probe(args) -> int:
-    """Issue raw exact-length finder calls for scaling measurements.
-
-    For each slack value, runs the probe schedule lengths 1..2*slack+1
-    against the whole input graph and reports total operation counts and
-    per-call averages.
-    """
-    g = _read_graph(args.input)
-    s = _vertex(g, args.source)
-    z = _vertex(g, args.target)
-    print("ell,calls,ops,ops_per_call,elapsed_ms")
-    stream = SeedStream(args.seed)
-    for ell in args.ell:
-        stats = FinderStats()
-        t0 = time.perf_counter()
-        for length in range(1, 2 * ell + 2):
-            cfg = FinderConfig(backend="sieve", error_prob=args.error_prob,
-                               seed=stream.next(), use_screens=not args.full)
-            find_exact_restless_path(g, s, z, args.delta, length, cfg, stats=stats)
-        ms = (time.perf_counter() - t0) * 1000.0
-        calls = 2 * ell + 1
-        print(f"{ell},{calls},{stats.sieve_ops},"
-              f"{stats.sieve_ops / calls:.1f},{ms:.3f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtp",
@@ -262,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto")
     p_solve.add_argument("--auto-threshold", type=int, default=7)
     p_solve.add_argument("--time-window", action="store_true",
-                         help="try each departure time on a trimmed horizon")
+                         help="try each departure time of the source on a trimmed horizon")
     p_solve.add_argument("--dump-area", metavar="B,T[:A,T]",
                          help="debug: dump one corridor subgraph as TEL and exit")
     p_solve.set_defaults(func=cmd_solve)
@@ -289,32 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--edges-per-layer", type=float, required=True)
     p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="CSV sweep over instance parameters")
-    p_bench.add_argument("--vertices", type=_int_list, required=True)
-    p_bench.add_argument("--lifetime", type=_int_list, required=True)
-    p_bench.add_argument("--delta", type=_int_list, required=True)
-    p_bench.add_argument("--k", type=_int_list, required=True)
-    p_bench.add_argument("--edges-per-layer", type=float, default=2.0)
-    p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.add_argument("--seed", type=_seed, default=0)
-    p_bench.add_argument("--backend", choices=("brute", "sieve", "auto"),
-                         default="auto")
-    p_bench.add_argument("--error-prob", type=float, default=0.01)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_probe = sub.add_parser("probe",
-                             help="raw finder-call scaling measurements")
-    add_common(p_probe)
-    p_probe.add_argument("--source", "-s", required=True)
-    p_probe.add_argument("--target", "-z", required=True)
-    p_probe.add_argument("--delta", type=int, required=True)
-    p_probe.add_argument("--ell", type=_int_list, required=True)
-    p_probe.add_argument("--seed", type=_seed, default=0)
-    p_probe.add_argument("--error-prob", type=float, default=0.01)
-    p_probe.add_argument("--full", action="store_true",
-                         help="disable feasibility screens (measure raw work)")
-    p_probe.set_defaults(func=cmd_probe)
 
     return parser
 

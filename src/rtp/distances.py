@@ -16,6 +16,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .temporal_graph import TemporalGraph, VertexAppearance
 
@@ -180,8 +182,8 @@ def static_distance(g: TemporalGraph, s: int, z: int) -> int | float:
 def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int | float:
     """Minimum length of a delta-restless temporal s-z walk, or INF.
 
-    Chronological sweep over layers; per vertex we keep the Pareto set of
-    (arrival time, hops) labels. Within one layer a small Dijkstra handles
+    Chronological sweep over stamps; per vertex we keep the Pareto set of
+    (arrival time, hops) labels. Within one stamp a small Dijkstra handles
     chains of equal-stamp edges. A walk may revisit vertices, so this is a
     lower bound for restless path length and a fast no-certificate.
     """
@@ -201,14 +203,11 @@ def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int 
                 value = hops
         return value
 
-    for t in range(1, g.lifetime + 1):
-        layer = g.edges_at(t)
-        if not layer:
-            continue
+    for t, group in groupby(g.time_edges, key=attrgetter("t")):
         adj: dict[int, list[int]] = {}
-        for u, v in layer:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+        for edge in group:
+            adj.setdefault(edge.u, []).append(edge.v)
+            adj.setdefault(edge.v, []).append(edge.u)
         value: dict[int, int | float] = {}
         arrived: dict[int, int] = {}
         heap: list[tuple[int | float, int]] = []

@@ -37,17 +37,15 @@ class FinderConfig:
     """Knobs for the exact-length search.
 
     error_prob bounds the probability that the sieve reports absent when a
-    path exists; trials can force extra repetitions beyond what error_prob
-    requires. use_screens enables the cheap walk-feasibility pre-checks
-    that skip provably hopeless sieve runs (disabled by benchmarks that
-    measure raw sieve work).
+    path exists, and so sets its trial count. use_screens enables the
+    cheap walk-feasibility pre-checks that skip provably hopeless sieve
+    runs (disabled by benchmarks that measure raw sieve work).
     """
 
     backend: str = "auto"
     error_prob: float = 0.01
     seed: int = 0
     auto_threshold: int = 7
-    trials: int = 1
     use_screens: bool = True
 
     def __post_init__(self):
@@ -57,8 +55,6 @@ class FinderConfig:
             raise ValueError("error_prob must be in (0, 1)")
         if self.auto_threshold < 1:
             raise ValueError("auto_threshold must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
 
 @dataclass
@@ -76,19 +72,6 @@ class FinderStats:
     screened: int = 0
     extraction_decisions: int = 0
     extraction_ops: int = 0
-
-    def merge(self, other: "FinderStats") -> None:
-        self.calls += other.calls
-        self.sieve_trials += other.sieve_trials
-        self.sieve_ops += other.sieve_ops
-        self.screened += other.screened
-        self.extraction_decisions += other.extraction_decisions
-        self.extraction_ops += other.extraction_ops
-
-
-def _edges_of(graph) -> tuple[TimeEdge, ...]:
-    edges = getattr(graph, "time_edges", graph)
-    return tuple(edges)
 
 
 def _steps_ok(steps: Sequence[TimeEdge], s: int, z: int, delta: int,
@@ -129,11 +112,12 @@ def _single_step(edges: Sequence[TimeEdge], s: int, z: int,
     return None
 
 
-def find_exact_restless_path_brute(graph, s: int, z: int, delta: int,
-                                   length: int, *,
+def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
+                                   delta: int, length: int, *,
                                    stats: FinderStats | None = None
                                    ) -> RestlessPath | None:
-    """Exhaustive search for a restless s-z path of exactly `length` steps."""
+    """Exhaustive search for a restless s-z path of exactly `length` steps
+    over the time-edges `edges`, given in canonical order."""
     if s == z:
         raise ValueError("source and target must differ")
     if length < 1:
@@ -142,7 +126,6 @@ def find_exact_restless_path_brute(graph, s: int, z: int, delta: int,
         raise ValueError("delta must be at least 1")
     if stats is not None:
         stats.calls += 1
-    edges = _edges_of(graph)
     if length == 1:
         return _single_step(edges, s, z, delta)
     if len(edges) < length:
@@ -311,17 +294,17 @@ def _sieve_decide(structure: _Structure, length: int, trials: int,
     return False
 
 
-def _trials_for(error_prob: float, floor: int) -> int:
-    trials = floor
-    miss = 2.0 ** (-_TRIAL_FAILURE_LOG2 * trials)
+def _trials_for(error_prob: float) -> int:
+    trials = 1
+    miss = 2.0 ** -_TRIAL_FAILURE_LOG2
     while miss > error_prob:
         trials += 1
         miss *= 2.0 ** (-_TRIAL_FAILURE_LOG2)
     return trials
 
 
-def find_exact_restless_path_sieve(graph, s: int, z: int, delta: int,
-                                   length: int, cfg: FinderConfig, *,
+def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
+                                   delta: int, length: int, cfg: FinderConfig, *,
                                    stats: FinderStats | None = None
                                    ) -> RestlessPath | None:
     """Randomized exact-length search; absent answers may be wrong with
@@ -334,7 +317,6 @@ def find_exact_restless_path_sieve(graph, s: int, z: int, delta: int,
         raise ValueError("delta must be at least 1")
     if stats is not None:
         stats.calls += 1
-    edges = _edges_of(graph)
     if length == 1:
         return _single_step(edges, s, z, delta)
     if cfg.use_screens:
@@ -346,7 +328,7 @@ def find_exact_restless_path_sieve(graph, s: int, z: int, delta: int,
             return None
 
     stream = SeedStream(cfg.seed)
-    trials = _trials_for(cfg.error_prob, cfg.trials)
+    trials = _trials_for(cfg.error_prob)
 
     structure = _build_structure(edges, s, z, delta, length, cfg.use_screens)
     if cfg.use_screens and not structure.feasible:
@@ -381,20 +363,18 @@ def find_exact_restless_path_sieve(graph, s: int, z: int, delta: int,
     return found
 
 
-def find_exact_restless_path(graph, s: int, z: int, delta: int, length: int,
-                             cfg: FinderConfig, *,
+def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
+                             delta: int, length: int, cfg: FinderConfig, *,
                              stats: FinderStats | None = None
                              ) -> RestlessPath | None:
     """Dispatch to the configured backend; auto picks brute for short or
     tiny searches and the sieve otherwise."""
     backend = cfg.backend
     if backend == "auto":
-        edges = _edges_of(graph)
         if length < cfg.auto_threshold or len(edges) <= _TINY_EDGE_COUNT:
             backend = "brute"
         else:
             backend = "sieve"
-        graph = edges
     if backend == "brute":
-        return find_exact_restless_path_brute(graph, s, z, delta, length, stats=stats)
-    return find_exact_restless_path_sieve(graph, s, z, delta, length, cfg, stats=stats)
+        return find_exact_restless_path_brute(edges, s, z, delta, length, stats=stats)
+    return find_exact_restless_path_sieve(edges, s, z, delta, length, cfg, stats=stats)

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import takewhile
 
 from .areas import area_graph, area_spec
 from .distances import INF, DistanceTable, compute_distances
@@ -158,7 +159,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
 
     def search(area, frm: int, to: int, length: int) -> RestlessPath | None:
         call_cfg = replace(cfg, seed=seeds.next())
-        return find_exact_restless_path(area, frm, to, delta, length,
+        return find_exact_restless_path(area.time_edges, frm, to, delta, length,
                                         call_cfg, stats=fstats)
 
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
@@ -250,10 +251,8 @@ def reconstruct(dp: DpTable, end: VertexAppearance) -> tuple[TimeEdge, ...]:
     return tuple(steps_out)
 
 
-def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
-          p: float, cfg: FinderConfig) -> SolveResult:
-    """Decide whether a delta-restless temporal s-z path of length at most
-    k exists; on yes, return a validated witness."""
+def _check_query(g: TemporalGraph, s: int, z: int, delta: int, k: int,
+                 p: float) -> None:
     if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
         raise ValueError("source or target is not a vertex of the graph")
     if s == z:
@@ -265,20 +264,31 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     if not 0.0 < p < 1.0:
         raise ValueError("error probability must be in (0, 1)")
 
+
+def _result(started: float, stats: SolveStats, witness: RestlessPath | None,
+            k: int, k_eff: int, d_source: int | float, p: float,
+            sub_p: float | None) -> SolveResult:
+    stats.elapsed_seconds = time.perf_counter() - started
+    return SolveResult(
+        decision=witness is not None, witness=witness, stats=stats, k=k,
+        k_effective=k_eff, temporal_distance=d_source,
+        ell=k_eff - d_source if d_source <= k_eff else None,
+        error_prob=p, subcall_error_prob=sub_p)
+
+
+def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
+          p: float, cfg: FinderConfig) -> SolveResult:
+    """Decide whether a delta-restless temporal s-z path of length at most
+    k exists; on yes, return a validated witness."""
+    _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()
     dt = compute_distances(g, z)
     d_source = dt.source_distance(s)
     k_eff = min(k, max(1, g.vertex_count - 1))  # no simple path is longer
 
-    def finish(decision, witness, ell, sub_p):
-        stats.elapsed_seconds = time.perf_counter() - started
-        return SolveResult(decision=decision, witness=witness, stats=stats,
-                           k=k, k_effective=k_eff, temporal_distance=d_source,
-                           ell=ell, error_prob=p, subcall_error_prob=sub_p)
-
     if d_source == INF or d_source > k_eff:
-        return finish(False, None, None, None)
+        return _result(started, stats, None, k, k_eff, d_source, p, None)
 
     ell = k_eff - d_source
     # split the budget over the longest possible chain of subroutine calls,
@@ -298,42 +308,39 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
             best_val = val
             best_app = app
     if best_app is None or best_val > k_eff:
-        return finish(False, None, ell, sub_p)
+        return _result(started, stats, None, k, k_eff, d_source, p, sub_p)
 
     steps = reconstruct(dp, best_app)
     witness = validate_restless_path(g, steps, s, z, delta)
     assert witness.length <= k_eff
-    return finish(True, witness, ell, sub_p)
+    return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)
 
 
 def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
                    p: float, cfg: FinderConfig) -> SolveResult:
-    """Try every departure time with time-edges outside the reachable
-    horizon dropped; a solution of length k spans at most (k-1)*delta
-    steps, so some window contains it. The error budget is split over
-    windows."""
+    """Solve once per departure time t0 of s on the stamps [t0, t0 +
+    (k-1)*delta + 1] only, which holds every solution departing at t0 and
+    can shrink the slack. Departures with d(s, t0) > k are skipped; d grows
+    with t0, so the rest are a prefix. The error budget is split evenly
+    over the windows tried (subcall_error_prob)."""
+    _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
-    sub_p = p / max(1, g.lifetime)
-    total = SolveStats()
-    for t0 in range(1, g.lifetime + 1):
-        horizon = t0 + (k - 1) * delta + 1
-        kept = [e for e in g.time_edges if t0 <= e.t <= horizon]
-        sub = TemporalGraph.from_time_edges(g.vertex_count, g.lifetime, kept, g.aliases)
-        result = solve(sub, s, z, delta, k, sub_p, cfg)
-        total.areas_built += result.stats.areas_built
-        total.finder_calls += result.stats.finder_calls
-        total.finder_ops += result.stats.finder_ops
-        total.table_entries += result.stats.table_entries
-        if result.decision:
-            total.elapsed_seconds = time.perf_counter() - started
-            result.stats = total
-            return result
+    stats = SolveStats()
     dt = compute_distances(g, z)
     d_source = dt.source_distance(s)
     k_eff = min(k, max(1, g.vertex_count - 1))
-    total.elapsed_seconds = time.perf_counter() - started
-    return SolveResult(
-        decision=False, witness=None, stats=total, k=k, k_effective=k_eff,
-        temporal_distance=d_source,
-        ell=(k_eff - d_source) if d_source != INF and d_source <= k_eff else None,
-        error_prob=p, subcall_error_prob=None)
+    departures = list(takewhile(lambda t0: dt.get(s, t0) <= k_eff,
+                                dt.appearance_times(s)))
+    sub_p = p / len(departures) if departures else None
+    witness = None
+    for t0 in departures:
+        window = TemporalGraph.from_time_edges(
+            g.vertex_count, g.lifetime,
+            g.edges_between(t0, t0 + (k - 1) * delta + 1), g.aliases)
+        result = solve(window, s, z, delta, k, sub_p, cfg)
+        for f in fields(SolveStats):  # _result resets the summed wall time
+            setattr(stats, f.name, getattr(stats, f.name) + getattr(result.stats, f.name))
+        if result.decision:
+            witness = result.witness
+            break
+    return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)

@@ -1,8 +1,9 @@
 """Core temporal-graph model: parsing, validation, subgraphs.
 
 A temporal graph is a fixed vertex set plus one undirected edge set per
-discrete time step 1..lifetime. The atoms everything else indexes are
-time-edges (edge, stamp) and vertex appearances (vertex, stamp).
+discrete time step 1..lifetime, stored as one time-sorted tuple of
+time-edges. The atoms everything else indexes are time-edges (edge,
+stamp) and vertex appearances (vertex, stamp).
 
 The text format ("TEL") is line based:
 
@@ -16,7 +17,9 @@ Canonical serialization orders time-edges by (t, min(u,v), max(u,v)).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Iterable, NamedTuple
 
 
@@ -80,91 +83,94 @@ class VertexAppearance(NamedTuple):
     t: int
 
 
-def _canonical_key(edge: TimeEdge) -> tuple[int, int, int]:
-    return (edge.t, edge.u, edge.v)
+_stamp = attrgetter("t")
+
+
+def _sorted_time_edges(vertex_count: int, lifetime: int,
+                       edges: Iterable) -> tuple[TimeEdge, ...]:
+    """Check a header and its time-edges; return the edges in canonical order."""
+    if vertex_count < 0:
+        raise ValueError("vertex_count must be non-negative")
+    if lifetime < 1:
+        raise ValueError("lifetime must be at least 1")
+    by_key: dict[tuple[int, int, int], TimeEdge] = {}
+    for e in edges:
+        if not isinstance(e, TimeEdge):
+            e = TimeEdge(*e)
+        if not 1 <= e.t <= lifetime:
+            raise ValueError(f"time stamp out of range: {e.t}")
+        if not (0 <= e.u and e.v < vertex_count):
+            raise ValueError(f"vertex id out of range: {e.pair}")
+        key = (e.t, e.u, e.v)
+        if key in by_key:
+            raise ValueError(f"duplicate time-edge {e.pair} at time {e.t}")
+        by_key[key] = e
+    return tuple(by_key[key] for key in sorted(by_key))
 
 
 class TemporalGraph:
     """Immutable temporal graph.
 
-    ``layers[i]`` is the edge set of time step ``i + 1`` as a frozenset of
-    normalized (u, v) pairs. ``time_edges`` is the flat chronological list.
-    Equality compares structure (vertex count, lifetime, layers); alias
-    labels are presentation only. Instances are safe to share across
-    threads; do not mutate.
+    ``time_edges``, in canonical (t, u, v) order, is the only edge
+    storage; per-step views, lookups and the size derive from it, so
+    nothing grows with ``lifetime``. Equality compares structure (vertex
+    count, lifetime, time-edges); alias labels are presentation only.
+    Instances are safe to share across threads; do not mutate.
     """
 
-    __slots__ = ("vertex_count", "lifetime", "layers", "time_edges", "aliases",
-                 "_incident", "_alias_to_id")
+    __slots__ = ("vertex_count", "lifetime", "time_edges", "aliases",
+                 "_alias_to_id")
 
     def __init__(self, vertex_count: int, lifetime: int,
                  layers: Iterable[Iterable[tuple[int, int]]],
                  aliases: dict[int, str] | None = None):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        if lifetime < 1:
-            raise ValueError("lifetime must be at least 1")
-        normalized: list[frozenset[tuple[int, int]]] = []
-        for i, layer in enumerate(layers):
-            seen: set[tuple[int, int]] = set()
-            for u, v in layer:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u} in layer {i + 1}")
-                pair = (u, v) if u < v else (v, u)
-                if not (0 <= pair[0] and pair[1] < vertex_count):
-                    raise ValueError(f"vertex id out of range in layer {i + 1}: {pair}")
-                if pair in seen:
-                    raise ValueError(f"duplicate edge {pair} in layer {i + 1}")
-                seen.add(pair)
-            normalized.append(frozenset(seen))
-        if len(normalized) != lifetime:
-            raise ValueError(f"expected {lifetime} layers, got {len(normalized)}")
-        self.vertex_count = vertex_count
-        self.lifetime = lifetime
-        self.layers = tuple(normalized)
-        self.time_edges = tuple(sorted(
-            (TimeEdge(u, v, t + 1) for t, layer in enumerate(normalized) for u, v in layer),
-            key=_canonical_key))
-        self.aliases = dict(aliases) if aliases else {}
-        for vid, name in self.aliases.items():
-            if not 0 <= vid < vertex_count:
-                raise ValueError(f"alias id out of range: {vid}")
-        self._alias_to_id = {name: vid for vid, name in self.aliases.items()}
-        if len(self._alias_to_id) != len(self.aliases):
-            raise ValueError("duplicate alias label")
-        self._incident: dict[int, tuple[TimeEdge, ...]] | None = None
+        """Build from one (u, v) pair list per time step 1..lifetime."""
+        layers = tuple(layers)
+        if len(layers) != lifetime:
+            raise ValueError(f"expected {lifetime} layers, got {len(layers)}")
+        self._assign(vertex_count, lifetime, _sorted_time_edges(
+            vertex_count, lifetime,
+            ((u, v, t) for t, layer in enumerate(layers, 1) for u, v in layer)), aliases)
 
     @classmethod
     def from_time_edges(cls, vertex_count: int, lifetime: int,
                         edges: Iterable[TimeEdge | tuple[int, int, int]],
                         aliases: dict[int, str] | None = None) -> "TemporalGraph":
-        layers: list[list[tuple[int, int]]] = [[] for _ in range(lifetime)]
-        for e in edges:
-            u, v, t = (e.u, e.v, e.t) if isinstance(e, TimeEdge) else e
-            if not 1 <= t <= lifetime:
-                raise ValueError(f"time stamp out of range: {t}")
-            layers[t - 1].append((u, v))
-        return cls(vertex_count, lifetime, layers, aliases)
+        g = cls.__new__(cls)
+        g._assign(vertex_count, lifetime,
+                  _sorted_time_edges(vertex_count, lifetime, edges), aliases)
+        return g
+
+    def _assign(self, vertex_count: int, lifetime: int,
+                time_edges: tuple[TimeEdge, ...], aliases: dict[int, str] | None):
+        # time_edges must already be checked and in canonical order
+        self.vertex_count = vertex_count
+        self.lifetime = lifetime
+        self.time_edges = time_edges
+        self.aliases = dict(aliases) if aliases else {}
+        for vid in self.aliases:
+            if not 0 <= vid < vertex_count:
+                raise ValueError(f"alias id out of range: {vid}")
+        self._alias_to_id = {name: vid for vid, name in self.aliases.items()}
+        if len(self._alias_to_id) != len(self.aliases):
+            raise ValueError("duplicate alias label")
 
     def size(self) -> int:
-        """|V| plus, per layer, the edge count (at least 1 for empty layers)."""
-        return self.vertex_count + sum(max(1, len(layer)) for layer in self.layers)
+        """|V| plus, per time step, its edge count (at least 1 for quiet steps)."""
+        stamps = len({e.t for e in self.time_edges})
+        return self.vertex_count + len(self.time_edges) + self.lifetime - stamps
+
+    def edges_between(self, t_lo: int, t_hi: int) -> tuple[TimeEdge, ...]:
+        """Time-edges with t_lo <= t <= t_hi, in canonical order."""
+        lo = bisect_left(self.time_edges, t_lo, key=_stamp)
+        hi = bisect_right(self.time_edges, t_hi, lo=lo, key=_stamp)
+        return self.time_edges[lo:hi]
 
     def edges_at(self, t: int) -> frozenset[tuple[int, int]]:
-        return self.layers[t - 1]
+        return frozenset(e.pair for e in self.edges_between(t, t))
 
     def has_time_edge(self, edge: TimeEdge) -> bool:
-        return 1 <= edge.t <= self.lifetime and edge.pair in self.layers[edge.t - 1]
-
-    def incident(self, vertex: int) -> tuple[TimeEdge, ...]:
-        """Time-edges touching a vertex, in canonical order."""
-        if self._incident is None:
-            table: dict[int, list[TimeEdge]] = {}
-            for edge in self.time_edges:
-                table.setdefault(edge.u, []).append(edge)
-                table.setdefault(edge.v, []).append(edge)
-            self._incident = {v: tuple(es) for v, es in table.items()}
-        return self._incident.get(vertex, ())
+        return edge in self.edges_between(edge.t, edge.t)
 
     def vertices_used(self) -> frozenset[int]:
         """Vertices that are an endpoint of at least one time-edge."""
@@ -186,10 +192,10 @@ class TemporalGraph:
             return NotImplemented
         return (self.vertex_count == other.vertex_count
                 and self.lifetime == other.lifetime
-                and self.layers == other.layers)
+                and self.time_edges == other.time_edges)
 
     def __hash__(self):
-        return hash((self.vertex_count, self.lifetime, self.layers))
+        return hash((self.vertex_count, self.lifetime, self.time_edges))
 
     def __repr__(self):
         return (f"TemporalGraph(|V|={self.vertex_count}, lifetime={self.lifetime}, "
@@ -252,7 +258,7 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
 
     aliases: dict[int, str] = {}
     labels_seen: set[str] = set()
-    layers: list[set[tuple[int, int]]] = [set() for _ in range(lifetime)]
+    keys: set[tuple[int, int, int]] = set()
     for i in range(header_idx + 1, len(lines)):
         lineno = i + 1
         line = lines[i].strip()
@@ -288,11 +294,14 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
             raise TelParseError(lineno, f"vertex id out of range: {u} {v}")
         if not 1 <= t <= lifetime:
             raise TelParseError(lineno, f"time stamp out of [1, {lifetime}]: {t}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in layers[t - 1]:
-            raise TelParseError(lineno, f"duplicate time-edge {pair} at time {t}")
-        layers[t - 1].add(pair)
-    return TemporalGraph(vertex_count, lifetime, layers, aliases)
+        key = (t, u, v) if u < v else (t, v, u)
+        if key in keys:
+            raise TelParseError(lineno, f"duplicate time-edge {key[1:]} at time {t}")
+        keys.add(key)
+    g = TemporalGraph.__new__(TemporalGraph)
+    g._assign(vertex_count, lifetime,
+              tuple(TimeEdge(u, v, t) for t, u, v in sorted(keys)), aliases)
+    return g
 
 
 def serialize_temporal_graph(g: TemporalGraph) -> str:

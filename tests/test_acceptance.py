@@ -196,7 +196,7 @@ def test_criterion_8_scaling_shape():
             cfg = FinderConfig(backend="sieve", seed=600 + length,
                                use_screens=False)
             assert find_exact_restless_path_sieve(
-                g, 0, 11, 2, length, cfg, stats=stats) is None
+                g.time_edges, 0, 11, 2, length, cfg, stats=stats) is None
         wall[ell] = time.perf_counter() - t0
         per_call[ell] = stats.sieve_ops / (2 * ell + 1)
     ratios = [per_call[e + 1] / per_call[e] for e in (1, 2, 3)]

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, a_set,
-                 area_graph, area_spec, compute_distances,
+                 area_graph, area_spec, compute_distances, induced_subgraph,
                  random_temporal_graph)
 from rtp.areas import AreaSpec
 
@@ -27,23 +27,24 @@ def naive_a_set(dt, lower, upper, tau):
 
 
 def naive_area_edges(g, dt, lower, upper, delta):
-    """Independent three-clause union, checked edge for edge."""
+    """Edges a restless path can cross inside the corridor, checked edge
+    for edge in both directions: the departing endpoint leaves from a
+    window appearance or from the lower corner at its time; the arriving
+    endpoint is the upper corner within its waiting window or leaves
+    again from a window appearance within delta."""
     inside = naive_a_set(dt, lower, upper, g.lifetime)
-    kept = set()
-    for e in g.time_edges:
-        ua, va = VertexAppearance(e.u, e.t), VertexAppearance(e.v, e.t)
-        if ua in inside and va in inside:
-            kept.add(e)
-        if lower is not None and e.t == lower.t:
-            for end, other in ((e.u, va), (e.v, ua)):
-                if end == lower.v and other in inside:
-                    kept.add(e)
-        if e.t >= upper.t - delta:
-            for end, other in ((e.u, va), (e.v, ua)):
-                if end == upper.v:
-                    if other in inside or (lower is not None and other == lower):
-                        kept.add(e)
-    return kept
+
+    def departs(x, t):
+        return VertexAppearance(x, t) in inside or VertexAppearance(x, t) == lower
+
+    def arrives(y, t):
+        if y == upper.v:
+            return upper.t - delta <= t <= upper.t
+        return any(VertexAppearance(y, t2) in inside for t2 in range(t, t + delta + 1))
+
+    return {e for e in g.time_edges
+            if any(departs(x, e.t) and arrives(y, e.t)
+                   for x, y in ((e.u, e.v), (e.v, e.u)))}
 
 
 def test_a_set_empty_open_interval(fig1):
@@ -203,6 +204,6 @@ def test_spec_validation():
 def test_area_to_temporal_graph_round_trip(fig1):
     dt = compute_distances(fig1, Z)
     area = area_graph(fig1, dt, area_spec(dt, None, VertexAppearance(Z, 6), 2))
-    sub = area.to_temporal_graph()
+    sub = induced_subgraph(fig1, (), area.time_edges)
     assert set(sub.time_edges) == set(area.time_edges)
     assert sub.vertex_count == fig1.vertex_count

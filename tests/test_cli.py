@@ -192,69 +192,11 @@ def test_gen_solve_round_trip_fuzz(monkeypatch):
         assert code in (0, 1)
 
 
-def test_bench_single_row(capsys):
-    code, out, _ = run(capsys, [
-        "bench", "--vertices", "6", "--lifetime", "4", "--delta", "2",
-        "--k", "3", "--reps", "1", "--seed", "5", "--backend", "brute"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("vertices,lifetime")
-    assert lines[1].split(",")[0] == "6"
-
-
-def test_bench_reps_deterministic_decisions(capsys):
-    code, out, _ = run(capsys, [
-        "bench", "--vertices", "6,7", "--lifetime", "4", "--delta", "1,2",
-        "--k", "2,4", "--reps", "3", "--seed", "5", "--backend", "brute"])
-    assert code == 0
-    lines = out.strip().splitlines()[1:]
-    assert len(lines) == 2 * 1 * 2 * 2 * 3
-    _, second, _ = run(capsys, [
-        "bench", "--vertices", "6,7", "--lifetime", "4", "--delta", "1,2",
-        "--k", "2,4", "--reps", "3", "--seed", "5", "--backend", "brute"])
-    strip = lambda text: [",".join(row.split(",")[:-1])
-                          for row in text.strip().splitlines()]
-    assert strip(out) == strip(second)  # identical apart from wall time
-
-
-def test_probe_emits_rows(fig1_file, capsys):
-    code, out, _ = run(capsys, [
-        "probe", "-i", fig1_file, "-s", "0", "-z", "6", "--delta", "2",
-        "--ell", "1,2", "--seed", "3"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "ell,calls,ops,ops_per_call,elapsed_ms"
-    assert len(lines) == 3
-
-
-def test_probe_full_mode_measures_raw_work(fig1_file, capsys):
-    _, screened, _ = run(capsys, [
-        "probe", "-i", fig1_file, "-s", "0", "-z", "6", "--delta", "2",
-        "--ell", "2", "--seed", "3"])
-    _, full, _ = run(capsys, [
-        "probe", "-i", fig1_file, "-s", "0", "-z", "6", "--delta", "2",
-        "--ell", "2", "--seed", "3", "--full"])
-    ops = lambda text: int(text.strip().splitlines()[1].split(",")[2])
-    assert ops(full) > ops(screened)
-
-
 def test_validate_malformed_path_string(fig1_file, capsys):
     code, _, err = run(capsys, [
         "validate", "-i", fig1_file, "-s", "s", "-z", "z", "--delta", "2",
         "--path", "0,1"])
     assert code == 2 and "bad path step" in err
-
-
-def test_threads_env_is_validated(fig1_file, capsys, monkeypatch):
-    monkeypatch.setenv("RTP_THREADS", "nope")
-    code, _, err = run(capsys, [
-        "solve", "-i", fig1_file, "-s", "0", "-z", "6", "--delta", "2", "--k", "5"])
-    assert code == 2 and "RTP_THREADS" in err
-    monkeypatch.setenv("RTP_THREADS", "4")
-    code, _, _ = run(capsys, [
-        "solve", "-i", fig1_file, "-s", "0", "-z", "6", "--delta", "2", "--k", "5"])
-    assert code == 0
 
 
 def test_seed_accepts_hex_and_decimal(fig1_file, capsys):

@@ -18,13 +18,13 @@ def as_triples(path):
 
 
 def test_brute_finds_unique_fig1_path(fig1):
-    path = find_exact_restless_path_brute(fig1, S, Z, 2, 5)
+    path = find_exact_restless_path_brute(fig1.time_edges, S, Z, 2, 5)
     assert path is not None
     assert as_triples(path) == FIG1_STEPS
 
 
 def test_brute_absent_at_length_four(fig1):
-    assert find_exact_restless_path_brute(fig1, S, Z, 2, 4) is None
+    assert find_exact_restless_path_brute(fig1.time_edges, S, Z, 2, 4) is None
     # cross-check by naive enumeration
     assert 4 not in oracles.restless_path_lengths(
         oracles.edge_triples(fig1), S, Z, 2, 6)
@@ -35,24 +35,24 @@ def test_single_step_always_restless():
     cfg = FinderConfig(backend="sieve", seed=5)
     for finder in (find_exact_restless_path_brute,
                    lambda *a: find_exact_restless_path_sieve(*a, cfg)):
-        path = finder(g, 0, 1, 1, 1)
+        path = finder(g.time_edges, 0, 1, 1, 1)
         assert path is not None and path.length == 1
 
 
 def test_brute_parameter_validation(fig1):
     with pytest.raises(ValueError):
-        find_exact_restless_path_brute(fig1, S, S, 2, 1)
+        find_exact_restless_path_brute(fig1.time_edges, S, S, 2, 1)
     with pytest.raises(ValueError):
-        find_exact_restless_path_brute(fig1, S, Z, 2, 0)
+        find_exact_restless_path_brute(fig1.time_edges, S, Z, 2, 0)
     with pytest.raises(ValueError):
-        find_exact_restless_path_brute(fig1, S, Z, 0, 1)
+        find_exact_restless_path_brute(fig1.time_edges, S, Z, 0, 1)
 
 
 def test_sieve_finds_fig1_path_across_seeds(fig1):
     hits = 0
     for seed in range(200):
         cfg = FinderConfig(backend="sieve", error_prob=0.01, seed=seed)
-        path = find_exact_restless_path_sieve(fig1, S, Z, 2, 5, cfg)
+        path = find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, 5, cfg)
         if path is not None:
             assert as_triples(path) == FIG1_STEPS
             hits += 1
@@ -62,7 +62,7 @@ def test_sieve_finds_fig1_path_across_seeds(fig1):
 def test_sieve_no_instance_never_says_yes(fig1):
     for seed in range(100):
         cfg = FinderConfig(backend="sieve", error_prob=0.5, seed=seed)
-        assert find_exact_restless_path_sieve(fig1, S, Z, 2, 4, cfg) is None
+        assert find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, 4, cfg) is None
 
 
 def test_sieve_agrees_with_brute_on_random_instances():
@@ -70,9 +70,9 @@ def test_sieve_agrees_with_brute_on_random_instances():
     yes_seen = no_seen = misses = 0
     for g, s, z, delta, _k in random_instances(321, 1000, max_k=6):
         length = rng.randint(1, 6)
-        want = find_exact_restless_path_brute(g, s, z, delta, length)
+        want = find_exact_restless_path_brute(g.time_edges, s, z, delta, length)
         cfg = FinderConfig(backend="sieve", error_prob=0.01, seed=rng.getrandbits(64))
-        got = find_exact_restless_path_sieve(g, s, z, delta, length, cfg)
+        got = find_exact_restless_path_sieve(g.time_edges, s, z, delta, length, cfg)
         if want is None:
             assert got is None  # absent instances never produce a path
             no_seen += 1
@@ -93,7 +93,7 @@ def test_returned_paths_always_validate():
     for g, s, z, delta, _k in random_instances(654, 300):
         length = rng.randint(1, 5)
         cfg = FinderConfig(backend="sieve", error_prob=0.2, seed=rng.getrandbits(64))
-        path = find_exact_restless_path_sieve(g, s, z, delta, length, cfg)
+        path = find_exact_restless_path_sieve(g.time_edges, s, z, delta, length, cfg)
         if path is None:
             continue
         returned += 1
@@ -106,14 +106,14 @@ def test_returned_paths_always_validate():
 
 def test_sieve_deterministic_under_seed(fig1):
     cfg = FinderConfig(backend="sieve", seed=123456789)
-    first = find_exact_restless_path_sieve(fig1, S, Z, 2, 5, cfg)
-    second = find_exact_restless_path_sieve(fig1, S, Z, 2, 5, cfg)
+    first = find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, 5, cfg)
+    second = find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, 5, cfg)
     assert as_triples(first) == as_triples(second)
 
 
 def test_dispatch_brute_matches_brute(fig1):
     cfg = FinderConfig(backend="brute")
-    path = find_exact_restless_path(fig1, S, Z, 2, 5, cfg)
+    path = find_exact_restless_path(fig1.time_edges, S, Z, 2, 5, cfg)
     assert as_triples(path) == FIG1_STEPS
 
 
@@ -121,7 +121,7 @@ def test_dispatch_auto_uses_brute_below_threshold():
     g = random_temporal_graph(8, 6, 3.0, 12)
     stats = FinderStats()
     cfg = FinderConfig(backend="auto", auto_threshold=4, seed=1)
-    find_exact_restless_path(g, 0, 7, 2, 2, cfg, stats=stats)
+    find_exact_restless_path(g.time_edges, 0, 7, 2, 2, cfg, stats=stats)
     assert stats.sieve_trials == 0  # brute path taken, no sieve work
 
 
@@ -130,7 +130,7 @@ def test_dispatch_auto_uses_sieve_for_long_searches():
     assert len(g.time_edges) > 16
     stats = FinderStats()
     cfg = FinderConfig(backend="auto", auto_threshold=4, seed=1)
-    find_exact_restless_path(g, 0, 9, 2, 5, cfg, stats=stats)
+    find_exact_restless_path(g.time_edges, 0, 9, 2, 5, cfg, stats=stats)
     assert stats.sieve_trials >= 1
 
 
@@ -143,10 +143,24 @@ def test_sieve_trial_work_scales_with_subsets_and_length():
     lengths = (4, 6, 8, 10)
     for length in lengths:
         stats = FinderStats()
-        find_exact_restless_path_sieve(g, 0, 9, 2, length, cfg0, stats=stats)
+        find_exact_restless_path_sieve(g.time_edges, 0, 9, 2, length, cfg0, stats=stats)
         measured[length] = stats.sieve_ops / stats.sieve_trials
     ratios = [measured[length] / (2 ** length * length) for length in lengths]
     assert max(ratios) <= 2 * min(ratios), (measured, ratios)
+
+
+def test_screens_cut_raw_sieve_work(fig1):
+    # the probe schedule of one slack-2 link, lengths 1..5, with and
+    # without the walk-feasibility screens
+    ops = {}
+    for screens in (True, False):
+        stats = FinderStats()
+        for length in range(1, 6):
+            cfg = FinderConfig(backend="sieve", seed=3 + length, use_screens=screens)
+            find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, length, cfg,
+                                           stats=stats)
+        ops[screens] = stats.sieve_ops
+    assert ops[False] > ops[True]
 
 
 def test_sieve_cancels_walks_that_are_not_paths():
@@ -163,7 +177,7 @@ def test_sieve_cancels_walks_that_are_not_paths():
     for seed in range(80):
         stats = FinderStats()
         cfg = FinderConfig(backend="sieve", seed=seed)
-        assert find_exact_restless_path_sieve(g, 0, 3, 1, 4, cfg,
+        assert find_exact_restless_path_sieve(g.time_edges, 0, 3, 1, 4, cfg,
                                               stats=stats) is None
         assert stats.sieve_trials >= 1  # the screens alone cannot reject
 
@@ -176,7 +190,7 @@ def test_sieve_separates_parallel_routes():
         TimeEdge(0, 2, 1), TimeEdge(2, 3, 2)])
     for seed in range(40):
         cfg = FinderConfig(backend="sieve", seed=seed)
-        path = find_exact_restless_path_sieve(g, 0, 3, 2, 2, cfg)
+        path = find_exact_restless_path_sieve(g.time_edges, 0, 3, 2, 2, cfg)
         assert path is not None and path.length == 2
 
 
@@ -187,7 +201,7 @@ def test_single_stamp_graph():
         TimeEdge(3, 4, 1), TimeEdge(0, 4, 1)])
     for backend in ("brute", "sieve"):
         cfg = FinderConfig(backend=backend, seed=2)
-        path = find_exact_restless_path(g, 0, 4, 1, 4, cfg)
+        path = find_exact_restless_path(g.time_edges, 0, 4, 1, 4, cfg)
         assert path is not None and path.length == 4
 
 
@@ -200,14 +214,12 @@ def test_finder_config_validation():
         FinderConfig(error_prob=1.0)
     with pytest.raises(ValueError):
         FinderConfig(auto_threshold=0)
-    with pytest.raises(ValueError):
-        FinderConfig(trials=0)
 
 
 def test_stats_counters_move(fig1):
     stats = FinderStats()
     cfg = FinderConfig(backend="sieve", seed=9)
-    find_exact_restless_path_sieve(fig1, S, Z, 2, 5, cfg, stats=stats)
+    find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, 5, cfg, stats=stats)
     assert stats.calls == 1
     assert stats.sieve_trials >= 1
     assert stats.sieve_ops > 0

@@ -7,9 +7,9 @@ import pytest
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, FinderConfig, TemporalGraph, TimeEdge, VertexAppearance,
-                 compute_distances, fill_table, random_temporal_graph,
-                 reconstruct, separator_trace, solve, solve_windowed,
-                 validate_restless_path)
+                 compute_distances, fill_table, parse_temporal_graph,
+                 random_temporal_graph, reconstruct, restless_walk_distance,
+                 separator_trace, solve, solve_windowed, validate_restless_path)
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -291,6 +291,49 @@ def test_decision_monotone_in_budget_and_waiting_bound():
         assert not any(a and not b for a, b in zip(by_k, by_k[1:])), by_k
         by_d = [solve(g, s, z, d, 4, 0.01, cfg).decision for d in (1, 2, 3)]
         assert not any(a and not b for a, b in zip(by_d, by_d[1:])), by_d
+
+
+def test_arrival_below_corridor_window_is_found():
+    # 3-5@1, 5-1@2, 1-0@3, 0-2@4: vertex 5 arrives at stamp 1, where
+    # d(5, 1) = 2 lies below the source-side corridor of (1, 3), and departs
+    # at stamp 2, where d(5, 2) = 3 lies inside it; the arrival edge must
+    # still be kept
+    g = TemporalGraph.from_time_edges(
+        6, 5, [(3, 5, 1), (4, 5, 1), (1, 5, 2), (0, 1, 3), (0, 2, 4), (2, 4, 5)])
+    assert oracles.shortest_restless_path(oracles.edge_triples(g), 3, 2, 1, 5) == 4
+    results = [solve(g, 3, 2, 1, 4, 0.01, FinderConfig(backend=backend, seed=5))
+               for backend in ("brute", "sieve", "auto")]
+    results.append(solve_windowed(g, 3, 2, 1, 4, 0.01, FinderConfig(backend="brute")))
+    for res in results:
+        assert res.decision
+        assert validate_restless_path(g, res.witness.steps, 3, 2, 1).length == 4
+
+
+def test_resources_independent_of_lifetime_header(monkeypatch):
+    import tracemalloc
+
+    import rtp.solver
+    text = "3 1000000\n0 1 1\n1 2 3\n"
+    inner = rtp.solver.solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(rtp.solver, "solve", counted)
+    tracemalloc.start()
+    try:
+        g = parse_temporal_graph(text)
+        assert g.size() == 3 + 2 + 1_000_000 - 2
+        assert restless_walk_distance(g, 0, 2, 2) == 2
+        res = solve_windowed(g, 0, 2, 2, 2, 0.01, FinderConfig(backend="brute"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.decision and res.witness.length == 2
+    assert peak < 1_000_000, peak
+    assert 1 <= len(calls) <= len(compute_distances(g, 0).appearance_times(0))
 
 
 def test_solve_on_edgeless_graph():
