@@ -11,13 +11,11 @@ from .distances import (INF, DistanceTable, TransformedDigraph,
                         non_isolated_appearances, restless_walk_distance,
                         static_distance)
 from .generate import random_temporal_graph
-from .path_finder import (FinderConfig, FinderStats,
-                          find_exact_restless_path,
+from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           find_exact_restless_path_brute,
                           find_exact_restless_path_sieve)
-from .solver import (DpTable, SeparatorTrace, SolveResult, SolveStats,
-                     fill_table, reconstruct, separator_trace, solve,
-                     solve_windowed)
+from .solver import (DpTable, SeparatorTrace, SolveResult, fill_table,
+                     reconstruct, separator_trace, solve, solve_windowed)
 from .temporal_graph import (PathValidationError, RestlessPath, TelParseError,
                              TemporalGraph, TimeEdge, VertexAppearance,
                              induced_subgraph, parse_temporal_graph,
@@ -31,9 +29,9 @@ __all__ = [
     "compute_distances", "non_isolated_appearances", "restless_walk_distance",
     "static_distance",
     "random_temporal_graph",
-    "FinderConfig", "FinderStats", "find_exact_restless_path",
+    "FinderConfig", "SolveStats", "find_exact_restless_path",
     "find_exact_restless_path_brute", "find_exact_restless_path_sieve",
-    "DpTable", "SeparatorTrace", "SolveResult", "SolveStats", "fill_table",
+    "DpTable", "SeparatorTrace", "SolveResult", "fill_table",
     "reconstruct", "separator_trace", "solve", "solve_windowed",
     "PathValidationError", "RestlessPath", "TelParseError", "TemporalGraph",
     "TimeEdge", "VertexAppearance", "induced_subgraph", "parse_temporal_graph",

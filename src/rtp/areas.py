@@ -13,7 +13,7 @@ appearance farther from the target than the upper corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distances import INF, DistanceTable
 from .temporal_graph import TemporalGraph, TimeEdge, VertexAppearance
@@ -41,14 +41,16 @@ def area_spec(dt: DistanceTable, lower: VertexAppearance | None,
               upper: VertexAppearance, delta: int) -> AreaSpec:
     """Build an AreaSpec, checking the corner distances against dt.
 
-    The lower corner must be strictly farther from the target than the
-    upper corner.
+    Both corners must be non-isolated appearances, and the lower corner
+    must be strictly farther from the target than the upper corner.
     """
     spec = AreaSpec(upper=upper, lower=lower, delta=delta)
+    d_upper = dt.entries.get(upper)
+    if d_upper is None:
+        raise ValueError("corner appearances must be non-isolated")
     if lower is not None:
         d_lower = dt.entries.get(lower)
-        d_upper = dt.entries.get(upper)
-        if d_lower is None or d_upper is None:
+        if d_lower is None:
             raise ValueError("corner appearances must be non-isolated")
         if not d_upper < d_lower:
             raise ValueError(
@@ -85,10 +87,8 @@ class AreaGraph:
     without translation. ``time_edges`` keeps canonical order.
     """
 
-    spec: AreaSpec
     time_edges: tuple[TimeEdge, ...]
     vertices: frozenset[int]
-    parent: TemporalGraph = field(repr=False)
 
 
 def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph:
@@ -128,4 +128,4 @@ def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph
             if arrives(v if u == a else u, t):
                 kept.append(edge)
     vertices = frozenset(v for e in kept for v in e.pair)
-    return AreaGraph(spec=spec, time_edges=tuple(kept), vertices=vertices, parent=g)
+    return AreaGraph(time_edges=tuple(kept), vertices=vertices)

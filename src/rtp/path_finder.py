@@ -14,8 +14,9 @@ Two backends behind one contract:
   always certified by an explicit path, recovered by deleting time-edges
   one at a time while the decision stays yes.
 
-A returned path is always structurally re-checked before it leaves this
-module, so the yes side carries no error on either backend.
+Every returned path is built by check_restless_path against the searched
+edge set, the same checker validate_restless_path runs on witnesses, so
+the yes side carries no error on either backend, with or without -O.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .gf2 import gf_mul, spread
 from .rng import SeedStream
-from .temporal_graph import RestlessPath, TimeEdge
+from .temporal_graph import RestlessPath, TimeEdge, check_restless_path
 
 _BACKENDS = ("brute", "sieve", "auto")
 _TINY_EDGE_COUNT = 16
@@ -37,9 +38,11 @@ class FinderConfig:
     """Knobs for the exact-length search.
 
     error_prob bounds the probability that the sieve reports absent when a
-    path exists, and so sets its trial count. use_screens enables the
-    cheap walk-feasibility pre-checks that skip provably hopeless sieve
-    runs (disabled by benchmarks that measure raw sieve work).
+    path exists, and so sets its trial count; solve and solve_windowed
+    replace it with their per-call share of the query's p. use_screens
+    enables the cheap walk-feasibility pre-checks that skip provably
+    hopeless sieve runs (disabled by benchmarks that measure raw sieve
+    work).
     """
 
     backend: str = "auto"
@@ -58,49 +61,24 @@ class FinderConfig:
 
 
 @dataclass
-class FinderStats:
-    """Mutable counters shared across finder calls.
+class SolveStats:
+    """Mutable counters of one solve, shared by every finder call it makes.
 
     sieve_ops counts inner decision work only (transition sums plus
     coefficient products, per label subset); work spent re-deciding while
-    peeling a witness out goes to extraction_ops.
+    peeling a witness out goes to extraction_ops. areas_built,
+    table_entries and elapsed_seconds are filled by the solver.
     """
 
-    calls: int = 0
+    finder_calls: int = 0
     sieve_trials: int = 0
     sieve_ops: int = 0
     screened: int = 0
     extraction_decisions: int = 0
     extraction_ops: int = 0
-
-
-def _steps_ok(steps: Sequence[TimeEdge], s: int, z: int, delta: int,
-              length: int) -> bool:
-    if len(steps) != length or not steps[0].touches(s):
-        return False
-    cur = s
-    seen = {s}
-    prev = None
-    for step in steps:
-        if not step.touches(cur):
-            return False
-        if prev is not None and not (prev <= step.t <= prev + delta):
-            return False
-        cur = step.other(cur)
-        if cur in seen:
-            return False
-        seen.add(cur)
-        prev = step.t
-    return cur == z
-
-
-def _as_path(steps: Sequence[TimeEdge], s: int, delta: int) -> RestlessPath:
-    order = [s]
-    cur = s
-    for step in steps:
-        cur = step.other(cur)
-        order.append(cur)
-    return RestlessPath(steps=tuple(steps), delta=delta, vertices=tuple(order))
+    areas_built: int = 0
+    table_entries: int = 0
+    elapsed_seconds: float = 0.0
 
 
 def _single_step(edges: Sequence[TimeEdge], s: int, z: int,
@@ -108,13 +86,14 @@ def _single_step(edges: Sequence[TimeEdge], s: int, z: int,
     want = (s, z) if s < z else (z, s)
     for edge in edges:  # canonical order: earliest stamp wins
         if edge.pair == want:
-            return _as_path((edge,), s, delta)
+            return check_restless_path(frozenset(edges).__contains__, (edge,),
+                                       s, z, delta)
     return None
 
 
 def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
                                    delta: int, length: int, *,
-                                   stats: FinderStats | None = None
+                                   stats: SolveStats | None = None
                                    ) -> RestlessPath | None:
     """Exhaustive search for a restless s-z path of exactly `length` steps
     over the time-edges `edges`, given in canonical order."""
@@ -125,7 +104,7 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
     if delta < 1:
         raise ValueError("delta must be at least 1")
     if stats is not None:
-        stats.calls += 1
+        stats.finder_calls += 1
     if length == 1:
         return _single_step(edges, s, z, delta)
     if len(edges) < length:
@@ -158,8 +137,7 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
 
     if not extend(s, None, 0):
         return None
-    assert _steps_ok(steps, s, z, delta, length)
-    return _as_path(steps, s, delta)
+    return check_restless_path(frozenset(edges).__contains__, steps, s, z, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +226,7 @@ def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
 
 
 def _sieve_decide(structure: _Structure, length: int, trials: int,
-                  stream: SeedStream, stats: FinderStats | None) -> bool:
+                  stream: SeedStream, stats: SolveStats | None) -> bool:
     if not structure.feasible or not structure.layers[-1]:
         return False
     layers = structure.layers
@@ -305,7 +283,7 @@ def _trials_for(error_prob: float) -> int:
 
 def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
                                    delta: int, length: int, cfg: FinderConfig, *,
-                                   stats: FinderStats | None = None
+                                   stats: SolveStats | None = None
                                    ) -> RestlessPath | None:
     """Randomized exact-length search; absent answers may be wrong with
     probability at most cfg.error_prob, returned paths are always valid."""
@@ -316,7 +294,7 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     if delta < 1:
         raise ValueError("delta must be at least 1")
     if stats is not None:
-        stats.calls += 1
+        stats.finder_calls += 1
     if length == 1:
         return _single_step(edges, s, z, delta)
     if cfg.use_screens:
@@ -340,7 +318,7 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
 
     # a path certainly exists: peel away time-edges while the answer stays yes
     remaining = list(edges)
-    sub_stats = FinderStats()
+    sub_stats = SolveStats()
     i = 0
     while i < len(remaining):
         candidate = remaining[:i] + remaining[i + 1:]
@@ -357,15 +335,12 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
         stats.extraction_decisions += sub_stats.extraction_decisions
         stats.extraction_ops += sub_stats.sieve_ops
         stats.sieve_trials += sub_stats.sieve_trials
-    found = find_exact_restless_path_brute(remaining, s, z, delta, length)
-    if found is None or not _steps_ok(found.steps, s, z, delta, length):
-        return None
-    return found
+    return find_exact_restless_path_brute(remaining, s, z, delta, length)
 
 
 def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
                              delta: int, length: int, cfg: FinderConfig, *,
-                             stats: FinderStats | None = None
+                             stats: SolveStats | None = None
                              ) -> RestlessPath | None:
     """Dispatch to the configured backend; auto picks brute for short or
     tiny searches and the sieve otherwise."""

@@ -28,7 +28,3 @@ class SeedStream:
     def next(self) -> int:
         self._state, value = splitmix64(self._state)
         return value
-
-    def fork(self) -> "SeedStream":
-        """Derive an independent child stream (consumes one value)."""
-        return SeedStream(self.next())

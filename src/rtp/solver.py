@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
 from .areas import area_graph, area_spec
 from .distances import INF, DistanceTable, compute_distances
-from .path_finder import FinderConfig, FinderStats, find_exact_restless_path
+from .path_finder import FinderConfig, SolveStats, find_exact_restless_path
 from .rng import SeedStream
 from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge,
                              VertexAppearance, validate_restless_path)
@@ -51,15 +51,6 @@ class DpTable:
     entries: dict[VertexAppearance, int | float] = field(default_factory=dict)
     preds: dict[VertexAppearance, tuple[VertexAppearance | None, tuple[TimeEdge, ...]]] = \
         field(default_factory=dict)
-
-
-@dataclass
-class SolveStats:
-    areas_built: int = 0
-    finder_calls: int = 0
-    finder_ops: int = 0
-    table_entries: int = 0
-    elapsed_seconds: float = 0.0
 
 
 @dataclass
@@ -85,13 +76,8 @@ class SolveResult:
             "temporal_distance":
                 None if self.temporal_distance == INF else self.temporal_distance,
             "ell": self.ell,
-            "stats": {
-                "areas_built": self.stats.areas_built,
-                "finder_calls": self.stats.finder_calls,
-                "finder_ops": self.stats.finder_ops,
-                "table_entries": self.stats.table_entries,
-                "elapsed_seconds": round(self.stats.elapsed_seconds, 6),
-            },
+            "stats": {**asdict(self.stats),
+                      "elapsed_seconds": round(self.stats.elapsed_seconds, 6)},
         }
 
 
@@ -126,17 +112,6 @@ def separator_trace(path: RestlessPath, dt: DistanceTable) -> SeparatorTrace:
     return SeparatorTrace(indices=tuple(indices), d_values=tuple(dvals))
 
 
-def _check_chain_disjoint(g: TemporalGraph, dt: DistanceTable,
-                          pred: VertexAppearance, upper: VertexAppearance,
-                          delta: int) -> None:
-    """Chained corridors may only share the chaining vertex."""
-    source_side = area_graph(g, dt, area_spec(dt, None, pred, delta))
-    hop = area_graph(g, dt, area_spec(dt, pred, upper, delta))
-    shared = source_side.vertices & hop.vertices
-    assert shared <= {pred.v}, (
-        f"corridors around {pred} share vertices {shared - {pred.v}}")
-
-
 def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                delta: int, k: int, cfg: FinderConfig, *,
                stats: SolveStats | None = None) -> DpTable:
@@ -144,10 +119,11 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     d_source = dt.source_distance(s)
     if d_source == INF or d_source > k:
         raise ValueError("fill_table requires a temporal s-z path within budget")
+    if stats is None:
+        stats = SolveStats()
     ell = k - d_source
     near_floor = d_source - ell
     table = DpTable(ell=ell)
-    fstats = FinderStats()
     seeds = SeedStream(cfg.seed)
 
     by_distance: dict[int, list[VertexAppearance]] = {}
@@ -157,11 +133,6 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     for group in by_distance.values():
         group.sort(key=lambda a: (a.t, a.v))
 
-    def search(area, frm: int, to: int, length: int) -> RestlessPath | None:
-        call_cfg = replace(cfg, seed=seeds.next())
-        return find_exact_restless_path(area.time_edges, frm, to, delta, length,
-                                        call_cfg, stats=fstats)
-
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
     for app, d in order:
         u, t_up = app
@@ -169,58 +140,42 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             table.entries[app] = 0
             table.preds[app] = (None, ())
             continue
-        if d >= near_floor:  # near zone, INF distances included
-            value: int | float = INF
-            link = None
-            if d != INF and ell > 0:
-                area = area_graph(g, dt, area_spec(dt, None, app, delta))
-                if stats is not None:
-                    stats.areas_built += 1
-                if s in area.vertices and u in area.vertices:
-                    for length in range(1, 2 * ell + 1):
-                        found = search(area, s, u, length)
-                        if found is not None:
-                            value = length
-                            link = (None, found.steps)
-                            break
-            table.entries[app] = value
-            if link is not None:
-                table.preds[app] = link
-            continue
-        # far zone: chain from a strictly farther, no-later appearance
+        # links are (predecessor appearance, its value); the near zone, INF
+        # distances included, chains once from the source side at value 0
+        if d >= near_floor:
+            links = [(None, 0)] if d != INF and ell > 0 else []
+            probes = 2 * ell
+        else:  # far zone: a strictly farther, no-later appearance
+            links = ((pred, table.entries.get(pred, INF))
+                     for d_pred in range(d + 1, d + ell + 2)
+                     for pred in by_distance.get(d_pred, ()) if pred.t <= t_up)
+            probes = 2 * ell + 1
         best: int | float = INF
         best_link = None
-        for d_pred in range(d + 1, d + ell + 2):
-            for pred in by_distance.get(d_pred, ()):
-                if pred.t > t_up:
-                    continue
-                base = table.entries.get(pred, INF)
-                if base == INF or base + 1 >= best:
-                    continue
-                area = area_graph(g, dt, area_spec(dt, pred, app, delta))
-                if stats is not None:
-                    stats.areas_built += 1
-                if pred.v not in area.vertices or u not in area.vertices:
-                    continue
-                limit = 2 * ell + 1
-                if best != INF:
-                    limit = min(limit, int(best) - base - 1)  # only improvements
-                for length in range(1, limit + 1):
-                    found = search(area, pred.v, u, length)
-                    if found is not None:
-                        best = base + length
-                        best_link = (pred, found.steps)
-                        break
+        for pred, base in links:
+            if base == INF or base + 1 >= best:
+                continue
+            area = area_graph(g, dt, area_spec(dt, pred, app, delta))
+            stats.areas_built += 1
+            frm = s if pred is None else pred.v
+            if frm not in area.vertices or u not in area.vertices:
+                continue
+            limit = probes
+            if best != INF:
+                limit = min(limit, int(best) - base - 1)  # only improvements
+            for length in range(1, limit + 1):
+                found = find_exact_restless_path(
+                    area.time_edges, frm, u, delta, length,
+                    replace(cfg, seed=seeds.next()), stats=stats)
+                if found is not None:
+                    best = base + length
+                    best_link = (pred, found.steps)
+                    break
         table.entries[app] = best
         if best_link is not None:
             table.preds[app] = best_link
-            if __debug__:
-                _check_chain_disjoint(g, dt, best_link[0], app, delta)
 
-    if stats is not None:
-        stats.finder_calls += fstats.calls
-        stats.finder_ops += fstats.sieve_ops
-        stats.table_entries = len(table.entries)
+    stats.table_entries = len(table.entries)
     return table
 
 

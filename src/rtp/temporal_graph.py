@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
 
 class TelParseError(ValueError):
@@ -206,8 +206,8 @@ class TemporalGraph:
 class RestlessPath:
     """A validated chronological simple path with bounded waiting times.
 
-    Construct through validate_restless_path; direct construction skips
-    the checks.
+    Construct through validate_restless_path or check_restless_path;
+    direct construction skips the checks.
     """
 
     steps: tuple[TimeEdge, ...]
@@ -324,6 +324,13 @@ def validate_restless_path(g: TemporalGraph, steps, s: int, z: int,
     non-decreasing; consecutive stamps differ by at most delta; no vertex
     repeats; the walk ends at z. A single step only needs to join s and z.
     """
+    return check_restless_path(g.has_time_edge, steps, s, z, delta)
+
+
+def check_restless_path(contains: Callable[[TimeEdge], bool], steps, s: int,
+                        z: int, delta: int) -> RestlessPath:
+    """validate_restless_path against any time-edge membership test, such
+    as a corridor's edge set; same checks, order, reasons and indices."""
     if delta < 1:
         raise PathValidationError("bad-delta", -1, "delta must be at least 1")
     steps = tuple(steps)
@@ -334,10 +341,11 @@ def validate_restless_path(g: TemporalGraph, steps, s: int, z: int,
         raise PathValidationError(
             "bad-endpoints", 0, f"first step {first} does not touch source {s}")
     current = s
+    order = [s]
     visited = {s}
     prev_t = None
     for i, step in enumerate(steps):
-        if not g.has_time_edge(step):
+        if not contains(step):
             raise PathValidationError(
                 "missing-edge", i, f"step {i}: {step} is not a time-edge of the graph")
         if not step.touches(current):
@@ -358,17 +366,13 @@ def validate_restless_path(g: TemporalGraph, steps, s: int, z: int,
             raise PathValidationError(
                 "vertex-repeated", i, f"step {i}: vertex {nxt} visited twice")
         visited.add(nxt)
+        order.append(nxt)
         current = nxt
         prev_t = step.t
     if current != z:
         raise PathValidationError(
             "bad-endpoints", len(steps) - 1,
             f"path ends at vertex {current}, expected {z}")
-    order = [s]
-    cur = s
-    for step in steps:
-        cur = step.other(cur)
-        order.append(cur)
     return RestlessPath(steps=steps, delta=delta, vertices=tuple(order))
 
 

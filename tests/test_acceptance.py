@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
-from rtp import (INF, FinderConfig, FinderStats, TemporalGraph, TimeEdge,
+from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  compute_distances, find_exact_restless_path_sieve,
                  restless_walk_distance, separator_trace, solve,
                  static_distance, validate_restless_path)
@@ -190,7 +190,7 @@ def test_criterion_8_scaling_shape():
     per_call = {}
     wall = {}
     for ell in (1, 2, 3, 4):
-        stats = FinderStats()
+        stats = SolveStats()
         t0 = time.perf_counter()
         for length in range(1, 2 * ell + 2):
             cfg = FinderConfig(backend="sieve", seed=600 + length,

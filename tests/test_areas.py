@@ -199,6 +199,10 @@ def test_spec_validation():
         area_spec(dt, VertexAppearance(1, 2), VertexAppearance(0, 1), 2)
     with pytest.raises(ValueError):  # isolated corner
         area_spec(dt, VertexAppearance(2, 1), VertexAppearance(1, 2), 2)
+    with pytest.raises(ValueError):  # isolated upper corner, source side
+        area_spec(dt, None, VertexAppearance(0, 2), 2)
+    with pytest.raises(ValueError):  # isolated upper corner below a lower one
+        area_spec(dt, VertexAppearance(0, 1), VertexAppearance(2, 1), 2)
 
 
 def test_area_to_temporal_graph_round_trip(fig1):

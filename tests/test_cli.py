@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -120,6 +124,15 @@ def test_solve_dump_area_with_lower_corner(fig1_file, capsys):
     assert [(e.u, e.v, e.t) for e in dumped.time_edges] == [(5, 6, 6)]
 
 
+def test_solve_dump_area_isolated_upper_corner(fig1_file, capsys):
+    # c has no time-edge at stamp 1, with or without a lower corner
+    for spec in ("3,1", "3,1:0,1"):
+        code, _, err = run(capsys, [
+            "solve", "-i", fig1_file, "-s", "s", "-z", "z",
+            "--delta", "2", "--k", "5", "--dump-area", spec])
+        assert code == 2 and "non-isolated" in err, spec
+
+
 def test_distances_json(fig1_file, capsys):
     code, out, _ = run(capsys, [
         "distances", "-i", fig1_file, "-z", "z", "-s", "s", "--delta", "2"])
@@ -217,3 +230,20 @@ def test_text_format(fig1_file, capsys):
         "--k", "5", "--format", "text", "--backend", "brute"])
     assert code == 0
     assert out.startswith("decision: yes")
+
+
+def test_answers_do_not_depend_on_debug_mode(fig1_file):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outs = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "rtp.cli", "solve", "-i", fig1_file,
+             "-s", "s", "-z", "z", "--delta", "2", "--k", "5",
+             "--backend", "sieve", "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        payload["stats"] = {key: 0 for key in payload["stats"]}
+        outs.append(payload)
+    assert outs[0] == outs[1]

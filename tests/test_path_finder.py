@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
-from rtp import (FinderConfig, FinderStats, TemporalGraph, TimeEdge,
+from rtp import (FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  find_exact_restless_path, find_exact_restless_path_brute,
                  find_exact_restless_path_sieve, random_temporal_graph)
 
@@ -119,7 +119,7 @@ def test_dispatch_brute_matches_brute(fig1):
 
 def test_dispatch_auto_uses_brute_below_threshold():
     g = random_temporal_graph(8, 6, 3.0, 12)
-    stats = FinderStats()
+    stats = SolveStats()
     cfg = FinderConfig(backend="auto", auto_threshold=4, seed=1)
     find_exact_restless_path(g.time_edges, 0, 7, 2, 2, cfg, stats=stats)
     assert stats.sieve_trials == 0  # brute path taken, no sieve work
@@ -128,7 +128,7 @@ def test_dispatch_auto_uses_brute_below_threshold():
 def test_dispatch_auto_uses_sieve_for_long_searches():
     g = random_temporal_graph(10, 6, 3.5, 13)
     assert len(g.time_edges) > 16
-    stats = FinderStats()
+    stats = SolveStats()
     cfg = FinderConfig(backend="auto", auto_threshold=4, seed=1)
     find_exact_restless_path(g.time_edges, 0, 9, 2, 5, cfg, stats=stats)
     assert stats.sieve_trials >= 1
@@ -142,7 +142,7 @@ def test_sieve_trial_work_scales_with_subsets_and_length():
     measured = {}
     lengths = (4, 6, 8, 10)
     for length in lengths:
-        stats = FinderStats()
+        stats = SolveStats()
         find_exact_restless_path_sieve(g.time_edges, 0, 9, 2, length, cfg0, stats=stats)
         measured[length] = stats.sieve_ops / stats.sieve_trials
     ratios = [measured[length] / (2 ** length * length) for length in lengths]
@@ -154,7 +154,7 @@ def test_screens_cut_raw_sieve_work(fig1):
     # without the walk-feasibility screens
     ops = {}
     for screens in (True, False):
-        stats = FinderStats()
+        stats = SolveStats()
         for length in range(1, 6):
             cfg = FinderConfig(backend="sieve", seed=3 + length, use_screens=screens)
             find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, length, cfg,
@@ -175,7 +175,7 @@ def test_sieve_cancels_walks_that_are_not_paths():
     assert oracles.restless_path_lengths(
         oracles.edge_triples(g), 0, 3, 1, 5) == set()
     for seed in range(80):
-        stats = FinderStats()
+        stats = SolveStats()
         cfg = FinderConfig(backend="sieve", seed=seed)
         assert find_exact_restless_path_sieve(g.time_edges, 0, 3, 1, 4, cfg,
                                               stats=stats) is None
@@ -217,10 +217,10 @@ def test_finder_config_validation():
 
 
 def test_stats_counters_move(fig1):
-    stats = FinderStats()
+    stats = SolveStats()
     cfg = FinderConfig(backend="sieve", seed=9)
     find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, 5, cfg, stats=stats)
-    assert stats.calls == 1
+    assert stats.finder_calls == 1
     assert stats.sieve_trials >= 1
     assert stats.sieve_ops > 0
     assert stats.extraction_decisions >= 1

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
-from rtp import (INF, FinderConfig, TemporalGraph, TimeEdge, VertexAppearance,
-                 compute_distances, fill_table, parse_temporal_graph,
-                 random_temporal_graph, reconstruct, restless_walk_distance,
-                 separator_trace, solve, solve_windowed, validate_restless_path)
+from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
+                 VertexAppearance, area_graph, area_spec, compute_distances,
+                 fill_table, parse_temporal_graph, random_temporal_graph,
+                 reconstruct, restless_walk_distance, separator_trace, solve,
+                 solve_windowed, validate_restless_path)
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -168,6 +170,10 @@ def test_pred_links_satisfy_window_conditions():
             assert pred.t <= app.t
             assert dt.entries[pred] > dt.entries[app] >= dt.entries[pred] - ell - 1
             assert 1 <= len(steps) <= 2 * ell + 1
+            # chained corridors may only share the chaining vertex
+            source_side = area_graph(g, dt, area_spec(dt, None, pred, delta))
+            hop = area_graph(g, dt, area_spec(dt, pred, app, delta))
+            assert source_side.vertices & hop.vertices <= {pred.v}, (pred, app)
 
 
 def test_zone_structure_of_table_values():
@@ -346,7 +352,9 @@ def test_stats_are_populated(fig1):
     res = solve(fig1, S, Z, 2, 5, 0.01, FinderConfig(backend="sieve", seed=1))
     assert res.stats.areas_built > 0
     assert res.stats.finder_calls > 0
-    assert res.stats.finder_ops > 0
+    assert res.stats.sieve_ops >= 1
+    assert res.stats.sieve_trials >= 1
+    assert res.stats.extraction_decisions >= 1
     assert res.stats.table_entries == 15
     assert res.stats.elapsed_seconds > 0
 
@@ -359,5 +367,27 @@ def test_json_dict_shape(fig1):
     assert payload["temporal_distance"] == 2
     assert payload["ell"] == 3
     assert [tuple(step.values()) for step in payload["witness"]] == list(FIG1_STEPS)
-    assert set(payload["stats"]) == {"areas_built", "finder_calls", "finder_ops",
-                                     "table_entries", "elapsed_seconds"}
+    assert set(payload["stats"]) == {f.name for f in dataclasses.fields(SolveStats)}
+
+
+def test_windowed_stats_sum_inner_solves(monkeypatch):
+    import rtp.solver
+    inner = rtp.solver.solve
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(rtp.solver, "solve", recorded)
+    summed = 0  # windowed solves with at least two inner solves that search
+    for g, s, z, delta, k in random_instances(3, 100, max_lifetime=12, deltas=(1, 2)):
+        results.clear()
+        res = solve_windowed(g, s, z, delta, k, 0.01,
+                             FinderConfig(backend="sieve", seed=3))
+        for f in dataclasses.fields(SolveStats):
+            if f.name != "elapsed_seconds":
+                want = sum(getattr(r.stats, f.name) for r in results)
+                assert getattr(res.stats, f.name) == want, f.name
+        summed += sum(r.stats.finder_calls > 0 for r in results) >= 2
+    assert summed >= 2
