@@ -9,6 +9,10 @@ lower corner, and ending at the upper corner within its waiting window.
 
 The source-side variant has no lower corner: it admits every reachable
 appearance farther from the target than the upper corner.
+
+One corridor costs its window appearances plus the time-edges in its time
+span: the window is read as time slices of ``DistanceTable.levels``, an
+index by distance built once per table, so once per solve.
 """
 
 from __future__ import annotations
@@ -64,19 +68,16 @@ def a_set(dt: DistanceTable, spec: AreaSpec) -> frozenset[VertexAppearance]:
     With a lower corner: distance in the open interval between the two
     corner distances, time within [lower.t, upper.t]. Without one:
     finite distance strictly above the upper corner's, time at most
-    upper.t.
+    upper.t. Read as time slices of ``dt.levels``.
     """
     d_upper = dt.entries[spec.upper]
-    t_hi = spec.upper.t
     if spec.lower is None:
-        return frozenset(
-            app for app, d in dt.entries.items()
-            if d_upper < d < INF and app.t <= t_hi)
-    d_lower = dt.entries[spec.lower]
-    t_lo = spec.lower.t
+        d_lower, t_lo = INF, 0  # stamps start at 1
+    else:
+        d_lower, t_lo = dt.entries[spec.lower], spec.lower.t
     return frozenset(
-        app for app, d in dt.entries.items()
-        if d_upper < d < d_lower and t_lo <= app.t <= t_hi)
+        app for d, level in dt.levels.items() if d_upper < d < d_lower
+        for app in level.between(t_lo, spec.upper.t))
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,16 @@ def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph
     window appearance within [t, t + delta]. Arrivals are matched by that
     later departure because the window bounds departure distances, and
     d(y, arrival) <= d(y, departure) can fall below it.
+
+    Every kept edge has an endpoint in the window at its stamp, or is the
+    lower corner's at lower.t, so only the stamps from lower.t (on the
+    source side, the earliest window stamp) to upper.t are scanned; an
+    empty source-side window scans nothing.
     """
     inside = a_set(dt, spec)
     b, t_up = spec.upper
     a, t_low = spec.lower or (None, None)
+    t_first = t_low if spec.lower else min((app.t for app in inside), default=t_up + 1)
 
     def arrives(y: int, t: int) -> bool:
         if y == b:
@@ -112,7 +119,7 @@ def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph
         return any((y, t + j) in inside for j in range(1, spec.delta + 1))
 
     kept: list[TimeEdge] = []
-    for edge in g.time_edges:
+    for edge in g.edges_between(t_first, t_up):
         u, v, t = edge.u, edge.v, edge.t
         u_in = (u, t) in inside
         v_in = (v, t) in inside

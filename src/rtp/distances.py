@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 from .temporal_graph import TemporalGraph, VertexAppearance
 
@@ -87,12 +90,26 @@ def build_transformed_digraph(g: TemporalGraph, z: int) -> TransformedDigraph:
         index=index)
 
 
+class Level(NamedTuple):
+    """The appearances at one finite distance, sorted by (t, v), with
+    their stamps in a parallel list for bisection."""
+
+    apps: list[VertexAppearance]
+    stamps: list[int]
+
+    def between(self, t_lo: int, t_hi: int) -> list[VertexAppearance]:
+        """The appearances with t_lo <= t <= t_hi, in (t, v) order."""
+        lo = bisect_left(self.stamps, t_lo)
+        return self.apps[lo:bisect_right(self.stamps, t_hi, lo=lo)]
+
+
 @dataclass
 class DistanceTable:
     """d(v, t) for every non-isolated appearance, with INF for unreachable.
 
     work counts deque pushes plus arc relaxations of the computing BFS, as
-    a linearity diagnostic.
+    a linearity diagnostic. ``levels`` indexes the finite entries by
+    distance; it is built on first use, once per table.
     """
 
     target: int
@@ -101,6 +118,19 @@ class DistanceTable:
 
     def __getitem__(self, app: VertexAppearance) -> int | float:
         return self.entries[app]
+
+    @cached_property
+    def levels(self) -> dict[int, Level]:
+        """Finite distance -> its appearances sorted by (t, v)."""
+        groups: dict[int, list[VertexAppearance]] = {}
+        for app, d in self.entries.items():
+            if d != INF:
+                groups.setdefault(d, []).append(app)
+        out = {}
+        for d, apps in groups.items():
+            apps.sort(key=lambda a: (a.t, a.v))
+            out[d] = Level(apps, [a.t for a in apps])
+        return out
 
     def get(self, v: int, t: int, default=None):
         return self.entries.get(VertexAppearance(v, t), default)

@@ -67,6 +67,7 @@ class SolveStats:
     sieve_ops counts inner decision work only (transition sums plus
     coefficient products, per label subset); work spent re-deciding while
     peeling a witness out goes to extraction_ops. areas_built,
+    corridor_edges (time-edges summed over the corridors built),
     table_entries and elapsed_seconds are filled by the solver.
     """
 
@@ -77,6 +78,7 @@ class SolveStats:
     extraction_decisions: int = 0
     extraction_ops: int = 0
     areas_built: int = 0
+    corridor_edges: int = 0
     table_entries: int = 0
     elapsed_seconds: float = 0.0
 

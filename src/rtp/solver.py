@@ -125,13 +125,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     near_floor = d_source - ell
     table = DpTable(ell=ell)
     seeds = SeedStream(cfg.seed)
-
-    by_distance: dict[int, list[VertexAppearance]] = {}
-    for app, d in dt.entries.items():
-        if d != INF:
-            by_distance.setdefault(d, []).append(app)
-    for group in by_distance.values():
-        group.sort(key=lambda a: (a.t, a.v))
+    levels = dt.levels
 
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
     for app, d in order:
@@ -147,8 +141,8 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             probes = 2 * ell
         else:  # far zone: a strictly farther, no-later appearance
             links = ((pred, table.entries.get(pred, INF))
-                     for d_pred in range(d + 1, d + ell + 2)
-                     for pred in by_distance.get(d_pred, ()) if pred.t <= t_up)
+                     for d_pred in range(d + 1, d + ell + 2) if d_pred in levels
+                     for pred in levels[d_pred].between(0, t_up))
             probes = 2 * ell + 1
         best: int | float = INF
         best_link = None
@@ -157,6 +151,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                 continue
             area = area_graph(g, dt, area_spec(dt, pred, app, delta))
             stats.areas_built += 1
+            stats.corridor_edges += len(area.time_edges)
             frm = s if pred is None else pred.v
             if frm not in area.vertices or u not in area.vertices:
                 continue
@@ -175,7 +170,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
         if best_link is not None:
             table.preds[app] = best_link
 
-    stats.table_entries = len(table.entries)
+    stats.table_entries += len(table.entries)
     return table
 
 

@@ -42,9 +42,9 @@ def naive_area_edges(g, dt, lower, upper, delta):
             return upper.t - delta <= t <= upper.t
         return any(VertexAppearance(y, t2) in inside for t2 in range(t, t + delta + 1))
 
-    return {e for e in g.time_edges
-            if any(departs(x, e.t) and arrives(y, e.t)
-                   for x, y in ((e.u, e.v), (e.v, e.u)))}
+    return tuple(e for e in g.time_edges
+                 if any(departs(x, e.t) and arrives(y, e.t)
+                        for x, y in ((e.u, e.v), (e.v, e.u))))
 
 
 def test_a_set_empty_open_interval(fig1):
@@ -71,12 +71,14 @@ def test_a_set_fig1_upper_e4(fig1):
     assert VertexAppearance(E, 2) not in got  # d=1 not strictly above
 
 
-def test_area_graph_matches_definitional_filter_on_random_graphs():
-    rng = random.Random(90210)
+def _compare_random_corridors(seed, count, max_vertices, max_lifetime):
+    """Draw corridors on random graphs; check the window and the kept
+    edges, in canonical order, against the definitional filters."""
+    rng = random.Random(seed)
     compared = 0
-    while compared < 400:
-        nv = rng.randint(3, 8)
-        g = random_temporal_graph(nv, rng.randint(2, 6),
+    while compared < count:
+        nv = rng.randint(3, max_vertices)
+        g = random_temporal_graph(nv, rng.randint(2, max_lifetime),
                                   rng.uniform(0.8, 3.0), rng.getrandbits(64))
         z = rng.randrange(nv)
         dt = compute_distances(g, z)
@@ -93,10 +95,21 @@ def test_area_graph_matches_definitional_filter_on_random_graphs():
                 continue
             lower, _ = rng.choice(choices)
         spec = area_spec(dt, lower, upper, delta)
-        got = set(area_graph(g, dt, spec).time_edges)
+        assert a_set(dt, spec) == naive_a_set(dt, lower, upper, g.lifetime)
+        got = area_graph(g, dt, spec).time_edges
         want = naive_area_edges(g, dt, lower, upper, delta)
         assert got == want, (lower, upper, delta)
         compared += 1
+
+
+def test_area_graph_matches_definitional_filter_on_random_graphs():
+    _compare_random_corridors(90210, 400, max_vertices=8, max_lifetime=6)
+
+
+def test_area_graph_matches_definitional_filter_on_long_lifetimes():
+    # corridor time spans here are much shorter than the lifetime, so the
+    # scan of [lower.t, upper.t] alone must still find every kept edge
+    _compare_random_corridors(4711, 400, max_vertices=15, max_lifetime=30)
 
 
 def test_area_edges_are_subgraph_and_vertices_are_endpoints(fig1):

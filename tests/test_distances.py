@@ -114,6 +114,22 @@ def test_distances_match_oracle_on_random_graphs():
             assert d == want, (v, t, z, d, want)
 
 
+def test_levels_group_finite_entries_by_distance():
+    for g, _s, z, _delta, _k in random_instances(515, 60, max_vertices=10, max_lifetime=20):
+        dt = compute_distances(g, z)
+        want: dict = {}
+        for app, d in dt.entries.items():
+            if d < INF:
+                want.setdefault(d, []).append(app)
+        assert {d: level.apps for d, level in dt.levels.items()} == {
+            d: sorted(apps, key=lambda a: (a.t, a.v)) for d, apps in want.items()}
+        for level in dt.levels.values():
+            assert level.stamps == [a.t for a in level.apps]
+            t_lo, t_hi = level.stamps[0] + 1, level.stamps[-1]
+            assert level.between(t_lo, t_hi) == [
+                a for a in level.apps if t_lo <= a.t <= t_hi]
+
+
 def test_distances_monotone_in_time():
     rng = random.Random(555)
     for _ in range(200):

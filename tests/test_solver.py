@@ -359,6 +359,35 @@ def test_stats_are_populated(fig1):
     assert res.stats.elapsed_seconds > 0
 
 
+def test_fill_table_stats_accumulate_over_calls(fig1):
+    dt = compute_distances(fig1, Z)
+    stats = SolveStats()
+    for _ in range(2):
+        fill_table(fig1, dt, S, Z, 2, 5, FinderConfig(backend="brute"), stats=stats)
+    assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (44, 22, 30)
+
+
+def test_corridor_edges_sum_built_corridors(monkeypatch):
+    import rtp.solver
+    inner = rtp.solver.area_graph
+    sizes = []
+
+    def recorded(*args):
+        area = inner(*args)
+        sizes.append(len(area.time_edges))
+        return area
+
+    monkeypatch.setattr(rtp.solver, "area_graph", recorded)
+    total = 0
+    for g, s, z, delta, k in random_instances(8, 40, max_lifetime=12):
+        sizes.clear()
+        res = solve(g, s, z, delta, k, 0.01, FinderConfig(backend="brute"))
+        assert res.stats.areas_built == len(sizes)
+        assert res.stats.corridor_edges == sum(sizes)
+        total += res.stats.corridor_edges
+    assert total > 0
+
+
 def test_json_dict_shape(fig1):
     res = solve(fig1, S, Z, 2, 5, 0.01, FinderConfig(backend="brute"))
     payload = res.to_json_dict()
