@@ -6,10 +6,8 @@ exceeds the unrestricted temporal distance.
 """
 
 from .areas import AreaGraph, AreaSpec, a_set, area_graph, area_spec
-from .distances import (INF, DistanceTable, TransformedDigraph,
-                        build_transformed_digraph, compute_distances,
-                        non_isolated_appearances, restless_walk_distance,
-                        static_distance)
+from .distances import (INF, DistanceTable, compute_distances,
+                        restless_walk_distance, static_distance)
 from .generate import random_temporal_graph
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           find_exact_restless_path_brute,
@@ -25,8 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AreaGraph", "AreaSpec", "a_set", "area_graph", "area_spec",
-    "INF", "DistanceTable", "TransformedDigraph", "build_transformed_digraph",
-    "compute_distances", "non_isolated_appearances", "restless_walk_distance",
+    "INF", "DistanceTable", "compute_distances", "restless_walk_distance",
     "static_distance",
     "random_temporal_graph",
     "FinderConfig", "SolveStats", "find_exact_restless_path",

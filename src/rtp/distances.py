@@ -1,10 +1,11 @@
 """Temporal distances to a fixed target vertex.
 
 d(v, t) is the length of a shortest temporal v-z path that departs at time
-t or later. All values for non-isolated vertex appearances are computed in
-one linear-time pass: build a weighted digraph over appearances (traversal
-arcs weigh 1, standing-still arcs weigh 0) and run a deque-based 0/1-BFS
-from the target's side.
+t or later. All values for non-isolated vertex appearances (v on some
+edge at t) come from one backward sweep over the time-sorted edges: the
+later stamps are settled first, so a vertex may stand still into its next
+later appearance for free, and a small unit-weight Dijkstra per stamp
+handles chains of equal-stamp edges.
 
 Also provides the polynomial lower bound: the minimum length of a
 waiting-time-bounded s-z walk (vertex repeats allowed).
@@ -15,79 +16,26 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .temporal_graph import TemporalGraph, VertexAppearance
+from .temporal_graph import TemporalGraph, TimeEdge, VertexAppearance
 
 INF = math.inf
 
-ROOT = VertexAppearance(-1, 0)  # synthetic search origin in the digraph
 
-
-def non_isolated_appearances(g: TemporalGraph) -> frozenset[VertexAppearance]:
-    """All (v, t) such that some edge at time t touches v."""
-    out: set[VertexAppearance] = set()
-    for edge in g.time_edges:
-        out.add(VertexAppearance(edge.u, edge.t))
-        out.add(VertexAppearance(edge.v, edge.t))
-    return frozenset(out)
-
-
-@dataclass
-class TransformedDigraph:
-    """Digraph whose shortest root-to-appearance weights equal d(v, t).
-
-    nodes[0] is the synthetic root; the rest are non-isolated appearances.
-    adjacency[i] lists (node_index, weight) with weight 0 or 1. Weight-1
-    arcs connect the two endpoint appearances of each time-edge, both
-    ways. Weight-0 arcs run from each appearance of a vertex to the same
-    vertex's closest earlier appearance, plus one from the root to the
-    target's latest appearance.
-    """
-
-    nodes: tuple[VertexAppearance, ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...]
-    index: dict[VertexAppearance, int]
-
-    def arc_set(self) -> set[tuple[VertexAppearance, VertexAppearance, int]]:
-        return {(self.nodes[i], self.nodes[j], w)
-                for i, row in enumerate(self.adjacency) for j, w in row}
-
-
-def build_transformed_digraph(g: TemporalGraph, z: int) -> TransformedDigraph:
-    if not 0 <= z < g.vertex_count:
-        raise ValueError(f"target {z} is not a vertex of the graph")
-    apps = sorted(non_isolated_appearances(g))
-    nodes = (ROOT, *apps)
-    index = {app: i for i, app in enumerate(nodes)}
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
-
-    for edge in g.time_edges:
-        ui = index[VertexAppearance(edge.u, edge.t)]
-        vi = index[VertexAppearance(edge.v, edge.t)]
-        adjacency[ui].append((vi, 1))
-        adjacency[vi].append((ui, 1))
-
-    times: dict[int, list[int]] = {}
-    for v, t in apps:
-        times.setdefault(v, []).append(t)
-    for v, ts in times.items():
-        for earlier, later in zip(ts, ts[1:]):
-            adjacency[index[VertexAppearance(v, later)]].append(
-                (index[VertexAppearance(v, earlier)], 0))
-    if z in times:
-        latest = times[z][-1]
-        adjacency[0].append((index[VertexAppearance(z, latest)], 0))
-
-    return TransformedDigraph(
-        nodes=nodes,
-        adjacency=tuple(tuple(row) for row in adjacency),
-        index=index)
+def _stamp_adjacency(
+        edges: Iterable[TimeEdge]) -> Iterator[tuple[int, dict[int, list[int]]]]:
+    """Group stamp-ordered time-edges by stamp; yield (t, {v: neighbours})."""
+    for t, group in groupby(edges, key=attrgetter("t")):
+        adj: dict[int, list[int]] = {}
+        for edge in group:
+            adj.setdefault(edge.u, []).append(edge.v)
+            adj.setdefault(edge.v, []).append(edge.u)
+        yield t, adj
 
 
 class Level(NamedTuple):
@@ -107,8 +55,9 @@ class Level(NamedTuple):
 class DistanceTable:
     """d(v, t) for every non-isolated appearance, with INF for unreachable.
 
-    work counts deque pushes plus arc relaxations of the computing BFS, as
-    a linearity diagnostic. ``levels`` indexes the finite entries by
+    work counts the edge relaxations of the computing sweep (each edge is
+    relaxed at most once from each endpoint, so work <= 2 * |E|), as a
+    linearity diagnostic. ``levels`` indexes the finite entries by
     distance; it is built on first use, once per table.
     """
 
@@ -151,35 +100,35 @@ class DistanceTable:
 
 
 def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
-    """Fill the full distance table by 0/1-BFS over the transformed digraph.
+    """Fill the full distance table in one backward sweep over the stamps.
 
-    Weight-0 arcs push front, weight-1 arcs push back; nodes settle on
-    first pop. Runtime is linear in the graph size.
+    ``later[v]`` holds d at v's next later appearance (z counts as 0 from
+    the start). At each stamp, from the latest down, every vertex on an
+    edge at t starts from ``later`` (standing still costs nothing) and a
+    unit-weight Dijkstra over the stamp's edges lets it leave along a
+    same-stamp chain. Each stamp costs O(m_t log m_t) for its m_t edges.
     """
-    dg = build_transformed_digraph(g, z)
-    n = len(dg.nodes)
-    dist: list[int | float] = [INF] * n
-    dist[0] = 0
+    if not 0 <= z < g.vertex_count:
+        raise ValueError(f"target {z} is not a vertex of the graph")
+    later: dict[int, int | float] = {z: 0}
+    entries: dict[VertexAppearance, int | float] = {}
     work = 0
-    queue: deque[int] = deque([0])
-    settled = [False] * n
-    while queue:
-        node = queue.popleft()
-        if settled[node]:
-            continue
-        settled[node] = True
-        d = dist[node]
-        for target, weight in dg.adjacency[node]:
-            work += 1
-            nd = d + weight
-            if nd < dist[target]:
-                dist[target] = nd
+    for t, adj in _stamp_adjacency(reversed(g.time_edges)):
+        value = {v: later.get(v, INF) for v in adj}
+        heap = [(d, v) for v, d in value.items() if d < INF]
+        heapq.heapify(heap)
+        while heap:
+            d, x = heapq.heappop(heap)
+            if d > value[x]:
+                continue
+            for y in adj[x]:
                 work += 1
-                if weight == 0:
-                    queue.appendleft(target)
-                else:
-                    queue.append(target)
-    entries = {app: dist[i] for i, app in enumerate(dg.nodes) if i > 0}
+                if d + 1 < value[y]:
+                    value[y] = d + 1
+                    heapq.heappush(heap, (d + 1, y))
+        for v, d in value.items():
+            entries[VertexAppearance(v, t)] = d
+            later[v] = d
     return DistanceTable(target=z, entries=entries, work=work)
 
 
@@ -233,11 +182,7 @@ def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int 
                 value = hops
         return value
 
-    for t, group in groupby(g.time_edges, key=attrgetter("t")):
-        adj: dict[int, list[int]] = {}
-        for edge in group:
-            adj.setdefault(edge.u, []).append(edge.v)
-            adj.setdefault(edge.v, []).append(edge.u)
+    for t, adj in _stamp_adjacency(g.time_edges):
         value: dict[int, int | float] = {}
         arrived: dict[int, int] = {}
         heap: list[tuple[int | float, int]] = []

@@ -44,8 +44,8 @@ def random_temporal_graph(vertices: int, lifetime: int, edges_per_layer: float,
         raise ValueError("need at least 2 vertices")
     if lifetime < 1:
         raise ValueError("lifetime must be at least 1")
-    if edges_per_layer < 0:
-        raise ValueError("edges_per_layer must be non-negative")
+    if not 0 <= edges_per_layer < math.inf:
+        raise ValueError("edges_per_layer must be finite and non-negative")
     rng = random.Random(seed)
     max_edges = vertices * (vertices - 1) // 2
     layers = []

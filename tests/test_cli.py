@@ -180,6 +180,13 @@ def test_gen_rejects_single_vertex(capsys):
     assert code == 2 and "at least 2" in err
 
 
+@pytest.mark.parametrize("mean", ["nan", "inf", "-1"])
+def test_gen_rejects_non_finite_or_negative_edges_per_layer(capsys, mean):
+    code, _, err = run(capsys, [
+        "gen", "--vertices", "5", "--lifetime", "3", "--edges-per-layer", mean])
+    assert code == 2 and "edges_per_layer" in err
+
+
 def test_gen_solve_round_trip_fuzz(monkeypatch):
     # tiny instances, 10k seeds: the round trip must never crash
     import contextlib

@@ -7,57 +7,33 @@ import pytest
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance,
-                 build_transformed_digraph, compute_distances,
-                 non_isolated_appearances, random_temporal_graph,
+                 compute_distances, random_temporal_graph,
                  restless_walk_distance, static_distance)
-from rtp.distances import ROOT
+
+
+def naive_non_isolated(g: TemporalGraph) -> set[VertexAppearance]:
+    """All (v, t) such that some edge at time t touches v, by definition."""
+    return {VertexAppearance(v, t)
+            for v in range(g.vertex_count)
+            for t in range(1, g.lifetime + 1)
+            if any(v in pair for pair in g.edges_at(t))}
 
 
 def test_non_isolated_fig1(fig1):
-    apps = non_isolated_appearances(fig1)
+    apps = set(compute_distances(fig1, Z).entries)
     for expected in [(S, 1), (S, 2), (S, 5), (E, 1), (E, 2), (E, 4), (E, 6), (Z, 6)]:
         assert VertexAppearance(*expected) in apps
     assert all(app.v != D for app in apps)  # d never touches an edge
     assert len(apps) <= 2 * fig1.size()
-    # exact set straight from the definition
-    naive = {VertexAppearance(v, t)
-             for v in range(fig1.vertex_count)
-             for t in range(1, fig1.lifetime + 1)
-             if any(v in pair for pair in fig1.edges_at(t))}
-    assert apps == naive
+    assert apps == naive_non_isolated(fig1)
 
 
 def test_non_isolated_trivial_cases():
     single = TemporalGraph(2, 1, [[(0, 1)]])
-    assert non_isolated_appearances(single) == {VertexAppearance(0, 1),
-                                                VertexAppearance(1, 1)}
+    assert set(compute_distances(single, 0).entries) == {
+        VertexAppearance(0, 1), VertexAppearance(1, 1)}
     empty = TemporalGraph(3, 2, [[], []])
-    assert non_isolated_appearances(empty) == frozenset()
-
-
-def test_digraph_single_edge_structure():
-    g = TemporalGraph.from_time_edges(2, 3, [TimeEdge(0, 1, 3)])
-    dg = build_transformed_digraph(g, z=0)
-    assert set(dg.nodes) == {ROOT, VertexAppearance(0, 3), VertexAppearance(1, 3)}
-    assert dg.arc_set() == {
-        (ROOT, VertexAppearance(0, 3), 0),
-        (VertexAppearance(0, 3), VertexAppearance(1, 3), 1),
-        (VertexAppearance(1, 3), VertexAppearance(0, 3), 1),
-    }
-
-
-def test_digraph_standing_arc_runs_backwards_in_time():
-    g = TemporalGraph.from_time_edges(
-        3, 5, [TimeEdge(0, 1, 2), TimeEdge(0, 2, 5)])
-    dg = build_transformed_digraph(g, z=1)
-    # vertex 0 appears at 2 and 5; the weight-0 arc feeds 5 into 2
-    assert (VertexAppearance(0, 5), VertexAppearance(0, 2), 0) in dg.arc_set()
-    assert (VertexAppearance(0, 2), VertexAppearance(0, 5), 0) not in dg.arc_set()
-
-
-def test_digraph_fig1_node_count(fig1):
-    dg = build_transformed_digraph(fig1, Z)
-    assert len(dg.nodes) == len(non_isolated_appearances(fig1)) + 1
+    assert compute_distances(empty, 0).entries == {}
 
 
 def test_digraph_size_is_linear_in_graph_size():
@@ -65,20 +41,8 @@ def test_digraph_size_is_linear_in_graph_size():
     for _ in range(50):
         g = random_temporal_graph(rng.randint(2, 10), rng.randint(1, 8),
                                   rng.uniform(0.5, 4.0), rng.getrandbits(64))
-        dg = build_transformed_digraph(g, 0)
-        arcs = sum(len(row) for row in dg.adjacency)
-        apps = len(non_isolated_appearances(g))
-        assert len(dg.nodes) == apps + 1
-        assert arcs <= 2 * len(g.time_edges) + apps + 1
-
-
-def test_digraph_weight_zero_arcs_stay_within_vertex(fig1):
-    dg = build_transformed_digraph(fig1, Z)
-    for tail, head, w in dg.arc_set():
-        if w == 0 and tail != ROOT:
-            assert tail.v == head.v and tail.t > head.t
-        if tail == ROOT:
-            assert head.v == Z
+        dt = compute_distances(g, 0)
+        assert dt.work <= 2 * len(g.time_edges)
 
 
 def test_distances_fig1_values(fig1):
@@ -99,16 +63,29 @@ def test_distances_target_rows_are_zero(fig1):
             assert d == 0
 
 
-def test_distances_match_oracle_on_random_graphs():
+def _sparse_and_dense_draws():
     rng = random.Random(4242)
     for _ in range(120):
         nv = rng.randint(2, 8)
         tau = rng.randint(1, 6)
         g = random_temporal_graph(nv, tau, rng.uniform(0.5, 3.0), rng.getrandbits(64))
-        z = rng.randrange(nv)
+        yield g, rng.randrange(nv)
+    # dense stamps: long same-stamp chains, where the order in which one
+    # stamp settles its vertices decides the values
+    rng = random.Random(4343)
+    for _ in range(120):
+        nv = rng.randint(6, 12)
+        tau = rng.randint(1, 6)
+        g = random_temporal_graph(nv, tau, rng.uniform(4.0, 12.0), rng.getrandbits(64))
+        yield g, rng.randrange(nv)
+
+
+def test_distances_match_oracle_on_random_graphs():
+    for g, z in _sparse_and_dense_draws():
+        nv = g.vertex_count
         dt = compute_distances(g, z)
         triples = oracles.edge_triples(g)
-        assert set(dt.entries) == non_isolated_appearances(g)
+        assert set(dt.entries) == naive_non_isolated(g)
         for (v, t), d in dt.entries.items():
             want = oracles.temporal_distance(triples, v, t, z, nv - 1)
             assert d == want, (v, t, z, d, want)
@@ -223,4 +200,4 @@ def test_compute_distances_work_grows_linearly():
 
 def test_build_digraph_rejects_bad_target(fig1):
     with pytest.raises(ValueError):
-        build_transformed_digraph(fig1, 99)
+        compute_distances(fig1, 99)
