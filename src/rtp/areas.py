@@ -13,10 +13,18 @@ appearance farther from the target than the upper corner.
 One corridor costs its window appearances plus the time-edges in its time
 span: the window is read as time slices of ``DistanceTable.levels``, an
 index by distance built once per table, so once per solve.
+
+Most corridors a table fill asks for cannot hold both ends of the search
+it would run. ``holds_endpoints`` decides that from the distance table and
+a time-sorted incident index of the graph, at the cost of a bisect and a
+few lookups, so only corridors that pass it are built: every hop corridor
+built holds both corners, and a source-side corridor built holds its upper
+corner and gives the source a window appearance.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .distances import INF, DistanceTable
@@ -136,3 +144,61 @@ def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph
                 kept.append(edge)
     vertices = frozenset(v for e in kept for v in e.pair)
     return AreaGraph(time_edges=tuple(kept), vertices=vertices)
+
+
+def incident_index(g: TemporalGraph) -> dict[int, list[tuple[int, int]]]:
+    """Vertex -> the (t, neighbour) pairs of its time-edges, sorted."""
+    index: dict[int, list[tuple[int, int]]] = {}
+    for edge in g.time_edges:  # canonical order keeps every list sorted
+        index.setdefault(edge.u, []).append((edge.t, edge.v))
+        index.setdefault(edge.v, []).append((edge.t, edge.u))
+    return index
+
+
+def _incident_between(pairs: list[tuple[int, int]], t_lo: int,
+                      t_hi: int) -> list[tuple[int, int]]:
+    lo = bisect_left(pairs, (t_lo,))
+    return pairs[lo:bisect_right(pairs, (t_hi, INF), lo=lo)]
+
+
+def holds_endpoints(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
+                    spec: AreaSpec, source: int) -> bool:
+    """Whether ``area_graph`` for spec can hold both ends of the search in
+    it: the lower corner's vertex (on the source side, ``source``) and the
+    upper corner's. ``incident`` is ``incident_index`` of the graph.
+
+    Neither corner vertex has a window appearance, because d(v, .) never
+    decreases in time: d(b, t) <= d(upper) for t <= upper.t, and
+    d(a, t) >= d(lower) for t >= lower.t. So the keep rule of
+    ``area_graph`` can only enter the upper corner b, at a stamp t in
+    [max(lower.t, upper.t - delta), upper.t], from a window appearance or
+    from the lower corner at its time; and can only leave the lower corner
+    a at lower.t, towards a window appearance at lower.t or towards b when
+    lower.t >= upper.t - delta. (A neighbour w of a at lower.t with a
+    window appearance later in its arrival window is in the window at
+    lower.t already: d(w, lower.t) >= d(lower) - 1 and the window holds a
+    distance below d(lower).) For a hop corridor the answer equals
+    ``{a, b} <= area.vertices``. On the source side it is whether the
+    corridor holds b and ``source`` has a window appearance, which a
+    corridor holding ``source`` needs.
+    """
+    b, t_up = spec.upper
+    d_up = dt.entries[spec.upper]
+    a, t_lo = spec.lower or (None, 0)
+    d_lo = INF if spec.lower is None else dt.entries[spec.lower]
+
+    def inside(w: int, t: int) -> bool:  # for t within [t_lo, t_up]
+        return d_up < dt.entries.get((w, t), INF) < d_lo
+
+    if spec.lower is None:
+        times = dt.appearance_times(source)
+        hi = bisect_right(times, t_up)
+        # d(source, .) never decreases in time: unreachable appearances come last
+        hi = bisect_left(times, INF, hi=hi, key=lambda t: dt.entries[(source, t)])
+        if hi == 0 or not inside(source, times[hi - 1]):
+            return False
+    elif not any(inside(w, t_lo) or (w == b and t_lo >= t_up - spec.delta)
+                 for _t, w in _incident_between(incident.get(a, []), t_lo, t_lo)):
+        return False
+    return any(inside(w, t) or (w == a and t == t_lo) for t, w in _incident_between(
+        incident.get(b, []), max(t_lo, t_up - spec.delta), t_up))

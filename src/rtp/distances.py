@@ -58,7 +58,8 @@ class DistanceTable:
     work counts the edge relaxations of the computing sweep (each edge is
     relaxed at most once from each endpoint, so work <= 2 * |E|), as a
     linearity diagnostic. ``levels`` indexes the finite entries by
-    distance; it is built on first use, once per table.
+    distance and ``_times`` the appearance stamps by vertex; each is built
+    on first use, once per table.
     """
 
     target: int
@@ -81,11 +82,23 @@ class DistanceTable:
             out[d] = Level(apps, [a.t for a in apps])
         return out
 
+    @cached_property
+    def _times(self) -> dict[int, list[int]]:
+        """Vertex -> the stamps of its non-isolated appearances, sorted."""
+        out: dict[int, list[int]] = {}
+        for v, t in self.entries:
+            out.setdefault(v, []).append(t)
+        for stamps in out.values():
+            stamps.sort()
+        return out
+
     def get(self, v: int, t: int, default=None):
         return self.entries.get(VertexAppearance(v, t), default)
 
     def appearance_times(self, v: int) -> list[int]:
-        return sorted(t for (w, t) in self.entries if w == v)
+        """The sorted stamps of v's non-isolated appearances; the list is
+        shared by every call, so callers must not mutate it."""
+        return self._times.get(v, [])
 
     def source_distance(self, s: int) -> int | float:
         """d at the earliest non-isolated appearance of s (INF if none).

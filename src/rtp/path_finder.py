@@ -68,7 +68,10 @@ class SolveStats:
     coefficient products, per label subset); work spent re-deciding while
     peeling a witness out goes to extraction_ops. areas_built,
     corridor_edges (time-edges summed over the corridors built),
-    table_entries and elapsed_seconds are filled by the solver.
+    table_entries and elapsed_seconds are filled by the solver. A corridor
+    is built only when ``areas.holds_endpoints`` finds that it can hold
+    both ends of its search, so every hop corridor counted in areas_built
+    is searched; a source-side one may still lack the source.
     """
 
     finder_calls: int = 0
@@ -285,10 +288,12 @@ def _trials_for(error_prob: float) -> int:
 
 def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
                                    delta: int, length: int, cfg: FinderConfig, *,
+                                   seed: int | None = None,
                                    stats: SolveStats | None = None
                                    ) -> RestlessPath | None:
     """Randomized exact-length search; absent answers may be wrong with
-    probability at most cfg.error_prob, returned paths are always valid."""
+    probability at most cfg.error_prob, returned paths are always valid.
+    seed, when given, replaces cfg.seed for this call."""
     if s == z:
         raise ValueError("source and target must differ")
     if length < 1:
@@ -307,7 +312,7 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
                 stats.screened += 1
             return None
 
-    stream = SeedStream(cfg.seed)
+    stream = SeedStream(cfg.seed if seed is None else seed)
     trials = _trials_for(cfg.error_prob)
 
     structure = _build_structure(edges, s, z, delta, length, cfg.use_screens)
@@ -342,10 +347,13 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
 
 def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
                              delta: int, length: int, cfg: FinderConfig, *,
+                             seed: int | None = None,
                              stats: SolveStats | None = None
                              ) -> RestlessPath | None:
     """Dispatch to the configured backend; auto picks brute for short or
-    tiny searches and the sieve otherwise."""
+    tiny searches and the sieve otherwise. seed, when given, replaces
+    cfg.seed for this call, so a caller drawing one seed per probe need not
+    build a config per probe."""
     backend = cfg.backend
     if backend == "auto":
         if length < cfg.auto_threshold or len(edges) <= _TINY_EDGE_COUNT:
@@ -354,4 +362,5 @@ def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
             backend = "sieve"
     if backend == "brute":
         return find_exact_restless_path_brute(edges, s, z, delta, length, stats=stats)
-    return find_exact_restless_path_sieve(edges, s, z, delta, length, cfg, stats=stats)
+    return find_exact_restless_path_sieve(edges, s, z, delta, length, cfg,
+                                          seed=seed, stats=stats)

@@ -29,7 +29,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
-from .areas import area_graph, area_spec
+from .areas import area_graph, area_spec, holds_endpoints, incident_index
 from .distances import INF, DistanceTable, compute_distances
 from .path_finder import FinderConfig, SolveStats, find_exact_restless_path
 from .rng import SeedStream
@@ -126,6 +126,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     table = DpTable(ell=ell)
     seeds = SeedStream(cfg.seed)
     levels = dt.levels
+    incident = incident_index(g)
 
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
     for app, d in order:
@@ -149,19 +150,22 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
         for pred, base in links:
             if base == INF or base + 1 >= best:
                 continue
-            area = area_graph(g, dt, area_spec(dt, pred, app, delta))
+            spec = area_spec(dt, pred, app, delta)
+            if not holds_endpoints(dt, incident, spec, s):
+                continue
+            area = area_graph(g, dt, spec)
             stats.areas_built += 1
             stats.corridor_edges += len(area.time_edges)
             frm = s if pred is None else pred.v
             if frm not in area.vertices or u not in area.vertices:
-                continue
+                continue  # only a source-side corridor can still lack s here
             limit = probes
             if best != INF:
                 limit = min(limit, int(best) - base - 1)  # only improvements
             for length in range(1, limit + 1):
                 found = find_exact_restless_path(
-                    area.time_edges, frm, u, delta, length,
-                    replace(cfg, seed=seeds.next()), stats=stats)
+                    area.time_edges, frm, u, delta, length, cfg,
+                    seed=seeds.next(), stats=stats)
                 if found is not None:
                     best = base + length
                     best_link = (pred, found.steps)

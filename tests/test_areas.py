@@ -9,7 +9,7 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, a_set,
                  area_graph, area_spec, compute_distances, induced_subgraph,
                  random_temporal_graph)
-from rtp.areas import AreaSpec
+from rtp.areas import AreaSpec, holds_endpoints, incident_index
 
 
 def naive_a_set(dt, lower, upper, tau):
@@ -110,6 +110,42 @@ def test_area_graph_matches_definitional_filter_on_long_lifetimes():
     # corridor time spans here are much shorter than the lifetime, so the
     # scan of [lower.t, upper.t] alone must still find every kept edge
     _compare_random_corridors(4711, 400, max_vertices=15, max_lifetime=30)
+
+
+def test_holds_endpoints_matches_built_corridors():
+    # every corridor of every instance: hop corridors between any two
+    # finite appearances, and the source-side corridor below each one not
+    # of the source (the table fill asks for no such corridor)
+    counts = {"hop": 0, "source": 0, "skipped": 0}
+    for g, s, z, delta, _k in random_instances(2718, 1900, max_vertices=10, max_lifetime=12):
+        dt = compute_distances(g, z)
+        incident = incident_index(g)
+        finite = [(app, d) for app, d in dt.entries.items() if d < INF]
+        for upper, d_up in finite:
+            lowers = [lo for lo, d_lo in finite
+                      if d_lo > d_up and lo.t <= upper.t and lo.v != upper.v]
+            if upper.v != s:
+                lowers.append(None)
+            for lower in lowers:
+                spec = area_spec(dt, lower, upper, delta)
+                frm = s if lower is None else lower.v
+                vertices = area_graph(g, dt, spec).vertices
+                held = {frm, upper.v} <= vertices
+                passes = holds_endpoints(dt, incident, spec, s)
+                if lower is None:
+                    # exact for the upper corner; the source only needs a
+                    # window appearance
+                    assert passes or not held, spec
+                    in_window = any(app.v == s for app in naive_a_set(
+                        dt, None, upper, g.lifetime))
+                    assert passes == (upper.v in vertices and in_window), spec
+                    counts["source"] += 1
+                else:
+                    assert passes == held, spec
+                    counts["hop"] += 1
+                counts["skipped"] += not passes
+    assert counts["hop"] + counts["source"] >= 100_000, counts
+    assert counts["source"] >= 5_000 and counts["skipped"] >= 50_000, counts
 
 
 def test_area_edges_are_subgraph_and_vertices_are_endpoints(fig1):

@@ -111,6 +111,23 @@ def test_sieve_deterministic_under_seed(fig1):
     assert as_triples(first) == as_triples(second)
 
 
+def test_seed_argument_replaces_config_seed(fig1, monkeypatch):
+    import rtp.path_finder
+    seeds = []
+
+    class Recorded(rtp.path_finder.SeedStream):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(rtp.path_finder, "SeedStream", Recorded)
+    cfg = FinderConfig(backend="sieve", seed=5)
+    find_exact_restless_path(fig1.time_edges, S, Z, 2, 5, cfg, seed=9)
+    assert seeds == [9]
+    find_exact_restless_path(fig1.time_edges, S, Z, 2, 5, cfg)
+    assert seeds == [9, 5]
+
+
 def test_dispatch_brute_matches_brute(fig1):
     cfg = FinderConfig(backend="brute")
     path = find_exact_restless_path(fig1.time_edges, S, Z, 2, 5, cfg)

@@ -364,7 +364,16 @@ def test_fill_table_stats_accumulate_over_calls(fig1):
     stats = SolveStats()
     for _ in range(2):
         fill_table(fig1, dt, S, Z, 2, 5, FinderConfig(backend="brute"), stats=stats)
-    assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (44, 22, 30)
+    assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (44, 18, 30)
+
+
+def test_corridors_are_built_only_where_both_ends_fit():
+    # the table fill asks for 1033 corridors here, and most cannot hold
+    # both ends of their search; skipping those leaves every probe in place
+    g = random_temporal_graph(120, 120, 7.5, 120)
+    res = solve(g, 65, 31, 2, 4, 0.01, FinderConfig())
+    assert res.stats.finder_calls == 379
+    assert res.stats.areas_built <= 1033 // 5
 
 
 def test_corridor_edges_sum_built_corridors(monkeypatch):
