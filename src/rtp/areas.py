@@ -3,31 +3,29 @@
 Each dynamic-programming hop searches for a short restless path inside a
 window of the distance/time plane: appearances whose distance-to-target
 lies strictly between the two corner appearances' distances and whose time
-lies in the corners' time span. The subgraph keeps the time-edges a
+lies in the corners' time span. The corridor keeps the time-edges a
 restless path can cross departing only from window appearances or the
 lower corner, and ending at the upper corner within its waiting window.
+That rule is written once, as the predicate ``keep_rule(dt, spec)``.
 
 The source-side variant has no lower corner: it admits every reachable
 appearance farther from the target than the upper corner.
 
-One corridor costs its window appearances plus the time-edges in its time
-span: the window is read as time slices of ``DistanceTable.levels``, an
-index by distance built once per table, so once per solve.
-
-Most corridors a table fill asks for cannot hold both ends of the search
-it would run. ``holds_endpoints`` decides that from the distance table and
-a time-sorted incident index of the graph, at the cost of a bisect and a
-few lookups, so only corridors that pass it are built: every hop corridor
-built holds both corners, and a source-side corridor built holds its upper
-corner and gives the source a window appearance.
+A corridor is a view, not a copy: ``keep`` answers for one time-edge from
+the distance table in a few lookups. ``holds_endpoints`` asks it about the
+corner vertices' incident pairs, so a table fill skips every corridor that
+cannot hold both ends of its search; a brute probe walks the graph's
+incident index under ``keep`` (``path_finder.search_index``); and only the
+sieve gets the edge list, from ``area_graph``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from .distances import INF, DistanceTable
+from .path_finder import pairs_between
 from .temporal_graph import TemporalGraph, TimeEdge, VertexAppearance
 
 
@@ -88,6 +86,46 @@ def a_set(dt: DistanceTable, spec: AreaSpec) -> frozenset[VertexAppearance]:
         for app in level.between(t_lo, spec.upper.t))
 
 
+def keep_rule(dt: DistanceTable, spec: AreaSpec) -> Callable[[int, int, int], bool]:
+    """The corridor's keep rule: ``keep(x, y, t)`` is whether the time-edge
+    {x, y} at stamp t belongs to the corridor of spec.
+
+    A time-edge is kept when a restless path can cross it inside the
+    corridor: one endpoint departs at t from a window appearance (see
+    ``a_set``), or from the lower corner at exactly its time; the other is
+    the upper corner with t >= upper.t - delta, or departs again from a
+    window appearance within [t, t + delta]. Arrivals are matched by that
+    later departure because the window bounds departure distances, and
+    d(y, arrival) <= d(y, departure) can fall below it. The rule is
+    symmetric in x and y, and costs a few distance-table lookups.
+    """
+    get = dt.entries.get
+    b, t_up = spec.upper
+    d_up = dt.entries[spec.upper]
+    a, t_lo = spec.lower or (None, 0)  # stamps start at 1
+    d_lo = INF if spec.lower is None else dt.entries[spec.lower]
+
+    def arrives(y: int, t: int) -> bool:
+        if y == b:
+            return t >= t_up - spec.delta
+        return any(d_up < get((y, t2), INF) < d_lo
+                   for t2 in range(t + 1, min(t + spec.delta, t_up) + 1))
+
+    def keep(x: int, y: int, t: int) -> bool:
+        if not t_lo <= t <= t_up:
+            return False  # no window appearance, nor the lower corner, at t
+        x_in = d_up < get((x, t), INF) < d_lo
+        y_in = d_up < get((y, t), INF) < d_lo
+        if x_in and y_in:
+            return True
+        if x_in or y_in:
+            y = y if x_in else x  # the outside one arrives, or is the lower corner
+            return (y == a and t == t_lo) or arrives(y, t)
+        return t == t_lo and a in (x, y) and arrives(y if x == a else x, t)
+
+    return keep
+
+
 @dataclass(frozen=True)
 class AreaGraph:
     """Materialized corridor: retained time-edges plus their endpoints.
@@ -101,104 +139,36 @@ class AreaGraph:
 
 
 def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph:
-    """Materialize the corridor's time-edge set for one spec.
-
-    A time-edge at stamp t is kept when a restless path can cross it
-    inside the corridor: one endpoint departs at t from a window
-    appearance, or from the lower corner at exactly its time; the other
-    is the upper corner with t >= upper.t - delta, or departs again from a
-    window appearance within [t, t + delta]. Arrivals are matched by that
-    later departure because the window bounds departure distances, and
-    d(y, arrival) <= d(y, departure) can fall below it.
-
-    Every kept edge has an endpoint in the window at its stamp, or is the
-    lower corner's at lower.t, so only the stamps from lower.t (on the
-    source side, the earliest window stamp) to upper.t are scanned; an
-    empty source-side window scans nothing.
-    """
-    inside = a_set(dt, spec)
-    b, t_up = spec.upper
-    a, t_low = spec.lower or (None, None)
-    t_first = t_low if spec.lower else min((app.t for app in inside), default=t_up + 1)
-
-    def arrives(y: int, t: int) -> bool:
-        if y == b:
-            return t >= t_up - spec.delta
-        return any((y, t + j) in inside for j in range(1, spec.delta + 1))
-
-    kept: list[TimeEdge] = []
-    for edge in g.edges_between(t_first, t_up):
-        u, v, t = edge.u, edge.v, edge.t
-        u_in = (u, t) in inside
-        v_in = (v, t) in inside
-        if u_in and v_in:
-            kept.append(edge)
-        elif u_in or v_in:
-            # the outside endpoint arrives, or departs from the lower corner
-            # straight into the window
-            y = v if u_in else u
-            if (y == a and t == t_low) or arrives(y, t):
-                kept.append(edge)
-        elif t == t_low and (u == a or v == a):
-            if arrives(v if u == a else u, t):
-                kept.append(edge)
-    vertices = frozenset(v for e in kept for v in e.pair)
-    return AreaGraph(time_edges=tuple(kept), vertices=vertices)
+    """Materialize the corridor of spec: the time-edges of g that pass
+    ``keep_rule(dt, spec)``, in canonical order. Only the stamps from
+    lower.t (on the source side, the first) to upper.t are scanned, since
+    ``keep`` passes no other."""
+    keep = keep_rule(dt, spec)
+    t_lo = spec.lower.t if spec.lower else 0
+    kept = tuple(e for e in g.edges_between(t_lo, spec.upper.t) if keep(e.u, e.v, e.t))
+    return AreaGraph(time_edges=kept, vertices=frozenset(v for e in kept for v in e.pair))
 
 
-def incident_index(g: TemporalGraph) -> dict[int, list[tuple[int, int]]]:
-    """Vertex -> the (t, neighbour) pairs of its time-edges, sorted."""
-    index: dict[int, list[tuple[int, int]]] = {}
-    for edge in g.time_edges:  # canonical order keeps every list sorted
-        index.setdefault(edge.u, []).append((edge.t, edge.v))
-        index.setdefault(edge.v, []).append((edge.t, edge.u))
-    return index
+def holds_endpoints(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
+                    keep: Callable[[int, int, int], bool], source: int) -> bool:
+    """Whether the corridor of spec holds both ends of its search: the
+    upper corner's vertex b and the lower corner's vertex a (on the source
+    side, ``source``). A vertex is in the corridor iff ``keep``, the
+    corridor's ``keep_rule``, passes one of its pairs in ``incident`` (a
+    ``path_finder.incident_index`` of the graph), so this equals
+    ``{a or source, b} <= area_graph(...).vertices``.
 
-
-def _incident_between(pairs: list[tuple[int, int]], t_lo: int,
-                      t_hi: int) -> list[tuple[int, int]]:
-    lo = bisect_left(pairs, (t_lo,))
-    return pairs[lo:bisect_right(pairs, (t_hi, INF), lo=lo)]
-
-
-def holds_endpoints(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
-                    spec: AreaSpec, source: int) -> bool:
-    """Whether ``area_graph`` for spec can hold both ends of the search in
-    it: the lower corner's vertex (on the source side, ``source``) and the
-    upper corner's. ``incident`` is ``incident_index`` of the graph.
-
-    Neither corner vertex has a window appearance, because d(v, .) never
-    decreases in time: d(b, t) <= d(upper) for t <= upper.t, and
-    d(a, t) >= d(lower) for t >= lower.t. So the keep rule of
-    ``area_graph`` can only enter the upper corner b, at a stamp t in
-    [max(lower.t, upper.t - delta), upper.t], from a window appearance or
-    from the lower corner at its time; and can only leave the lower corner
-    a at lower.t, towards a window appearance at lower.t or towards b when
-    lower.t >= upper.t - delta. (A neighbour w of a at lower.t with a
-    window appearance later in its arrival window is in the window at
-    lower.t already: d(w, lower.t) >= d(lower) - 1 and the window holds a
-    distance below d(lower).) For a hop corridor the answer equals
-    ``{a, b} <= area.vertices``. On the source side it is whether the
-    corridor holds b and ``source`` has a window appearance, which a
-    corridor holding ``source`` needs.
+    Only a few pairs need asking. Neither corner vertex has a window
+    appearance, because d(v, .) never decreases in time: d(b, t) <=
+    d(upper) for t <= upper.t, and d(a, t) >= d(lower) for t >= lower.t.
+    So b is only entered, at a stamp in [max(lower.t, upper.t - delta),
+    upper.t], and a only left, at lower.t; the source may be anywhere up
+    to upper.t.
     """
     b, t_up = spec.upper
-    d_up = dt.entries[spec.upper]
-    a, t_lo = spec.lower or (None, 0)
-    d_lo = INF if spec.lower is None else dt.entries[spec.lower]
-
-    def inside(w: int, t: int) -> bool:  # for t within [t_lo, t_up]
-        return d_up < dt.entries.get((w, t), INF) < d_lo
-
-    if spec.lower is None:
-        times = dt.appearance_times(source)
-        hi = bisect_right(times, t_up)
-        # d(source, .) never decreases in time: unreachable appearances come last
-        hi = bisect_left(times, INF, hi=hi, key=lambda t: dt.entries[(source, t)])
-        if hi == 0 or not inside(source, times[hi - 1]):
-            return False
-    elif not any(inside(w, t_lo) or (w == b and t_lo >= t_up - spec.delta)
-                 for _t, w in _incident_between(incident.get(a, []), t_lo, t_lo)):
-        return False
-    return any(inside(w, t) or (w == a and t == t_lo) for t, w in _incident_between(
-        incident.get(b, []), max(t_lo, t_up - spec.delta), t_up))
+    frm, t_lo = spec.lower or (source, 0)
+    t_frm = t_lo if spec.lower else t_up
+    return (any(keep(b, w, t) for t, w in pairs_between(
+                incident.get(b, []), max(t_lo, t_up - spec.delta), t_up))
+            and any(keep(frm, w, t) for t, w in pairs_between(
+                incident.get(frm, []), t_lo, t_frm)))

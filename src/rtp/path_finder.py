@@ -2,8 +2,9 @@
 
 Two backends behind one contract:
 
-* brute: exhaustive DFS over time-edge extensions with chronological,
-  waiting-time and simplicity pruning. Deterministic, zero error.
+* brute: exhaustive DFS over a time-sorted incident index with
+  chronological, waiting-time and simplicity pruning, which a table fill
+  runs in place under a corridor's keep rule. Deterministic, zero error.
 * sieve: counts waiting-time-bounded walks of the requested length in a
   dynamic program over (directed time-edge, hop) states, evaluated over
   GF(2^64) with fresh random vertex-label and edge-position coefficients,
@@ -21,8 +22,10 @@ the yes side carries no error on either backend, with or without -O.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gf2 import gf_mul, spread
 from .rng import SeedStream
@@ -68,10 +71,10 @@ class SolveStats:
     coefficient products, per label subset); work spent re-deciding while
     peeling a witness out goes to extraction_ops. areas_built,
     corridor_edges (time-edges summed over the corridors built),
-    table_entries and elapsed_seconds are filled by the solver. A corridor
-    is built only when ``areas.holds_endpoints`` finds that it can hold
-    both ends of its search, so every hop corridor counted in areas_built
-    is searched; a source-side one may still lack the source.
+    table_entries and elapsed_seconds are filled by the solver. Brute
+    probes search their corridors in place, so areas_built counts only
+    corridors whose probes may reach the sieve and that hold both ends of
+    their search (``areas.holds_endpoints``).
     """
 
     finder_calls: int = 0
@@ -86,14 +89,61 @@ class SolveStats:
     elapsed_seconds: float = 0.0
 
 
-def _single_step(edges: Sequence[TimeEdge], s: int, z: int,
-                 delta: int) -> RestlessPath | None:
-    want = (s, z) if s < z else (z, s)
-    for edge in edges:  # canonical order: earliest stamp wins
-        if edge.pair == want:
-            return check_restless_path(frozenset(edges).__contains__, (edge,),
-                                       s, z, delta)
-    return None
+def incident_index(edges: Iterable[TimeEdge]) -> dict[int, list[tuple[int, int]]]:
+    """Vertex -> the (t, neighbour) pairs of its time-edges, sorted. For
+    edges in canonical order this is also each vertex's canonical order."""
+    index: dict[int, list[tuple[int, int]]] = {}
+    for edge in edges:  # canonical order keeps every list sorted
+        index.setdefault(edge.u, []).append((edge.t, edge.v))
+        index.setdefault(edge.v, []).append((edge.t, edge.u))
+    return index
+
+
+def search_index(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
+                 delta: int, length: int, *,
+                 keep: Callable[[int, int, int], bool] | None = None,
+                 t_lo: int = 0, t_hi: float = math.inf) -> RestlessPath | None:
+    """Exhaustive DFS for a restless s-z path of exactly `length` steps
+    over an ``incident_index``: the first step within [t_lo, t_hi], each
+    later one within [last_t, min(last_t + delta, t_hi)], and with ``keep``
+    only over time-edges it passes, so a corridor is searched in place.
+    Pairs are tried in index order, the same over the kept edges alone."""
+    steps: list[tuple[int, int, int]] = []
+    visited = {s}
+
+    def extend(cur: int, lo: int, hi: float, depth: int) -> bool:
+        final = depth + 1 == length
+        pairs = incident.get(cur, [])
+        first = bisect_left(pairs, (lo,))
+        for t, nxt in pairs[first:bisect_right(pairs, (hi, math.inf), first)]:
+            if nxt in visited or (nxt == z) != final:
+                continue
+            if keep is not None and not keep(cur, nxt, t):
+                continue
+            steps.append((cur, nxt, t))
+            if final:
+                return True
+            visited.add(nxt)
+            if extend(nxt, t, min(t + delta, t_hi), depth + 1):
+                return True
+            visited.discard(nxt)
+            steps.pop()
+        return False
+
+    def searched(edge: TimeEdge) -> bool:  # in the index, and kept
+        return ((edge.t, edge.v) in pairs_between(incident.get(edge.u, []), edge.t, edge.t)
+                and (keep is None or keep(edge.u, edge.v, edge.t)))
+
+    if not extend(s, t_lo, t_hi, 0):
+        return None
+    return check_restless_path(searched, [TimeEdge(*step) for step in steps], s, z, delta)
+
+
+def pairs_between(pairs: list[tuple[int, int]], t_lo: int,
+                  t_hi: float) -> list[tuple[int, int]]:
+    """The (t, neighbour) pairs of one index list with t_lo <= t <= t_hi."""
+    lo = bisect_left(pairs, (t_lo,))
+    return pairs[lo:bisect_right(pairs, (t_hi, math.inf), lo=lo)]
 
 
 def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
@@ -101,7 +151,8 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
                                    stats: SolveStats | None = None
                                    ) -> RestlessPath | None:
     """Exhaustive search for a restless s-z path of exactly `length` steps
-    over the time-edges `edges`, given in canonical order."""
+    over the time-edges `edges`, given in canonical order: the first path
+    ``search_index`` finds over their index."""
     if s == z:
         raise ValueError("source and target must differ")
     if length < 1:
@@ -110,39 +161,7 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
         raise ValueError("delta must be at least 1")
     if stats is not None:
         stats.finder_calls += 1
-    if length == 1:
-        return _single_step(edges, s, z, delta)
-    if len(edges) < length:
-        return None
-    incident: dict[int, list[TimeEdge]] = {}
-    for edge in edges:
-        incident.setdefault(edge.u, []).append(edge)
-        incident.setdefault(edge.v, []).append(edge)
-
-    steps: list[TimeEdge] = []
-    visited = {s}
-
-    def extend(cur: int, last_t: int | None, depth: int) -> bool:
-        final = depth + 1 == length
-        for edge in incident.get(cur, ()):
-            if last_t is not None and not (last_t <= edge.t <= last_t + delta):
-                continue
-            nxt = edge.other(cur)
-            if nxt in visited or (nxt == z) != final:
-                continue
-            steps.append(edge)
-            if final:
-                return True
-            visited.add(nxt)
-            if extend(nxt, edge.t, depth + 1):
-                return True
-            visited.discard(nxt)
-            steps.pop()
-        return False
-
-    if not extend(s, None, 0):
-        return None
-    return check_restless_path(frozenset(edges).__contains__, steps, s, z, delta)
+    return search_index(incident_index(edges), s, z, delta, length)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +322,7 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     if stats is not None:
         stats.finder_calls += 1
     if length == 1:
-        return _single_step(edges, s, z, delta)
+        return find_exact_restless_path_brute(edges, s, z, delta, 1)
     if cfg.use_screens:
         vertices = {v for e in edges for v in e.pair}
         if (len(edges) < length or len(vertices) < length + 1

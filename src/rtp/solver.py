@@ -29,9 +29,10 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
-from .areas import area_graph, area_spec, holds_endpoints, incident_index
+from .areas import area_graph, area_spec, holds_endpoints, keep_rule
 from .distances import INF, DistanceTable, compute_distances
-from .path_finder import FinderConfig, SolveStats, find_exact_restless_path
+from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
+                          incident_index, search_index)
 from .rng import SeedStream
 from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge,
                              VertexAppearance, validate_restless_path)
@@ -126,7 +127,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     table = DpTable(ell=ell)
     seeds = SeedStream(cfg.seed)
     levels = dt.levels
-    incident = incident_index(g)
+    incident = incident_index(g.time_edges)
 
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
     for app, d in order:
@@ -151,21 +152,29 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             if base == INF or base + 1 >= best:
                 continue
             spec = area_spec(dt, pred, app, delta)
-            if not holds_endpoints(dt, incident, spec, s):
+            keep = keep_rule(dt, spec)
+            if not holds_endpoints(incident, spec, keep, s):
                 continue
-            area = area_graph(g, dt, spec)
-            stats.areas_built += 1
-            stats.corridor_edges += len(area.time_edges)
-            frm = s if pred is None else pred.v
-            if frm not in area.vertices or u not in area.vertices:
-                continue  # only a source-side corridor can still lack s here
+            frm, t_lo = (s, 0) if pred is None else pred
             limit = probes
             if best != INF:
                 limit = min(limit, int(best) - base - 1)  # only improvements
+            area = None  # while every probe goes to brute, search in place
+            if cfg.backend == "sieve" or cfg.backend == "auto" and limit >= cfg.auto_threshold:
+                # the sieve, and the dispatcher's edge count, need the edges
+                area = area_graph(g, dt, spec)
+                stats.areas_built += 1
+                stats.corridor_edges += len(area.time_edges)
             for length in range(1, limit + 1):
-                found = find_exact_restless_path(
-                    area.time_edges, frm, u, delta, length, cfg,
-                    seed=seeds.next(), stats=stats)
+                seed = seeds.next()  # one per probe on either path
+                if area is None:
+                    stats.finder_calls += 1
+                    found = search_index(incident, frm, u, delta, length,
+                                         keep=keep, t_lo=t_lo, t_hi=t_up)
+                else:
+                    found = find_exact_restless_path(
+                        area.time_edges, frm, u, delta, length, cfg,
+                        seed=seed, stats=stats)
                 if found is not None:
                     best = base + length
                     best_link = (pred, found.steps)

@@ -7,9 +7,11 @@ import pytest
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, a_set,
-                 area_graph, area_spec, compute_distances, induced_subgraph,
+                 area_graph, area_spec, compute_distances,
+                 find_exact_restless_path_brute, induced_subgraph,
                  random_temporal_graph)
-from rtp.areas import AreaSpec, holds_endpoints, incident_index
+from rtp.areas import AreaSpec, holds_endpoints, keep_rule
+from rtp.path_finder import incident_index, search_index
 
 
 def naive_a_set(dt, lower, upper, tau):
@@ -119,7 +121,7 @@ def test_holds_endpoints_matches_built_corridors():
     counts = {"hop": 0, "source": 0, "skipped": 0}
     for g, s, z, delta, _k in random_instances(2718, 1900, max_vertices=10, max_lifetime=12):
         dt = compute_distances(g, z)
-        incident = incident_index(g)
+        incident = incident_index(g.time_edges)
         finite = [(app, d) for app, d in dt.entries.items() if d < INF]
         for upper, d_up in finite:
             lowers = [lo for lo, d_lo in finite
@@ -130,22 +132,55 @@ def test_holds_endpoints_matches_built_corridors():
                 spec = area_spec(dt, lower, upper, delta)
                 frm = s if lower is None else lower.v
                 vertices = area_graph(g, dt, spec).vertices
-                held = {frm, upper.v} <= vertices
-                passes = holds_endpoints(dt, incident, spec, s)
-                if lower is None:
-                    # exact for the upper corner; the source only needs a
-                    # window appearance
-                    assert passes or not held, spec
-                    in_window = any(app.v == s for app in naive_a_set(
-                        dt, None, upper, g.lifetime))
-                    assert passes == (upper.v in vertices and in_window), spec
-                    counts["source"] += 1
-                else:
-                    assert passes == held, spec
-                    counts["hop"] += 1
+                passes = holds_endpoints(incident, spec, keep_rule(dt, spec), s)
+                assert passes == ({frm, upper.v} <= vertices), spec
+                counts["source" if lower is None else "hop"] += 1
                 counts["skipped"] += not passes
     assert counts["hop"] + counts["source"] >= 100_000, counts
     assert counts["source"] >= 5_000 and counts["skipped"] >= 50_000, counts
+
+
+def test_in_place_search_matches_materialized_corridors():
+    # for every corridor a table fill could search: the keep rule filters
+    # g.time_edges to exactly the materialized corridor (and to the
+    # definitional filter), and the in-place search over the whole graph's
+    # index returns the same steps as brute over the corridor's edges
+    counts = {"corridors": 0, "probes": 0, "found": 0, "multi-step": 0}
+    for g, s, z, delta, k in random_instances(1618, 300, max_vertices=9, max_lifetime=10):
+        dt = compute_distances(g, z)
+        d_source = dt.source_distance(s)
+        if d_source > k:
+            continue
+        ell = k - d_source
+        incident = incident_index(g.time_edges)
+        finite = [(app, d) for app, d in dt.entries.items() if d < INF]
+        for upper, d_up in finite:
+            if upper.v == s:
+                continue
+            lowers = [lo for lo, d_lo in finite
+                      if d_lo > d_up and lo.t <= upper.t and lo.v != upper.v]
+            for lower in [None, *lowers]:
+                spec = area_spec(dt, lower, upper, delta)
+                keep = keep_rule(dt, spec)
+                if not holds_endpoints(incident, spec, keep, s):
+                    continue
+                area = area_graph(g, dt, spec)
+                filtered = tuple(e for e in g.time_edges if keep(e.u, e.v, e.t))
+                assert area.time_edges == filtered, spec
+                assert filtered == naive_area_edges(g, dt, lower, upper, delta), spec
+                frm, t_lo = (s, 0) if lower is None else lower
+                for length in range(1, 2 * ell + 2):
+                    got = search_index(incident, frm, upper.v, delta, length,
+                                       keep=keep, t_lo=t_lo, t_hi=upper.t)
+                    want = find_exact_restless_path_brute(
+                        area.time_edges, frm, upper.v, delta, length)
+                    assert (got and got.steps) == (want and want.steps), (spec, length)
+                    counts["probes"] += 1
+                    counts["found"] += want is not None
+                    counts["multi-step"] += want is not None and length > 1
+                counts["corridors"] += 1
+    assert counts["corridors"] >= 5_000 and counts["probes"] >= 30_000, counts
+    assert counts["found"] >= 5_000 and counts["multi-step"] >= 2_000, counts
 
 
 def test_area_edges_are_subgraph_and_vertices_are_endpoints(fig1):
