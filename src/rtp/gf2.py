@@ -45,18 +45,6 @@ def spread(x: int) -> int:
     )
 
 
-def unspread(s: int) -> int:
-    """Inverse of spread (diagnostics only; the sieve never needs it)."""
-    x = 0
-    k = 0
-    while s:
-        if s & 1:
-            x |= 1 << k
-        s >>= CELL
-        k += 1
-    return x
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiply two spread field elements, returning a spread element."""
     m = (a * b) & _PARITY_MASK

@@ -12,8 +12,9 @@ Two backends behind one contract:
   vertex cancel in characteristic 2, so a nonzero total proves a simple
   path exists; a zero total is wrong with probability at most
   (2*length)/2^64 per trial when a path does exist. Yes answers are
-  always certified by an explicit path, recovered by deleting time-edges
-  one at a time while the decision stays yes.
+  always certified by an explicit path, peeled out of the time-edges the
+  decision's arc screen kept by deleting blocks of them, halved on a
+  failed deletion, while the decision stays yes.
 
 Every returned path is built by check_restless_path against the searched
 edge set, the same checker validate_restless_path runs on witnesses, so
@@ -73,8 +74,8 @@ class SolveStats:
     corridor_edges (time-edges summed over the corridors built),
     table_entries and elapsed_seconds are filled by the solver. Brute
     probes search their corridors in place, so areas_built counts only
-    corridors whose probes may reach the sieve and that hold both ends of
-    their search (``areas.holds_endpoints``).
+    corridors with a probe that may reach the sieve and that hold both ends
+    of their search (``areas.holds_endpoints``).
     """
 
     finder_calls: int = 0
@@ -312,7 +313,21 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
                                    ) -> RestlessPath | None:
     """Randomized exact-length search; absent answers may be wrong with
     probability at most cfg.error_prob, returned paths are always valid.
-    seed, when given, replaces cfg.seed for this call."""
+    seed, when given, replaces cfg.seed for this call.
+
+    After a yes, which is certain, the witness is the path left by deleting
+    time-edges one at a time in canonical order, each deletion kept iff the
+    sieve still says yes. Under exact decisions, fewer decisions leave the
+    same edge set. (1) Peeling starts from the screen's survivors, the
+    time-edges on a kept arc; any other is on no path and would go anyway.
+    (2) A contiguous block of them goes at once iff one at a time would
+    delete each, as every set in between holds the final one; else its
+    first half, then its second, is peeled (after a wholly deleted first
+    half the second cannot go whole). (3) Keeping only a yes candidate's
+    survivors never drops a time-edge kept earlier: it is on every later
+    path. Once `length` edges remain they are the path; a false negative
+    (below 2^-58 per trial) only leaves extra ones for the brute search.
+    """
     if s == z:
         raise ValueError("source and target must differ")
     if length < 1:
@@ -341,27 +356,43 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
         return None
     if not _sieve_decide(structure, length, trials, stream, stats):
         return None
+    if not cfg.use_screens:
+        structure = _build_structure(edges, s, z, delta, length, True)
 
-    # a path certainly exists: peel away time-edges while the answer stays yes
-    remaining = list(edges)
+    def survivors(kept: _Structure) -> list[int]:  # sorted, indices into edges
+        return sorted({e for layer in kept.layers for _head, e, _preds in layer})
+    remaining = survivors(structure)
     sub_stats = SolveStats()
-    i = 0
-    while i < len(remaining):
-        candidate = remaining[:i] + remaining[i + 1:]
-        sub = _build_structure(candidate, s, z, delta, length, True)
-        if not sub.feasible:
-            i += 1
-            continue
-        sub_stats.extraction_decisions += 1
-        if _sieve_decide(sub, length, trials, stream, sub_stats):
-            remaining = candidate
-        else:
-            i += 1
+
+    def peel(block: list[int], doomed: bool) -> bool:  # True: none of block is left
+        nonlocal remaining
+        left = set(remaining)
+        block = [i for i in block if i in left]
+        if not block:
+            return True
+        if len(remaining) == length:  # the path's own time-edges
+            return False
+        if not doomed:
+            gone = set(block)
+            candidate = [i for i in remaining if i not in gone]
+            sub = _build_structure([edges[i] for i in candidate], s, z, delta, length, True)
+            if sub.feasible:
+                sub_stats.extraction_decisions += 1
+                if _sieve_decide(sub, length, trials, stream, sub_stats):
+                    remaining = [candidate[j] for j in survivors(sub)]
+                    return True
+        if len(block) == 1:
+            return False
+        half = len(block) // 2
+        first = peel(block[:half], False)
+        return peel(block[half:], first) and first
+
+    peel(remaining, True)  # deleting every time-edge leaves no path
     if stats is not None:
         stats.extraction_decisions += sub_stats.extraction_decisions
         stats.extraction_ops += sub_stats.sieve_ops
         stats.sieve_trials += sub_stats.sieve_trials
-    return find_exact_restless_path_brute(remaining, s, z, delta, length)
+    return find_exact_restless_path_brute([edges[i] for i in remaining], s, z, delta, length)
 
 
 def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,

@@ -128,6 +128,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     seeds = SeedStream(cfg.seed)
     levels = dt.levels
     incident = incident_index(g.time_edges)
+    first_sieve_length = {"sieve": 1, "auto": cfg.auto_threshold}.get(cfg.backend, INF)
 
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
     for app, d in order:
@@ -160,13 +161,13 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             if best != INF:
                 limit = min(limit, int(best) - base - 1)  # only improvements
             area = None  # while every probe goes to brute, search in place
-            if cfg.backend == "sieve" or cfg.backend == "auto" and limit >= cfg.auto_threshold:
-                # the sieve, and the dispatcher's edge count, need the edges
-                area = area_graph(g, dt, spec)
-                stats.areas_built += 1
-                stats.corridor_edges += len(area.time_edges)
             for length in range(1, limit + 1):
                 seed = seeds.next()  # one per probe on either path
+                if area is None and length >= first_sieve_length:
+                    # the sieve, and the dispatcher's edge count, need the edges
+                    area = area_graph(g, dt, spec)
+                    stats.areas_built += 1
+                    stats.corridor_edges += len(area.time_edges)
                 if area is None:
                     stats.finder_calls += 1
                     found = search_index(incident, frm, u, delta, length,

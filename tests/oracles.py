@@ -183,3 +183,30 @@ def static_min(triples, s, z):
                     nxt.append(w)
         frontier = nxt
     return INF
+
+
+def peel_witness(triples, s, z, delta, length):
+    """The sieve's witness under exact decisions: delete time-edges one at a
+    time in the given order, keeping a deletion iff a restless s-z path of
+    exactly `length` steps survives it, and return that path's steps (None
+    when there is none). One decision per time-edge, each by enumeration;
+    the sieve's block peeling must leave the same path."""
+    paths = [steps for steps in enumerate_restless_paths(triples, s, z, delta, length)
+             if len(steps) == length]
+    if not paths:
+        return None
+
+    def holds_path(candidate):
+        kept = set(candidate)
+        return any(kept.issuperset(steps) for steps in paths)
+
+    remaining = list(triples)
+    i = 0
+    while i < len(remaining):
+        candidate = remaining[:i] + remaining[i + 1:]
+        if holds_path(candidate):
+            remaining = candidate
+        else:
+            i += 1
+    (witness,) = [steps for steps in paths if set(remaining).issuperset(steps)]
+    return witness

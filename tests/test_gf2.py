@@ -3,9 +3,21 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rtp.gf2 import MODULUS_TAIL, gf_mul, spread, unspread
+from rtp.gf2 import CELL, MODULUS_TAIL, gf_mul, spread
 
 ELEMENTS = st.integers(0, (1 << 64) - 1)
+
+
+def unspread(s: int) -> int:
+    """Inverse of spread; the sieve never needs it."""
+    x = 0
+    k = 0
+    while s:
+        if s & 1:
+            x |= 1 << k
+        s >>= CELL
+        k += 1
+    return x
 
 
 def reference_mul(x: int, y: int) -> int:

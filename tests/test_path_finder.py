@@ -241,3 +241,42 @@ def test_stats_counters_move(fig1):
     assert stats.sieve_trials >= 1
     assert stats.sieve_ops > 0
     assert stats.extraction_decisions >= 1
+
+
+def test_extraction_matches_one_at_a_time_peel():
+    rng = random.Random(808)
+    instances = [(g, s, z, delta) for g, s, z, delta, _k in
+                 random_instances(808, 700, max_vertices=9, max_lifetime=8)]
+    while len(instances) < 1000:  # a denser family: more walks per corridor
+        g = random_temporal_graph(9, 6, rng.choice([4.0, 6.0]), rng.getrandbits(64))
+        s, z = rng.sample(range(9), 2)
+        instances.append((g, s, z, rng.choice((1, 2, 3))))
+    yes = dense_yes = 0
+    lengths = set()
+    for g, s, z, delta in instances:
+        length = rng.randint(2, 7)
+        triples = oracles.edge_triples(g)
+        want = oracles.peel_witness(triples, s, z, delta, length)
+        if want is None:
+            continue
+        cfg = FinderConfig(backend="sieve", seed=rng.getrandbits(64))
+        got = find_exact_restless_path_sieve(g.time_edges, s, z, delta, length, cfg)
+        assert got is not None and as_triples(got) == want, (triples, s, z, delta, length)
+        yes += 1
+        dense_yes += len(triples) >= 20
+        lengths.add(length)
+    assert yes >= 200 and dense_yes >= 100, (yes, dense_yes)
+    assert lengths == set(range(2, 8))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_extraction_decisions_grow_slower_than_edges(seed):
+    g = random_temporal_graph(12, 10, 8.0, seed)  # dense: about 80 time-edges
+    assert 70 <= len(g.time_edges) <= 90
+    stats = SolveStats()
+    cfg = FinderConfig(backend="sieve", seed=seed)
+    path = find_exact_restless_path_sieve(g.time_edges, 0, 11, 2, 7, cfg, stats=stats)
+    assert path is not None
+    assert as_triples(path) == oracles.peel_witness(oracles.edge_triples(g), 0, 11, 2, 7)
+    # one-at-a-time peeling made 73, 78 and 77 decisions here, block peeling 13, 15, 13
+    assert stats.extraction_decisions < len(g.time_edges) // 2
