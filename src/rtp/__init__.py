@@ -5,33 +5,32 @@ temporal graphs, with work exponential only in how far the length budget
 exceeds the unrestricted temporal distance.
 """
 
-from .areas import AreaGraph, AreaSpec, a_set, area_graph, area_spec
+from .areas import AreaGraph, AreaSpec, area_graph, area_spec
 from .distances import (INF, DistanceTable, compute_distances,
-                        restless_walk_distance, static_distance)
+                        restless_walk_distance)
 from .generate import random_temporal_graph
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           find_exact_restless_path_brute,
                           find_exact_restless_path_sieve)
-from .solver import (DpTable, SeparatorTrace, SolveResult, fill_table,
-                     reconstruct, separator_trace, solve, solve_windowed)
+from .solver import (DpTable, SolveResult, fill_table, reconstruct, solve,
+                     solve_windowed)
 from .temporal_graph import (PathValidationError, RestlessPath, TelParseError,
                              TemporalGraph, TimeEdge, VertexAppearance,
-                             induced_subgraph, parse_temporal_graph,
-                             serialize_temporal_graph, validate_restless_path)
+                             parse_temporal_graph, serialize_temporal_graph,
+                             validate_restless_path)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaGraph", "AreaSpec", "a_set", "area_graph", "area_spec",
+    "AreaGraph", "AreaSpec", "area_graph", "area_spec",
     "INF", "DistanceTable", "compute_distances", "restless_walk_distance",
-    "static_distance",
     "random_temporal_graph",
     "FinderConfig", "SolveStats", "find_exact_restless_path",
     "find_exact_restless_path_brute", "find_exact_restless_path_sieve",
-    "DpTable", "SeparatorTrace", "SolveResult", "fill_table",
-    "reconstruct", "separator_trace", "solve", "solve_windowed",
+    "DpTable", "SolveResult", "fill_table", "reconstruct", "solve",
+    "solve_windowed",
     "PathValidationError", "RestlessPath", "TelParseError", "TemporalGraph",
-    "TimeEdge", "VertexAppearance", "induced_subgraph", "parse_temporal_graph",
+    "TimeEdge", "VertexAppearance", "parse_temporal_graph",
     "serialize_temporal_graph", "validate_restless_path",
     "__version__",
 ]

@@ -68,36 +68,19 @@ def area_spec(dt: DistanceTable, lower: VertexAppearance | None,
     return spec
 
 
-def a_set(dt: DistanceTable, spec: AreaSpec) -> frozenset[VertexAppearance]:
-    """Appearances strictly inside the corridor's distance/time window.
-
-    With a lower corner: distance in the open interval between the two
-    corner distances, time within [lower.t, upper.t]. Without one:
-    finite distance strictly above the upper corner's, time at most
-    upper.t. Read as time slices of ``dt.levels``.
-    """
-    d_upper = dt.entries[spec.upper]
-    if spec.lower is None:
-        d_lower, t_lo = INF, 0  # stamps start at 1
-    else:
-        d_lower, t_lo = dt.entries[spec.lower], spec.lower.t
-    return frozenset(
-        app for d, level in dt.levels.items() if d_upper < d < d_lower
-        for app in level.between(t_lo, spec.upper.t))
-
-
 def keep_rule(dt: DistanceTable, spec: AreaSpec) -> Callable[[int, int, int], bool]:
     """The corridor's keep rule: ``keep(x, y, t)`` is whether the time-edge
     {x, y} at stamp t belongs to the corridor of spec.
 
     A time-edge is kept when a restless path can cross it inside the
-    corridor: one endpoint departs at t from a window appearance (see
-    ``a_set``), or from the lower corner at exactly its time; the other is
-    the upper corner with t >= upper.t - delta, or departs again from a
-    window appearance within [t, t + delta]. Arrivals are matched by that
-    later departure because the window bounds departure distances, and
-    d(y, arrival) <= d(y, departure) can fall below it. The rule is
-    symmetric in x and y, and costs a few distance-table lookups.
+    corridor: one endpoint departs at t from a window appearance (distance
+    strictly between the corners', stamp in [lower.t, upper.t]), or from
+    the lower corner at exactly its time; the other is the upper corner
+    with t >= upper.t - delta, or departs again from a window appearance
+    within [t, t + delta]. Arrivals are matched by that later departure
+    because the window bounds departure distances, and d(y, arrival) <=
+    d(y, departure) can fall below it. The rule is symmetric in x and y,
+    and costs a few distance-table lookups.
     """
     get = dt.entries.get
     b, t_up = spec.upper

@@ -21,9 +21,9 @@ from .generate import random_temporal_graph
 from .path_finder import FinderConfig
 from .rng import MASK64
 from .solver import solve, solve_windowed
-from .temporal_graph import (TelParseError, TimeEdge, VertexAppearance,
-                             PathValidationError, parse_temporal_graph,
-                             serialize_temporal_graph, induced_subgraph,
+from .temporal_graph import (TelParseError, TemporalGraph, TimeEdge,
+                             VertexAppearance, PathValidationError,
+                             parse_temporal_graph, serialize_temporal_graph,
                              validate_restless_path)
 
 
@@ -94,7 +94,8 @@ def cmd_solve(args) -> int:
         lower = _parse_appearance(lower_text) if lower_text else None
         spec = area_spec(dt, lower, upper, args.delta)
         area = area_graph(g, dt, spec)
-        sub = induced_subgraph(g, (), area.time_edges)
+        sub = TemporalGraph.from_time_edges(g.vertex_count, g.lifetime,
+                                            area.time_edges, g.aliases)
         sys.stdout.write(serialize_temporal_graph(sub))
         return 0
 

@@ -145,32 +145,6 @@ def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
     return DistanceTable(target=z, entries=entries, work=work)
 
 
-def static_distance(g: TemporalGraph, s: int, z: int) -> int | float:
-    """Hop distance between s and z in the flattened (time-ignoring) graph."""
-    if s == z:
-        return 0
-    adj: dict[int, set[int]] = {}
-    for edge in g.time_edges:
-        adj.setdefault(edge.u, set()).add(edge.v)
-        adj.setdefault(edge.v, set()).add(edge.u)
-    seen = {s}
-    frontier = [s]
-    hops = 0
-    while frontier:
-        hops += 1
-        nxt = []
-        for v in frontier:
-            for w in adj.get(v, ()):
-                if w in seen:
-                    continue
-                if w == z:
-                    return hops
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return INF
-
-
 def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int | float:
     """Minimum length of a delta-restless temporal s-z walk, or INF.
 

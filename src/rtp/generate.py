@@ -22,15 +22,13 @@ def _poisson(rng: random.Random, mean: float) -> int:
 
 
 def _unrank_pair(index: int, n: int) -> tuple[int, int]:
-    # index into the lexicographic list of pairs (u, v), u < v
-    u = 0
-    remaining = index
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + remaining)
+    # index into the lexicographic list of pairs (u, v), u < v: row u
+    # starts at u*(2n-u-1)//2, and the root of that quadratic, rounded
+    # down from an integer square root, overshoots the row by at most one
+    u = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * index)) // 2
+    if u * (2 * n - u - 1) // 2 > index:
+        u -= 1
+    return (u, u + 1 + index - u * (2 * n - u - 1) // 2)
 
 
 def random_temporal_graph(vertices: int, lifetime: int, edges_per_layer: float,

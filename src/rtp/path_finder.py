@@ -45,8 +45,9 @@ class FinderConfig:
     path exists, and so sets its trial count; solve and solve_windowed
     replace it with their per-call share of the query's p. use_screens
     enables the cheap walk-feasibility pre-checks that skip provably
-    hopeless sieve runs (disabled by benchmarks that measure raw sieve
-    work).
+    hopeless sieve runs. No benchmark turns them off; only tests do, such
+    as ``test_criterion_8_scaling_shape``, which measures raw sieve work
+    per unit of slack.
     """
 
     backend: str = "auto"
@@ -174,85 +175,56 @@ class _Structure:
 
     layers[i] holds (head, edge_index, pred_positions) triples for hop
     i + 1; pred positions index into the previous layer. The final layer
-    contains only arcs entering the target.
+    contains only arcs entering the target, and is empty when the screens
+    found no walk of the full length, so the decision is a certain no.
     """
 
     layers: list[list[tuple[int, int, tuple[int, ...]]]]
     label_vertices: tuple[int, ...]
     cost_per_subset: int
-    feasible: bool
 
 
 def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
                      length: int, use_screens: bool) -> _Structure:
-    arcs: list[tuple[int, int, int, int]] = []  # (tail, head, t, edge_index)
-    for idx, edge in enumerate(edges):
-        arcs.append((edge.u, edge.v, edge.t, idx))
-        arcs.append((edge.v, edge.u, edge.t, idx))
-    # walks never leave the target, never re-enter the source
-    arcs = [a for a in arcs if a[0] != z and a[1] != s]
-
-    def allowed(i: int, arc) -> bool:
-        # a walk departs s exactly once and may enter z only at the end
-        if (arc[0] == s) != (i == 1):
-            return False
-        return (arc[1] == z) == (i == length)
-
-    layer_arcs: list[list[int]] = [[] for _ in range(length + 1)]
-    for ai, arc in enumerate(arcs):
-        for i in range(1, length + 1):
-            if allowed(i, arc):
-                layer_arcs[i].append(ai)
-
-    def compatible(pa, pb) -> bool:
-        return pa[1] == pb[0] and pa[2] <= pb[2] <= pa[2] + delta
-
-    keep: list[set[int]] = [set() for _ in range(length + 1)]
+    """Layer i + 1 holds, in arc order, the arcs a walk may take at hop
+    i + 1: a walk leaves s only at hop 1 and enters z only at the last.
+    With use_screens, only arcs on some walk of the full length are kept
+    (a forward pass from s, then a backward pass from z)."""
+    # (tail, head, t, edge_index); walks never leave the target, never re-enter the source
+    arcs = [(x, y, edge.t, idx) for idx, edge in enumerate(edges)
+            for x, y in ((edge.u, edge.v), (edge.v, edge.u)) if x != z and y != s]
+    into: dict[int, list[int]] = {}
+    roles: dict[tuple[bool, bool], list[int]] = {}
+    for ai, (x, y, _t, _e) in enumerate(arcs):
+        into.setdefault(y, []).append(ai)
+        roles.setdefault((x == s, y == z), []).append(ai)
+    # preds[a]: the arcs p that may come just before a, in arc order
+    preds = [[p for p in into.get(x, ()) if t - delta <= arcs[p][2] <= t]
+             for x, _y, t, _e in arcs]
+    kept = [roles.get((i == 1, i == length), []) for i in range(1, length + 1)]
     if use_screens:
-        # forward pass: arcs reachable from the source in exactly i hops
-        keep[1] = set(layer_arcs[1])
-        for i in range(2, length + 1):
-            prev = keep[i - 1]
-            keep[i] = {ai for ai in layer_arcs[i]
-                       if any(compatible(arcs[pi], arcs[ai]) for pi in prev)}
-        # backward pass: drop arcs that cannot complete a full-length walk;
-        # any surviving arc keeps at least one surviving predecessor
-        alive = set(keep[length])
+        for i in range(1, length):
+            prev = set(kept[i - 1])
+            kept[i] = [a for a in kept[i] if any(p in prev for p in preds[a])]
         for i in range(length - 1, 0, -1):
-            alive = {ai for ai in keep[i]
-                     if any(compatible(arcs[ai], arcs[ni]) for ni in alive)}
-            keep[i] = alive
-        feasible = bool(keep[length])
-    else:
-        for i in range(1, length + 1):
-            keep[i] = set(layer_arcs[i])
-        feasible = True
+            needed = {p for a in kept[i] for p in preds[a]}
+            kept[i - 1] = [a for a in kept[i - 1] if a in needed]
 
     layers: list[list[tuple[int, int, tuple[int, ...]]]] = []
-    prev_order: list[int] = []
-    cost = 0
-    for i in range(1, length + 1):
-        order = sorted(keep[i])
-        prev_pos = {ai: p for p, ai in enumerate(prev_order)}
-        entries = []
-        for ai in order:
-            if i == 1:
-                preds: tuple[int, ...] = ()
-            else:
-                preds = tuple(prev_pos[pi] for pi in prev_order
-                              if compatible(arcs[pi], arcs[ai]))
-            entries.append((arcs[ai][1], arcs[ai][3], preds))
-            cost += len(preds) + 2
-        layers.append(entries)
-        prev_order = order
-    label_vertices = tuple(sorted({e[0] for layer in layers for e in layer}))
-    return _Structure(layers=layers, label_vertices=label_vertices,
-                      cost_per_subset=cost, feasible=feasible)
+    pos: dict[int, int] = {}
+    for layer in kept:
+        layers.append([(arcs[a][1], arcs[a][3], tuple(pos[p] for p in preds[a] if p in pos))
+                       for a in layer])
+        pos = {a: j for j, a in enumerate(layer)}
+    return _Structure(
+        layers=layers,
+        label_vertices=tuple(sorted({head for layer in layers for head, _e, _p in layer})),
+        cost_per_subset=sum(len(p) + 2 for layer in layers for _h, _e, p in layer))
 
 
 def _sieve_decide(structure: _Structure, length: int, trials: int,
                   stream: SeedStream, stats: SolveStats | None) -> bool:
-    if not structure.feasible or not structure.layers[-1]:
+    if not structure.layers[-1]:
         return False
     layers = structure.layers
     verts = structure.label_vertices
@@ -350,7 +322,7 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     trials = _trials_for(cfg.error_prob)
 
     structure = _build_structure(edges, s, z, delta, length, cfg.use_screens)
-    if cfg.use_screens and not structure.feasible:
+    if cfg.use_screens and not structure.layers[-1]:
         if stats is not None:
             stats.screened += 1
         return None
@@ -376,7 +348,7 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
             gone = set(block)
             candidate = [i for i in remaining if i not in gone]
             sub = _build_structure([edges[i] for i in candidate], s, z, delta, length, True)
-            if sub.feasible:
+            if sub.layers[-1]:
                 sub_stats.extraction_decisions += 1
                 if _sieve_decide(sub, length, trials, stream, sub_stats):
                     remaining = [candidate[j] for j in survivors(sub)]

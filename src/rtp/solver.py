@@ -82,37 +82,6 @@ class SolveResult:
         }
 
 
-@dataclass
-class SeparatorTrace:
-    """Which visited positions of a known path split all earlier from all
-    later positions by strict distance comparisons."""
-
-    indices: tuple[int, ...]
-    d_values: tuple[int | float, ...]
-
-
-def _departure_distances(path: RestlessPath, dt: DistanceTable) -> list[int | float]:
-    # position i departs at the stamp of step i+1; the last position keeps
-    # its arrival stamp
-    times = [step.t for step in path.steps]
-    out = []
-    for i, v in enumerate(path.vertices):
-        dep = times[i] if i < len(times) else times[-1]
-        out.append(dt.entries[VertexAppearance(v, dep)])
-    return out
-
-
-def separator_trace(path: RestlessPath, dt: DistanceTable) -> SeparatorTrace:
-    """Mark every position whose departure-time distance is strictly below
-    all earlier positions' and strictly above all later positions'."""
-    dvals = _departure_distances(path, dt)
-    indices = []
-    for i, di in enumerate(dvals):
-        if all(dj > di for dj in dvals[:i]) and all(dj < di for dj in dvals[i + 1:]):
-            indices.append(i)
-    return SeparatorTrace(indices=tuple(indices), d_values=tuple(dvals))
-
-
 def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                delta: int, k: int, cfg: FinderConfig, *,
                stats: SolveStats | None = None) -> DpTable:

@@ -172,10 +172,6 @@ class TemporalGraph:
     def has_time_edge(self, edge: TimeEdge) -> bool:
         return edge in self.edges_between(edge.t, edge.t)
 
-    def vertices_used(self) -> frozenset[int]:
-        """Vertices that are an endpoint of at least one time-edge."""
-        return frozenset(v for e in self.time_edges for v in e.pair)
-
     def id_for(self, name_or_id: str | int) -> int:
         """Resolve a vertex given either its integer id or an alias label."""
         if isinstance(name_or_id, int):
@@ -374,24 +370,3 @@ def check_restless_path(contains: Callable[[TimeEdge], bool], steps, s: int,
             "bad-endpoints", len(steps) - 1,
             f"path ends at vertex {current}, expected {z}")
     return RestlessPath(steps=steps, delta=delta, vertices=tuple(order))
-
-
-def induced_subgraph(g: TemporalGraph, keep, extra_edges=()) -> TemporalGraph:
-    """Subgraph with the time-edges whose endpoint appearances all lie in
-    keep, plus extra_edges verbatim.
-
-    keep is a collection of VertexAppearance; extra_edges must be
-    time-edges of g. Vertex ids, count and lifetime are preserved, so the
-    result's vertex support is exactly the endpoints of retained edges.
-    """
-    keep = frozenset(keep)
-    retained: set[TimeEdge] = set()
-    for edge in g.time_edges:
-        if VertexAppearance(edge.u, edge.t) in keep and VertexAppearance(edge.v, edge.t) in keep:
-            retained.add(edge)
-    for edge in extra_edges:
-        if not g.has_time_edge(edge):
-            raise ValueError(f"extra edge {edge} is not a time-edge of the graph")
-        retained.add(edge)
-    return TemporalGraph.from_time_edges(
-        g.vertex_count, g.lifetime, retained, g.aliases)

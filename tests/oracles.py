@@ -1,10 +1,13 @@
 """Independent brute-force re-implementations used as test oracles.
 
 Everything here works straight from the definitions by naive enumeration
-over raw (u, v, t) triples, sharing no code path with the library.
+over raw (u, v, t) triples, or over a path and a distance table the
+library returned, sharing no code path with the library.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 INF = float("inf")
 
@@ -210,3 +213,86 @@ def peel_witness(triples, s, z, delta, length):
             i += 1
     (witness,) = [steps for steps in paths if set(remaining).issuperset(steps)]
     return witness
+
+
+@dataclass
+class SeparatorTrace:
+    """Which visited positions of a known path split all earlier from all
+    later positions by strict distance comparisons."""
+
+    indices: tuple[int, ...]
+    d_values: tuple[int | float, ...]
+
+
+def _departure_distances(path, dt) -> list[int | float]:
+    # position i departs at the stamp of step i+1; the last position keeps
+    # its arrival stamp
+    times = [step.t for step in path.steps]
+    out = []
+    for i, v in enumerate(path.vertices):
+        dep = times[i] if i < len(times) else times[-1]
+        out.append(dt.entries[(v, dep)])
+    return out
+
+
+def separator_trace(path, dt) -> SeparatorTrace:
+    """Mark every position whose departure-time distance is strictly below
+    all earlier positions' and strictly above all later positions'."""
+    dvals = _departure_distances(path, dt)
+    indices = []
+    for i, di in enumerate(dvals):
+        if all(dj > di for dj in dvals[:i]) and all(dj < di for dj in dvals[i + 1:]):
+            indices.append(i)
+    return SeparatorTrace(indices=tuple(indices), d_values=tuple(dvals))
+
+
+def arc_layers(triples, s, z, delta, length, screens):
+    """The sieve's layered arc skeleton by definition: per hop 1..length,
+    the (head, edge index, pred positions) of each arc a walk may take.
+
+    An arc is one direction of a time-edge; arcs are listed per time-edge
+    in the given order, u->v first. A walk of `length` arcs departs s at
+    its first arc only, enters z at its last only, never enters s nor
+    leaves z, and each later arc leaves the previous head within
+    [t, t + delta] of the previous stamp. Without screens, hop i holds
+    every arc those roles allow there, and an arc's preds are the arcs of
+    hop i - 1 that it may follow. With screens, hop i holds the arcs at
+    hop i of some whole walk, found by enumerating every walk, and an
+    arc's preds are the arcs just before it in one of them.
+    """
+    arcs = [(x, y, t, idx) for idx, (u, v, t) in enumerate(triples)
+            for x, y in ((u, v), (v, u))]
+
+    def fits(arc, hop):
+        x, y = arc[0], arc[1]
+        return (x != z and y != s
+                and (x == s) == (hop == 1) and (y == z) == (hop == length))
+
+    def follows(p, a):
+        return p[1] == a[0] and p[2] <= a[2] <= p[2] + delta
+
+    if screens:
+        on = [set() for _ in range(length)]
+        pairs = set()
+
+        def walk(prefix):
+            if len(prefix) == length:
+                for hop, a in enumerate(prefix):
+                    on[hop].add(a)
+                pairs.update(zip(prefix, prefix[1:]))
+                return
+            for a in arcs:
+                if fits(a, len(prefix) + 1) and (not prefix or follows(prefix[-1], a)):
+                    walk(prefix + [a])
+
+        walk([])
+        layers = [[a for a in arcs if a in on[hop]] for hop in range(length)]
+    else:
+        layers = [[a for a in arcs if fits(a, hop)] for hop in range(1, length + 1)]
+        pairs = {(p, a) for p in arcs for a in arcs if follows(p, a)}
+    out = []
+    for hop, layer in enumerate(layers):
+        prev = layers[hop - 1] if hop else []
+        out.append([(a[1], a[3], tuple(j for j, p in enumerate(prev) if (p, a) in pairs))
+                    for a in layer])
+    return out

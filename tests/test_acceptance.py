@@ -16,8 +16,7 @@ import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  compute_distances, find_exact_restless_path_sieve,
-                 restless_walk_distance, separator_trace, solve,
-                 static_distance, validate_restless_path)
+                 restless_walk_distance, solve, validate_restless_path)
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -136,7 +135,8 @@ def test_criterion_6_lower_bound_chain(corpus):
         if not res.decision:
             continue
         dt = compute_distances(g, z)
-        chain = (static_distance(g, s, z), dt.source_distance(s),
+        chain = (oracles.static_min(oracles.edge_triples(g), s, z),
+                 dt.source_distance(s),
                  restless_walk_distance(g, s, z, delta), res.witness.length)
         if any(x == INF for x in chain):
             continue
@@ -160,7 +160,7 @@ def test_criterion_7_separator_structure(corpus):
                 continue
             path = validate_restless_path(g, [TimeEdge(*x) for x in steps],
                                           s, z, delta)
-            trace = separator_trace(path, dt)
+            trace = oracles.separator_trace(path, dt)
             marked = set(trace.indices)
             for start in range(0, best + 1):
                 window = set(range(start, min(start + 2 * ell + 1, best + 1)))

@@ -6,9 +6,8 @@ import pytest
 
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
-from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, a_set,
-                 area_graph, area_spec, compute_distances,
-                 find_exact_restless_path_brute, induced_subgraph,
+from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, area_graph,
+                 area_spec, compute_distances, find_exact_restless_path_brute,
                  random_temporal_graph)
 from rtp.areas import AreaSpec, holds_endpoints, keep_rule
 from rtp.path_finder import incident_index, search_index
@@ -49,33 +48,9 @@ def naive_area_edges(g, dt, lower, upper, delta):
                         for x, y in ((e.u, e.v), (e.v, e.u))))
 
 
-def test_a_set_empty_open_interval(fig1):
-    dt = compute_distances(fig1, Z)
-    # d(e,6)=1 and d(b,4)=2: no integer strictly between
-    spec = area_spec(dt, VertexAppearance(B, 4), VertexAppearance(E, 6), 2)
-    assert a_set(dt, spec) == frozenset()
-
-
-def test_a_set_source_degenerates_to_all_reachable(fig1):
-    dt = compute_distances(fig1, Z)
-    spec = area_spec(dt, None, VertexAppearance(Z, 6), 2)
-    expected = {app for app, d in dt.entries.items() if 0 < d < INF}
-    assert a_set(dt, spec) == expected
-
-
-def test_a_set_fig1_upper_e4(fig1):
-    dt = compute_distances(fig1, Z)
-    spec = area_spec(dt, None, VertexAppearance(E, 4), 2)
-    want = naive_a_set(dt, None, VertexAppearance(E, 4), fig1.lifetime)
-    got = a_set(dt, spec)
-    assert got == want
-    assert VertexAppearance(S, 1) in got  # d=2 > d(e,4)=1, t fine
-    assert VertexAppearance(E, 2) not in got  # d=1 not strictly above
-
-
 def _compare_random_corridors(seed, count, max_vertices, max_lifetime):
-    """Draw corridors on random graphs; check the window and the kept
-    edges, in canonical order, against the definitional filters."""
+    """Draw corridors on random graphs; check the kept edges, in
+    canonical order, against the definitional filter."""
     rng = random.Random(seed)
     compared = 0
     while compared < count:
@@ -97,7 +72,6 @@ def _compare_random_corridors(seed, count, max_vertices, max_lifetime):
                 continue
             lower, _ = rng.choice(choices)
         spec = area_spec(dt, lower, upper, delta)
-        assert a_set(dt, spec) == naive_a_set(dt, lower, upper, g.lifetime)
         got = area_graph(g, dt, spec).time_edges
         want = naive_area_edges(g, dt, lower, upper, delta)
         assert got == want, (lower, upper, delta)
@@ -216,7 +190,6 @@ def test_direct_corner_to_corner_edge_is_admitted():
     lower = VertexAppearance(0, 1)   # d = 2
     upper = VertexAppearance(1, 2)   # d = 1
     spec = area_spec(dt, lower, upper, 2)
-    assert a_set(dt, spec) == frozenset()
     area = area_graph(g, dt, spec)
     assert area.time_edges == (TimeEdge(0, 1, 1),)
 
@@ -292,6 +265,7 @@ def test_spec_validation():
 def test_area_to_temporal_graph_round_trip(fig1):
     dt = compute_distances(fig1, Z)
     area = area_graph(fig1, dt, area_spec(dt, None, VertexAppearance(Z, 6), 2))
-    sub = induced_subgraph(fig1, (), area.time_edges)
+    sub = TemporalGraph.from_time_edges(fig1.vertex_count, fig1.lifetime,
+                                       area.time_edges, fig1.aliases)
     assert set(sub.time_edges) == set(area.time_edges)
     assert sub.vertex_count == fig1.vertex_count

@@ -8,7 +8,7 @@ import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance,
                  compute_distances, random_temporal_graph,
-                 restless_walk_distance, static_distance)
+                 restless_walk_distance)
 
 
 def naive_non_isolated(g: TemporalGraph) -> set[VertexAppearance]:
@@ -175,7 +175,7 @@ def test_lower_bound_chain_on_random_yes_instances():
         if path_len is None:
             continue
         dt = compute_distances(g, z)
-        chain = (static_distance(g, s, z), dt.source_distance(s),
+        chain = (oracles.static_min(triples, s, z), dt.source_distance(s),
                  restless_walk_distance(g, s, z, delta), path_len)
         assert all(x != INF for x in chain)
         assert chain[0] <= chain[1] <= chain[2] <= chain[3], chain

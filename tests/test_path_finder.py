@@ -9,6 +9,7 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  find_exact_restless_path, find_exact_restless_path_brute,
                  find_exact_restless_path_sieve, random_temporal_graph)
+from rtp.path_finder import _build_structure
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -178,6 +179,39 @@ def test_screens_cut_raw_sieve_work(fig1):
                                            stats=stats)
         ops[screens] = stats.sieve_ops
     assert ops[False] > ops[True]
+
+
+def test_build_structure_matches_definition():
+    # layers, pred positions, label vertices and cost against walks
+    # enumerated from the definition, half of them over shuffled edges
+    rng = random.Random(4242)
+    counts = {"full": 0, "cut": 0, "screened out": 0}
+    lengths = set()
+    for n in range(2400):
+        nv = rng.randint(2, 9)
+        g = random_temporal_graph(nv, rng.randint(1, 6), rng.choice([0.5, 1.0, 2.0, 3.5, 5.0]),
+                                  rng.getrandbits(64))
+        s, z = rng.sample(range(nv), 2)
+        triples = oracles.edge_triples(g)
+        if rng.random() < 0.5:
+            rng.shuffle(triples)
+        length, delta, screens = rng.randint(1, 7), rng.randint(1, 3), n % 2 == 0
+        got = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, screens)
+        want = oracles.arc_layers(triples, s, z, delta, length, screens)
+        assert got.layers == want, (triples, s, z, delta, length, screens)
+        assert got.label_vertices == tuple(sorted({h for layer in want for h, _e, _p in layer}))
+        assert got.cost_per_subset == sum(len(p) + 2 for layer in want for _h, _e, p in layer)
+        lengths.add(length)
+        if screens:
+            roles_only = oracles.arc_layers(triples, s, z, delta, length, False)
+            if want[-1]:
+                counts["full"] += 1
+                counts["cut"] += sum(map(len, want)) < sum(map(len, roles_only))
+            else:
+                counts["screened out"] += bool(roles_only[-1])
+    assert lengths == set(range(1, 8))
+    assert counts["full"] >= 300 and counts["cut"] >= 150, counts
+    assert counts["screened out"] >= 150, counts
 
 
 def test_sieve_cancels_walks_that_are_not_paths():

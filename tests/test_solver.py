@@ -10,7 +10,7 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  VertexAppearance, area_graph, area_spec, compute_distances,
                  fill_table, parse_temporal_graph, random_temporal_graph,
-                 reconstruct, restless_walk_distance, separator_trace, solve,
+                 reconstruct, restless_walk_distance, solve,
                  solve_windowed, validate_restless_path)
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
@@ -205,7 +205,7 @@ def test_separator_trace_fig1(fig1):
     dt = compute_distances(fig1, Z)
     path = validate_restless_path(
         fig1, [TimeEdge(*t) for t in FIG1_STEPS], S, Z, 2)
-    trace = separator_trace(path, dt)
+    trace = oracles.separator_trace(path, dt)
     assert trace.indices[-1] == path.length  # the target is always marked
     assert trace.d_values[-1] == 0
     # gaps between consecutive separators bounded by 2*ell + 1 (ell = 3)
@@ -217,7 +217,7 @@ def test_separator_trace_single_step():
     g = TemporalGraph.from_time_edges(2, 1, [TimeEdge(0, 1, 1)])
     dt = compute_distances(g, 1)
     path = validate_restless_path(g, [TimeEdge(0, 1, 1)], 0, 1, 1)
-    trace = separator_trace(path, dt)
+    trace = oracles.separator_trace(path, dt)
     assert trace.indices == (0, 1)
 
 
@@ -237,7 +237,7 @@ def test_separator_windows_on_shortest_solutions():
                 continue
             path = validate_restless_path(
                 g, [TimeEdge(*t) for t in steps], s, z, delta)
-            trace = separator_trace(path, dt)
+            trace = oracles.separator_trace(path, dt)
             marked = set(trace.indices)
             assert path.length in marked
             for start in range(0, path.length + 1):

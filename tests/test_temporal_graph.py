@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import FIG1_TEXT, S, A, B, C, D, E, Z
 from rtp import (PathValidationError, TelParseError, TemporalGraph, TimeEdge,
-                 VertexAppearance, induced_subgraph, parse_temporal_graph,
-                 random_temporal_graph, serialize_temporal_graph,
-                 validate_restless_path)
+                 parse_temporal_graph, random_temporal_graph,
+                 serialize_temporal_graph, validate_restless_path)
 
 FIG1_PATH = [TimeEdge(S, A, 2), TimeEdge(A, C, 4), TimeEdge(C, B, 4),
              TimeEdge(B, E, 4), TimeEdge(E, Z, 6)]
@@ -201,31 +200,6 @@ def test_restless_monotone_in_delta(fig1):
     # a valid path stays valid for every larger waiting bound
     for delta in range(2, 8):
         assert validate_restless_path(fig1, FIG1_PATH, S, Z, delta).length == 5
-
-
-def test_induced_subgraph_identity_and_empty(fig1):
-    every = {VertexAppearance(v, t)
-             for v in range(fig1.vertex_count)
-             for t in range(1, fig1.lifetime + 1)}
-    assert induced_subgraph(fig1, every) == fig1
-    empty = induced_subgraph(fig1, ())
-    assert empty.time_edges == ()
-    assert empty.vertices_used() == frozenset()
-
-
-def test_induced_subgraph_time_window(fig1):
-    keep = {VertexAppearance(v, t)
-            for v in range(fig1.vertex_count) for t in (2, 3, 4)}
-    sub = induced_subgraph(fig1, keep)
-    assert {e.t for e in sub.time_edges} == {2, 4}
-    assert len(sub.time_edges) == 5  # stamps 2..4 of the demo instance
-
-
-def test_induced_subgraph_extra_edges(fig1):
-    sub = induced_subgraph(fig1, (), [TimeEdge(E, Z, 6)])
-    assert sub.time_edges == (TimeEdge(E, Z, 6),)
-    with pytest.raises(ValueError):
-        induced_subgraph(fig1, (), [TimeEdge(S, Z, 1)])
 
 
 def test_graph_rejects_duplicate_layer_edge():
