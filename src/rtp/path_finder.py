@@ -14,7 +14,10 @@ Two backends behind one contract:
   (2*length)/2^64 per trial when a path does exist. Yes answers are
   always certified by an explicit path, peeled out of the time-edges the
   decision's arc screen kept by deleting blocks of them, halved on a
-  failed deletion, while the decision stays yes.
+  failed deletion, while the decision stays yes. When no screened walk
+  can revisit a vertex (no vertex heads two hops at least two apart),
+  every walk is a path: the yes is exact, and the peel's witness comes
+  from one least-weight pass over the layers, with no trial at all.
 
 Every returned path is built by check_restless_path against the searched
 edge set, the same checker validate_restless_path runs on witnesses, so
@@ -45,9 +48,10 @@ class FinderConfig:
     path exists, and so sets its trial count; solve and solve_windowed
     replace it with their per-call share of the query's p. use_screens
     enables the cheap walk-feasibility pre-checks that skip provably
-    hopeless sieve runs. No benchmark turns them off; only tests do, such
-    as ``test_criterion_8_scaling_shape``, which measures raw sieve work
-    per unit of slack.
+    hopeless sieve runs, and the certificate that answers yes, without
+    trials, when no screened walk can revisit a vertex. No benchmark turns
+    them off; only tests do, such as ``test_criterion_8_scaling_shape``,
+    which measures raw sieve work per unit of slack.
     """
 
     backend: str = "auto"
@@ -71,7 +75,10 @@ class SolveStats:
 
     sieve_ops counts inner decision work only (transition sums plus
     coefficient products, per label subset); work spent re-deciding while
-    peeling a witness out goes to extraction_ops. areas_built,
+    peeling a witness out goes to extraction_ops. The sieve_* and
+    extraction_* counters count randomized decisions only: a sieve call
+    whose screened walks cannot revisit a vertex is certified without
+    one and moves none of them. areas_built,
     corridor_edges (time-edges summed over the corridors built),
     table_entries and elapsed_seconds are filled by the solver. Brute
     probes search their corridors in place, so areas_built counts only
@@ -177,6 +184,9 @@ class _Structure:
     i + 1; pred positions index into the previous layer. The final layer
     contains only arcs entering the target, and is empty when the screens
     found no walk of the full length, so the decision is a certain no.
+    When screened and no head repeats two or more layers apart, every walk
+    through the layers is a path, so a non-empty final layer is a certain
+    yes (``_certified_path``).
     """
 
     layers: list[list[tuple[int, int, tuple[int, ...]]]]
@@ -220,6 +230,30 @@ def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
         layers=layers,
         label_vertices=tuple(sorted({head for layer in layers for head, _e, _p in layer})),
         cost_per_subset=sum(len(p) + 2 for layer in layers for _h, _e, p in layer))
+
+
+def _certified_path(structure: _Structure, edge_count: int) -> list[int] | None:
+    """For a screened structure with a non-empty final layer: the sorted
+    edge indices of the least walk, weight 2^(edge_count-1-e) on time-edge
+    e, when no vertex heads two layers at least two apart; else None."""
+    first: dict[int, int] = {}
+    for i, layer in enumerate(structure.layers):
+        for head, _e, _p in layer:
+            if i - first.setdefault(head, i) >= 2:
+                return None
+    top = edge_count - 1
+    cost = [1 << (top - e) for _h, e, _p in structure.layers[0]]
+    back = []  # back[i][pos]: the position in layer i that arc pos of layer i + 1 follows
+    for layer in structure.layers[1:]:
+        picks = [min(preds, key=cost.__getitem__) for _h, _e, preds in layer]
+        cost = [cost[p] + (1 << (top - e)) for p, (_h, e, _p) in zip(picks, layer)]
+        back.append(picks)
+    pos = min(range(len(cost)), key=cost.__getitem__)
+    path = [structure.layers[-1][pos][1]]
+    for layer, picks in zip(reversed(structure.layers[:-1]), reversed(back)):
+        pos = picks[pos]
+        path.append(layer[pos][1])
+    return sorted(path)
 
 
 def _sieve_decide(structure: _Structure, length: int, trials: int,
@@ -299,6 +333,19 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     survivors never drops a time-edge kept earlier: it is on every later
     path. Once `length` edges remain they are the path; a false negative
     (below 2^-58 per trial) only leaves extra ones for the brute search.
+
+    With the screens on, a call whose screened layers pass a certificate
+    makes no decision at all. A screened walk leaves s only at hop 1 and
+    enters z only at its last hop, and with no self-loops it can revisit
+    a vertex v only if v heads hops i and j >= i + 2. If no vertex heads
+    two layers at least two apart, every walk is a path, so a non-empty
+    final layer is a certain yes; lengths up to 3 always qualify. The
+    peel's witness is then computed directly: deleting in index order
+    while a path survives leaves the path whose time-edge indicator
+    vector is lexicographically least, and as a path uses each time-edge
+    once, that is the walk of least total weight with weight 2^(m-1-i) on
+    time-edge i of m, found in one pass over the layers with
+    back-pointers. Such a call draws nothing from its seed stream.
     """
     if s == z:
         raise ValueError("source and target must differ")
@@ -322,10 +369,14 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     trials = _trials_for(cfg.error_prob)
 
     structure = _build_structure(edges, s, z, delta, length, cfg.use_screens)
-    if cfg.use_screens and not structure.layers[-1]:
-        if stats is not None:
-            stats.screened += 1
-        return None
+    if cfg.use_screens:
+        if not structure.layers[-1]:
+            if stats is not None:
+                stats.screened += 1
+            return None
+        path = _certified_path(structure, len(edges))
+        if path is not None:
+            return find_exact_restless_path_brute([edges[i] for i in path], s, z, delta, length)
     if not _sieve_decide(structure, length, trials, stream, stats):
         return None
     if not cfg.use_screens:

@@ -198,6 +198,16 @@ def _check_query(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         raise ValueError("error probability must be in (0, 1)")
 
 
+def _share(p: float, parts: int, split: str) -> float:
+    """p split evenly over `parts` calls. A share that underflows to 0 is
+    rejected, not clamped: a larger share would weaken the bound on p."""
+    share = p / parts
+    if share == 0.0:
+        raise ValueError(f"error probability p={p!r} is too small: its split "
+                         f"{split} = p/{parts} underflows to 0")
+    return share
+
+
 def _result(started: float, stats: SolveStats, witness: RestlessPath | None,
             k: int, k_eff: int, d_source: int | float, p: float,
             sub_p: float | None) -> SolveResult:
@@ -225,9 +235,10 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
 
     ell = k_eff - d_source
     # split the budget over the longest possible chain of subroutine calls,
-    # times the per-link probe count
+    # times the per-link probe count; only randomized sieve decisions spend
+    # their share, as brute, screened-out and certified probes answer exactly
     chain = math.ceil(k_eff / max(1, ell))
-    sub_p = p / (2 * chain * (2 * ell + 1))
+    sub_p = _share(p, 2 * chain * (2 * ell + 1), "p/(2*chain*(2*ell+1))")
     run_cfg = replace(cfg, error_prob=sub_p)
 
     dp = fill_table(g, dt, s, z, delta, k_eff, run_cfg, stats=stats)
@@ -264,7 +275,7 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     k_eff = min(k, max(1, g.vertex_count - 1))
     departures = list(takewhile(lambda t0: dt.get(s, t0) <= k_eff,
                                 dt.appearance_times(s)))
-    sub_p = p / len(departures) if departures else None
+    sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
     witness = None
     for t0 in departures:
         window = TemporalGraph.from_time_edges(

@@ -104,7 +104,18 @@ def test_criterion_4_no_side_error_rate():
         noes += not res.decision
     bound = 0.2 + 3 * (0.2 * 0.8 / 400) ** 0.5
     assert noes / 400 <= bound, (noes, bound)
-    print(f"ACCEPTANCE 4 PASS: no-rate {noes}/400 <= {bound:.3f}")
+    # screened probes here are certified without trials; with the screens
+    # off the sieve decides every probe
+    raw_noes = trials = 0
+    for seed in range(400):
+        res = solve(g, 0, 3, 2, 3, 0.2,
+                    FinderConfig(backend="sieve", seed=seed, use_screens=False))
+        raw_noes += not res.decision
+        trials += res.stats.sieve_trials
+    assert raw_noes / 400 <= bound, (raw_noes, bound)
+    assert trials >= 400, trials
+    print(f"ACCEPTANCE 4 PASS: no-rate {noes}/400 <= {bound:.3f}, "
+          f"{raw_noes}/400 with the screens off")
 
 
 def test_criterion_5_distance_table():

@@ -88,6 +88,13 @@ def test_solve_usage_errors(fig1_file, capsys):
     assert code == 2 and "differ" in err
 
 
+def test_solve_error_prob_too_small_to_split(fig1_file, capsys):
+    code, _, err = run(capsys, [
+        "solve", "-i", fig1_file, "-s", "s", "-z", "z", "--delta", "2", "--k", "5",
+        "--error-prob", "5e-324"])
+    assert code == 2 and "p=5e-324" in err and "underflows" in err
+
+
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.tel"
     bad.write_text("2 1\n0 0 1\n")

@@ -9,7 +9,7 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  find_exact_restless_path, find_exact_restless_path_brute,
                  find_exact_restless_path_sieve, random_temporal_graph)
-from rtp.path_finder import _build_structure
+from rtp.path_finder import _build_structure, _certified_path
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -181,13 +181,11 @@ def test_screens_cut_raw_sieve_work(fig1):
     assert ops[False] > ops[True]
 
 
-def test_build_structure_matches_definition():
-    # layers, pred positions, label vertices and cost against walks
-    # enumerated from the definition, half of them over shuffled edges
-    rng = random.Random(4242)
-    counts = {"full": 0, "cut": 0, "screened out": 0}
-    lengths = set()
-    for n in range(2400):
+def random_builds(seed, count):
+    """(triples, s, z, delta, length, screens) for random structure builds,
+    half of them over shuffled edges, every other one screened."""
+    rng = random.Random(seed)
+    for n in range(count):
         nv = rng.randint(2, 9)
         g = random_temporal_graph(nv, rng.randint(1, 6), rng.choice([0.5, 1.0, 2.0, 3.5, 5.0]),
                                   rng.getrandbits(64))
@@ -195,7 +193,16 @@ def test_build_structure_matches_definition():
         triples = oracles.edge_triples(g)
         if rng.random() < 0.5:
             rng.shuffle(triples)
-        length, delta, screens = rng.randint(1, 7), rng.randint(1, 3), n % 2 == 0
+        length, delta = rng.randint(1, 7), rng.randint(1, 3)
+        yield triples, s, z, delta, length, n % 2 == 0
+
+
+def test_build_structure_matches_definition():
+    # layers, pred positions, label vertices and cost against walks
+    # enumerated from the definition
+    counts = {"full": 0, "cut": 0, "screened out": 0}
+    lengths = set()
+    for triples, s, z, delta, length, screens in random_builds(4242, 2400):
         got = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, screens)
         want = oracles.arc_layers(triples, s, z, delta, length, screens)
         assert got.layers == want, (triples, s, z, delta, length, screens)
@@ -212,6 +219,29 @@ def test_build_structure_matches_definition():
     assert lengths == set(range(1, 8))
     assert counts["full"] >= 300 and counts["cut"] >= 150, counts
     assert counts["screened out"] >= 150, counts
+
+
+def test_certified_walk_is_a_path():
+    # whenever a screened build passes the certificate, a restless path of
+    # its length exists, and the certified edges are one
+    certified = refused = long_certified = 0
+    for triples, s, z, delta, length, _screens in random_builds(2424, 6000):
+        structure = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, True)
+        if not structure.layers[-1]:
+            continue
+        path = _certified_path(structure, len(triples))
+        if path is None:
+            refused += 1
+            continue
+        assert length in oracles.restless_path_lengths(triples, s, z, delta, length), \
+            (triples, s, z, delta, length)
+        steps = {triples[i] for i in path}
+        assert any(steps == set(p) for p in oracles.enumerate_restless_paths(
+            triples, s, z, delta, length) if len(p) == length)
+        certified += 1
+        long_certified += length >= 4  # below 4 the certificate always holds
+    assert certified >= 500 and refused >= 100, (certified, refused)
+    assert long_certified >= 20, long_certified
 
 
 def test_sieve_cancels_walks_that_are_not_paths():
@@ -243,6 +273,12 @@ def test_sieve_separates_parallel_routes():
         cfg = FinderConfig(backend="sieve", seed=seed)
         path = find_exact_restless_path_sieve(g.time_edges, 0, 3, 2, 2, cfg)
         assert path is not None and path.length == 2
+    for seed in range(40):  # screens off: the certificate is off too, the sieve decides
+        stats = SolveStats()
+        cfg = FinderConfig(backend="sieve", seed=seed, use_screens=False)
+        path = find_exact_restless_path_sieve(g.time_edges, 0, 3, 2, 2, cfg, stats=stats)
+        assert path is not None and path.length == 2
+        assert stats.sieve_trials >= 1
 
 
 def test_single_stamp_graph():
@@ -254,6 +290,11 @@ def test_single_stamp_graph():
         cfg = FinderConfig(backend=backend, seed=2)
         path = find_exact_restless_path(g.time_edges, 0, 4, 1, 4, cfg)
         assert path is not None and path.length == 4
+    stats = SolveStats()  # screens off: the sieve decides
+    cfg = FinderConfig(backend="sieve", seed=2, use_screens=False)
+    path = find_exact_restless_path(g.time_edges, 0, 4, 1, 4, cfg, stats=stats)
+    assert path is not None and path.length == 4
+    assert stats.sieve_trials >= 1
 
 
 def test_finder_config_validation():
@@ -285,7 +326,7 @@ def test_extraction_matches_one_at_a_time_peel():
         g = random_temporal_graph(9, 6, rng.choice([4.0, 6.0]), rng.getrandbits(64))
         s, z = rng.sample(range(9), 2)
         instances.append((g, s, z, rng.choice((1, 2, 3))))
-    yes = dense_yes = 0
+    yes = dense_yes = certified = 0
     lengths = set()
     for g, s, z, delta in instances:
         length = rng.randint(2, 7)
@@ -294,12 +335,16 @@ def test_extraction_matches_one_at_a_time_peel():
         if want is None:
             continue
         cfg = FinderConfig(backend="sieve", seed=rng.getrandbits(64))
-        got = find_exact_restless_path_sieve(g.time_edges, s, z, delta, length, cfg)
+        stats = SolveStats()
+        got = find_exact_restless_path_sieve(g.time_edges, s, z, delta, length, cfg,
+                                             stats=stats)
         assert got is not None and as_triples(got) == want, (triples, s, z, delta, length)
         yes += 1
         dense_yes += len(triples) >= 20
+        certified += stats.sieve_trials == 0  # else the sieve decided and peeled
         lengths.add(length)
     assert yes >= 200 and dense_yes >= 100, (yes, dense_yes)
+    assert certified >= 100 and yes - certified >= 100, (certified, yes)
     assert lengths == set(range(2, 8))
 
 

@@ -131,6 +131,17 @@ def test_subcall_budget_formula(fig1):
     assert res.subcall_error_prob == pytest.approx(0.2 / (2 * 2 * 7))
 
 
+def test_budget_split_that_underflows_is_rejected(fig1):
+    # 5e-324 is a valid p, but every share of it would round to 0; a clamped
+    # share would break the bound, so the query is refused, naming the split
+    with pytest.raises(ValueError, match=r"p=5e-324 .* p/\(2\*chain\*\(2\*ell\+1\)\) = p/28"):
+        solve(fig1, S, Z, 2, 5, 5e-324, FinderConfig(backend="brute"))
+    with pytest.raises(ValueError, match=r"p=5e-324 .* p/len\(departures\) = p/2"):
+        solve_windowed(fig1, S, Z, 2, 5, 5e-324, FinderConfig(backend="brute"))
+    res = solve(fig1, S, Z, 2, 5, 1e-320, FinderConfig(backend="brute"))
+    assert res.decision and 0.0 < res.subcall_error_prob < 1e-320
+
+
 def test_reconstruct_base_case(fig1):
     dt = compute_distances(fig1, Z)
     dp = fill_table(fig1, dt, S, Z, 2, 5, FinderConfig(backend="brute"))
