@@ -111,14 +111,13 @@ def keep_rule(dt: DistanceTable, spec: AreaSpec) -> Callable[[int, int, int], bo
 
 @dataclass(frozen=True)
 class AreaGraph:
-    """Materialized corridor: retained time-edges plus their endpoints.
+    """Materialized corridor: its retained time-edges, in canonical order.
 
     Vertex ids are the parent graph's, so subpaths found inside lift back
-    without translation. ``time_edges`` keeps canonical order.
+    without translation.
     """
 
     time_edges: tuple[TimeEdge, ...]
-    vertices: frozenset[int]
 
 
 def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph:
@@ -129,7 +128,7 @@ def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph
     keep = keep_rule(dt, spec)
     t_lo = spec.lower.t if spec.lower else 0
     kept = tuple(e for e in g.edges_between(t_lo, spec.upper.t) if keep(e.u, e.v, e.t))
-    return AreaGraph(time_edges=kept, vertices=frozenset(v for e in kept for v in e.pair))
+    return AreaGraph(time_edges=kept)
 
 
 def holds_endpoints(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
@@ -138,8 +137,8 @@ def holds_endpoints(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
     upper corner's vertex b and the lower corner's vertex a (on the source
     side, ``source``). A vertex is in the corridor iff ``keep``, the
     corridor's ``keep_rule``, passes one of its pairs in ``incident`` (a
-    ``path_finder.incident_index`` of the graph), so this equals
-    ``{a or source, b} <= area_graph(...).vertices``.
+    ``path_finder.incident_index`` of the graph), so this equals asking
+    whether both are endpoints of ``area_graph(...).time_edges``.
 
     Only a few pairs need asking. Neither corner vertex has a window
     appearance, because d(v, .) never decreases in time: d(b, t) <=

@@ -12,6 +12,7 @@ or input error. Other subcommands use 0/2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -161,6 +162,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtp",

@@ -66,9 +66,6 @@ class DistanceTable:
     entries: dict[VertexAppearance, int | float] = field(default_factory=dict)
     work: int = 0
 
-    def __getitem__(self, app: VertexAppearance) -> int | float:
-        return self.entries[app]
-
     @cached_property
     def levels(self) -> dict[int, Level]:
         """Finite distance -> its appearances sorted by (t, v)."""

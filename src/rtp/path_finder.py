@@ -19,6 +19,10 @@ Two backends behind one contract:
   every walk is a path: the yes is exact, and the peel's witness comes
   from one least-weight pass over the layers, with no trial at all.
 
+Which probes may reach the sieve is one rule, ``first_sieve_length``: the
+dispatcher sends shorter probes to brute, and a table fill searches them
+in place without building a corridor.
+
 Every returned path is built by check_restless_path against the searched
 edge set, the same checker validate_restless_path runs on witnesses, so
 the yes side carries no error on either backend, with or without -O.
@@ -37,7 +41,7 @@ from .temporal_graph import RestlessPath, TimeEdge, check_restless_path
 
 _BACKENDS = ("brute", "sieve", "auto")
 _TINY_EDGE_COUNT = 16
-_TRIAL_FAILURE_LOG2 = 58  # per-trial miss probability is below 2**-58 for any feasible length
+_TRIAL_FAILURE_LOG2 = 58  # per-trial miss probability bound, for length <= 32 (_trials_for)
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,12 @@ class SolveStats:
     peeling a witness out goes to extraction_ops. The sieve_* and
     extraction_* counters count randomized decisions only: a sieve call
     whose screened walks cannot revisit a vertex is certified without
-    one and moves none of them. areas_built,
-    corridor_edges (time-edges summed over the corridors built),
-    table_entries and elapsed_seconds are filled by the solver. Brute
-    probes search their corridors in place, so areas_built counts only
-    corridors with a probe that may reach the sieve and that hold both ends
-    of their search (``areas.holds_endpoints``).
+    one and moves none of them. areas_built, corridor_edges (time-edges
+    summed over the corridors built), table_entries and elapsed_seconds
+    are filled by the solver. Probes shorter than ``first_sieve_length``
+    search their corridors in place, so areas_built counts only corridors
+    with a probe that may reach the sieve and that hold both ends of their
+    search (``areas.holds_endpoints``).
     """
 
     finder_calls: int = 0
@@ -175,27 +179,18 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
 
 # ---------------------------------------------------------------------------
 # sieve backend
+#
+# A structure is a list of layers, one per hop: layers[i] holds, in arc
+# order, (head, edge_index, pred_positions) triples for hop i + 1, and pred
+# positions index into the previous layer. The final layer contains only
+# arcs entering the target, and is empty when no walk of the full length
+# survives, so the decision is a certain no.
 
-@dataclass
-class _Structure:
-    """Layered directed-arc DP skeleton for one decision.
-
-    layers[i] holds (head, edge_index, pred_positions) triples for hop
-    i + 1; pred positions index into the previous layer. The final layer
-    contains only arcs entering the target, and is empty when the screens
-    found no walk of the full length, so the decision is a certain no.
-    When screened and no head repeats two or more layers apart, every walk
-    through the layers is a path, so a non-empty final layer is a certain
-    yes (``_certified_path``).
-    """
-
-    layers: list[list[tuple[int, int, tuple[int, ...]]]]
-    label_vertices: tuple[int, ...]
-    cost_per_subset: int
+_Layers = list[list[tuple[int, int, tuple[int, ...]]]]
 
 
 def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
-                     length: int, use_screens: bool) -> _Structure:
+                     length: int, use_screens: bool) -> _Layers:
     """Layer i + 1 holds, in arc order, the arcs a walk may take at hop
     i + 1: a walk leaves s only at hop 1 and enters z only at the last.
     With use_screens, only arcs on some walk of the full length are kept
@@ -220,54 +215,52 @@ def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
             needed = {p for a in kept[i] for p in preds[a]}
             kept[i - 1] = [a for a in kept[i - 1] if a in needed]
 
-    layers: list[list[tuple[int, int, tuple[int, ...]]]] = []
+    layers: _Layers = []
     pos: dict[int, int] = {}
     for layer in kept:
         layers.append([(arcs[a][1], arcs[a][3], tuple(pos[p] for p in preds[a] if p in pos))
                        for a in layer])
         pos = {a: j for j, a in enumerate(layer)}
-    return _Structure(
-        layers=layers,
-        label_vertices=tuple(sorted({head for layer in layers for head, _e, _p in layer})),
-        cost_per_subset=sum(len(p) + 2 for layer in layers for _h, _e, p in layer))
+    return layers
 
 
-def _certified_path(structure: _Structure, edge_count: int) -> list[int] | None:
-    """For a screened structure with a non-empty final layer: the sorted
-    edge indices of the least walk, weight 2^(edge_count-1-e) on time-edge
-    e, when no vertex heads two layers at least two apart; else None."""
+def _certified_path(layers: _Layers, edge_count: int) -> list[int] | None:
+    """For screened layers with a non-empty final layer: the sorted edge
+    indices of the least walk, weight 2^(edge_count-1-e) on time-edge e,
+    when no vertex heads two layers at least two apart; else None."""
     first: dict[int, int] = {}
-    for i, layer in enumerate(structure.layers):
+    for i, layer in enumerate(layers):
         for head, _e, _p in layer:
             if i - first.setdefault(head, i) >= 2:
                 return None
     top = edge_count - 1
-    cost = [1 << (top - e) for _h, e, _p in structure.layers[0]]
+    cost = [1 << (top - e) for _h, e, _p in layers[0]]
     back = []  # back[i][pos]: the position in layer i that arc pos of layer i + 1 follows
-    for layer in structure.layers[1:]:
+    for layer in layers[1:]:
         picks = [min(preds, key=cost.__getitem__) for _h, _e, preds in layer]
         cost = [cost[p] + (1 << (top - e)) for p, (_h, e, _p) in zip(picks, layer)]
         back.append(picks)
     pos = min(range(len(cost)), key=cost.__getitem__)
-    path = [structure.layers[-1][pos][1]]
-    for layer, picks in zip(reversed(structure.layers[:-1]), reversed(back)):
+    path = [layers[-1][pos][1]]
+    for layer, picks in zip(reversed(layers[:-1]), reversed(back)):
         pos = picks[pos]
         path.append(layer[pos][1])
     return sorted(path)
 
 
-def _sieve_decide(structure: _Structure, length: int, trials: int,
-                  stream: SeedStream, stats: SolveStats | None) -> bool:
-    if not structure.layers[-1]:
-        return False
-    layers = structure.layers
-    verts = structure.label_vertices
+def _sieve_decide(layers: _Layers, length: int, trials: int, stream: SeedStream,
+                  stats: SolveStats) -> tuple[bool, int]:
+    """Up to `trials` randomized trials over layers with a non-empty final
+    layer; counts them in stats.sieve_trials and returns the decision and
+    its work (transition sums plus coefficient products, per subset)."""
+    verts = sorted({head for layer in layers for head, _e, _p in layer})
+    cost_per_subset = sum(len(p) + 2 for layer in layers for _h, _e, p in layer)
+    ops = 0
     for _ in range(trials):
         r = {v: [spread(stream.next()) for _ in range(length)] for v in verts}
         c = [[spread(stream.next()) for _ in layer] for layer in layers]
         y = {v: 0 for v in verts}
         total = 0
-        ops = 0
         prev_gray = 0
         for g_idx in range(1 << length):
             gray = g_idx ^ (g_idx >> 1)
@@ -294,16 +287,19 @@ def _sieve_decide(structure: _Structure, length: int, trials: int,
                 dp = nxt
             for val in dp:
                 total ^= val
-            ops += structure.cost_per_subset
-        if stats is not None:
-            stats.sieve_trials += 1
-            stats.sieve_ops += ops
+            ops += cost_per_subset
+        stats.sieve_trials += 1
         if total:
-            return True
-    return False
+            return True, ops
+    return False, ops
 
 
 def _trials_for(error_prob: float) -> int:
+    """Trials that bring the miss probability of one decision within
+    error_prob. A trial evaluates a polynomial of degree 2*length over
+    GF(2^64), so by Schwartz-Zippel it misses a path with probability at
+    most 2*length/2^64, which is at most 2^-58 for length <= 32. Longer
+    sieve probes are out of reach anyway: a trial sums 2^length subsets."""
     trials = 1
     miss = 2.0 ** -_TRIAL_FAILURE_LOG2
     while miss > error_prob:
@@ -319,7 +315,9 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
                                    ) -> RestlessPath | None:
     """Randomized exact-length search; absent answers may be wrong with
     probability at most cfg.error_prob, returned paths are always valid.
-    seed, when given, replaces cfg.seed for this call.
+    seed, when given, replaces cfg.seed for this call. Every length is
+    answered by the sieve itself; the dispatcher and the table fill send
+    length-1 probes to brute (``first_sieve_length``).
 
     After a yes, which is certain, the witness is the path left by deleting
     time-edges one at a time in canonical order, each deletion kept iff the
@@ -345,7 +343,8 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     vector is lexicographically least, and as a path uses each time-edge
     once, that is the walk of least total weight with weight 2^(m-1-i) on
     time-edge i of m, found in one pass over the layers with
-    back-pointers. Such a call draws nothing from its seed stream.
+    back-pointers. Such a call draws nothing from its seed stream. At
+    length 1 that witness is the last s-z time-edge in canonical order.
     """
     if s == z:
         raise ValueError("source and target must differ")
@@ -353,39 +352,38 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
         raise ValueError("length must be at least 1")
     if delta < 1:
         raise ValueError("delta must be at least 1")
-    if stats is not None:
-        stats.finder_calls += 1
-    if length == 1:
-        return find_exact_restless_path_brute(edges, s, z, delta, 1)
+    if stats is None:
+        stats = SolveStats()
+    stats.finder_calls += 1
     if cfg.use_screens:
         vertices = {v for e in edges for v in e.pair}
         if (len(edges) < length or len(vertices) < length + 1
                 or s not in vertices or z not in vertices):
-            if stats is not None:
-                stats.screened += 1
+            stats.screened += 1
             return None
 
     stream = SeedStream(cfg.seed if seed is None else seed)
     trials = _trials_for(cfg.error_prob)
 
-    structure = _build_structure(edges, s, z, delta, length, cfg.use_screens)
+    layers = _build_structure(edges, s, z, delta, length, cfg.use_screens)
+    if not layers[-1]:  # no walk of the full length
+        if cfg.use_screens:
+            stats.screened += 1
+        return None
     if cfg.use_screens:
-        if not structure.layers[-1]:
-            if stats is not None:
-                stats.screened += 1
-            return None
-        path = _certified_path(structure, len(edges))
+        path = _certified_path(layers, len(edges))
         if path is not None:
             return find_exact_restless_path_brute([edges[i] for i in path], s, z, delta, length)
-    if not _sieve_decide(structure, length, trials, stream, stats):
+    found, ops = _sieve_decide(layers, length, trials, stream, stats)
+    stats.sieve_ops += ops
+    if not found:
         return None
     if not cfg.use_screens:
-        structure = _build_structure(edges, s, z, delta, length, True)
+        layers = _build_structure(edges, s, z, delta, length, True)
 
-    def survivors(kept: _Structure) -> list[int]:  # sorted, indices into edges
-        return sorted({e for layer in kept.layers for _head, e, _preds in layer})
-    remaining = survivors(structure)
-    sub_stats = SolveStats()
+    def survivors(kept: _Layers) -> list[int]:  # sorted, indices into edges
+        return sorted({e for layer in kept for _head, e, _preds in layer})
+    remaining = survivors(layers)
 
     def peel(block: list[int], doomed: bool) -> bool:  # True: none of block is left
         nonlocal remaining
@@ -399,9 +397,11 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
             gone = set(block)
             candidate = [i for i in remaining if i not in gone]
             sub = _build_structure([edges[i] for i in candidate], s, z, delta, length, True)
-            if sub.layers[-1]:
-                sub_stats.extraction_decisions += 1
-                if _sieve_decide(sub, length, trials, stream, sub_stats):
+            if sub[-1]:
+                stats.extraction_decisions += 1
+                found, ops = _sieve_decide(sub, length, trials, stream, stats)
+                stats.extraction_ops += ops
+                if found:
                     remaining = [candidate[j] for j in survivors(sub)]
                     return True
         if len(block) == 1:
@@ -411,11 +411,15 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
         return peel(block[half:], first) and first
 
     peel(remaining, True)  # deleting every time-edge leaves no path
-    if stats is not None:
-        stats.extraction_decisions += sub_stats.extraction_decisions
-        stats.extraction_ops += sub_stats.sieve_ops
-        stats.sieve_trials += sub_stats.sieve_trials
     return find_exact_restless_path_brute([edges[i] for i in remaining], s, z, delta, length)
+
+
+def first_sieve_length(cfg: FinderConfig) -> float:
+    """The shortest probe length that may reach the sieve under cfg: 2 for
+    backend sieve, max(2, auto_threshold) for auto, and never (inf) for
+    brute. Shorter probes go to brute; a length-1 probe only scans the
+    source's time-edges. On auto, a tiny edge set also goes to brute."""
+    return {"sieve": 2, "auto": max(2, cfg.auto_threshold)}.get(cfg.backend, math.inf)
 
 
 def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
@@ -423,17 +427,13 @@ def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
                              seed: int | None = None,
                              stats: SolveStats | None = None
                              ) -> RestlessPath | None:
-    """Dispatch to the configured backend; auto picks brute for short or
-    tiny searches and the sieve otherwise. seed, when given, replaces
-    cfg.seed for this call, so a caller drawing one seed per probe need not
-    build a config per probe."""
-    backend = cfg.backend
-    if backend == "auto":
-        if length < cfg.auto_threshold or len(edges) <= _TINY_EDGE_COUNT:
-            backend = "brute"
-        else:
-            backend = "sieve"
-    if backend == "brute":
+    """Dispatch to the configured backend: probes shorter than
+    ``first_sieve_length(cfg)``, and on auto tiny searches, go to brute,
+    the rest to the sieve. seed, when given, replaces cfg.seed for this
+    call, so a caller drawing one seed per probe need not build a config
+    per probe."""
+    if length < first_sieve_length(cfg) or (
+            cfg.backend == "auto" and len(edges) <= _TINY_EDGE_COUNT):
         return find_exact_restless_path_brute(edges, s, z, delta, length, stats=stats)
     return find_exact_restless_path_sieve(edges, s, z, delta, length, cfg,
                                           seed=seed, stats=stats)

@@ -32,7 +32,7 @@ from itertools import takewhile
 from .areas import area_graph, area_spec, holds_endpoints, keep_rule
 from .distances import INF, DistanceTable, compute_distances
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
-                          incident_index, search_index)
+                          first_sieve_length, incident_index, search_index)
 from .rng import SeedStream
 from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge,
                              VertexAppearance, validate_restless_path)
@@ -97,7 +97,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     seeds = SeedStream(cfg.seed)
     levels = dt.levels
     incident = incident_index(g.time_edges)
-    first_sieve_length = {"sieve": 1, "auto": cfg.auto_threshold}.get(cfg.backend, INF)
+    first_sieve = first_sieve_length(cfg)
 
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
     for app, d in order:
@@ -132,7 +132,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             area = None  # while every probe goes to brute, search in place
             for length in range(1, limit + 1):
                 seed = seeds.next()  # one per probe on either path
-                if area is None and length >= first_sieve_length:
+                if area is None and length >= first_sieve:
                     # the sieve, and the dispatcher's edge count, need the edges
                     area = area_graph(g, dt, spec)
                     stats.areas_built += 1
@@ -234,9 +234,13 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         return _result(started, stats, None, k, k_eff, d_source, p, None)
 
     ell = k_eff - d_source
-    # split the budget over the longest possible chain of subroutine calls,
-    # times the per-link probe count; only randomized sieve decisions spend
-    # their share, as brute, screened-out and certified probes answer exactly
+    # a false no needs a false no at one relevant probe per link of a
+    # solution's chain: the probe of that link's connector length. Each link
+    # takes at least one step, so a chain has at most k_eff links, and the
+    # 2*chain*(2*ell+1) >= 2*k_eff shares of p cover them (the chain count
+    # ceil(k_eff/ell) alone does not: a chain may have up to d links).
+    # Only randomized sieve decisions spend their share; brute, screened-out
+    # and certified probes answer exactly
     chain = math.ceil(k_eff / max(1, ell))
     sub_p = _share(p, 2 * chain * (2 * ell + 1), "p/(2*chain*(2*ell+1))")
     run_cfg = replace(cfg, error_prob=sub_p)
@@ -266,7 +270,10 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     (k-1)*delta + 1] only, which holds every solution departing at t0 and
     can shrink the slack. Departures with d(s, t0) > k are skipped; d grows
     with t0, so the rest are a prefix. The error budget is split evenly
-    over the windows tried (subcall_error_prob)."""
+    over them (subcall_error_prob): a false no needs a false no from a
+    window that holds a solution, and at most len(departures) windows are
+    solved, so their shares sum to at most p. Each window's solve splits
+    its share again over its own chain."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()

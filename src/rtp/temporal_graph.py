@@ -112,10 +112,11 @@ class TemporalGraph:
     """Immutable temporal graph.
 
     ``time_edges``, in canonical (t, u, v) order, is the only edge
-    storage; per-step views, lookups and the size derive from it, so
-    nothing grows with ``lifetime``. Equality compares structure (vertex
-    count, lifetime, time-edges); alias labels are presentation only.
-    Instances are safe to share across threads; do not mutate.
+    storage; stamp ranges and lookups derive from it, so nothing grows
+    with ``lifetime``. Equality compares structure (vertex count,
+    lifetime, time-edges); alias labels are presentation only. Graphs are
+    not hashable. Instances are safe to share across threads; do not
+    mutate.
     """
 
     __slots__ = ("vertex_count", "lifetime", "time_edges", "aliases",
@@ -155,19 +156,11 @@ class TemporalGraph:
         if len(self._alias_to_id) != len(self.aliases):
             raise ValueError("duplicate alias label")
 
-    def size(self) -> int:
-        """|V| plus, per time step, its edge count (at least 1 for quiet steps)."""
-        stamps = len({e.t for e in self.time_edges})
-        return self.vertex_count + len(self.time_edges) + self.lifetime - stamps
-
     def edges_between(self, t_lo: int, t_hi: int) -> tuple[TimeEdge, ...]:
         """Time-edges with t_lo <= t <= t_hi, in canonical order."""
         lo = bisect_left(self.time_edges, t_lo, key=_stamp)
         hi = bisect_right(self.time_edges, t_hi, lo=lo, key=_stamp)
         return self.time_edges[lo:hi]
-
-    def edges_at(self, t: int) -> frozenset[tuple[int, int]]:
-        return frozenset(e.pair for e in self.edges_between(t, t))
 
     def has_time_edge(self, edge: TimeEdge) -> bool:
         return edge in self.edges_between(edge.t, edge.t)
@@ -189,9 +182,6 @@ class TemporalGraph:
         return (self.vertex_count == other.vertex_count
                 and self.lifetime == other.lifetime
                 and self.time_edges == other.time_edges)
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.lifetime, self.time_edges))
 
     def __repr__(self):
         return (f"TemporalGraph(|V|={self.vertex_count}, lifetime={self.lifetime}, "

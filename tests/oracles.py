@@ -16,6 +16,21 @@ def edge_triples(g) -> list[tuple[int, int, int]]:
     return [(e.u, e.v, e.t) for e in g.time_edges]
 
 
+def edges_at(g, t) -> frozenset[tuple[int, int]]:
+    """The (u, v) pairs of the time-edges at stamp t."""
+    return frozenset((u, v) for u, v, s in edge_triples(g) if s == t)
+
+
+def graph_size(g) -> int:
+    """|V| plus, per time step 1..lifetime, its edge count (at least 1)."""
+    return g.vertex_count + sum(max(1, len(edges_at(g, t))) for t in range(1, g.lifetime + 1))
+
+
+def endpoints(edges) -> frozenset[int]:
+    """The vertices that some time-edge of `edges` touches."""
+    return frozenset(v for e in edges for v in (e.u, e.v))
+
+
 def check_restless_sequence(triples, edge_set, s, z, delta) -> bool:
     """Walk the three defining conditions over a candidate step sequence."""
     if not triples:

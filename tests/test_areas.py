@@ -105,7 +105,7 @@ def test_holds_endpoints_matches_built_corridors():
             for lower in lowers:
                 spec = area_spec(dt, lower, upper, delta)
                 frm = s if lower is None else lower.v
-                vertices = area_graph(g, dt, spec).vertices
+                vertices = oracles.endpoints(area_graph(g, dt, spec).time_edges)
                 passes = holds_endpoints(incident, spec, keep_rule(dt, spec), s)
                 assert passes == ({frm, upper.v} <= vertices), spec
                 counts["source" if lower is None else "hop"] += 1
@@ -163,7 +163,8 @@ def test_area_edges_are_subgraph_and_vertices_are_endpoints(fig1):
     area = area_graph(fig1, dt, spec)
     for e in area.time_edges:
         assert fig1.has_time_edge(e)
-    assert area.vertices == frozenset(v for e in area.time_edges for v in e.pair)
+    # in canonical order, which the finders' incident index relies on
+    assert list(area.time_edges) == sorted(area.time_edges, key=lambda e: (e.t, e.u, e.v))
 
 
 def test_source_area_never_contains_later_edges():
@@ -210,7 +211,7 @@ def test_arrivals_inside_source_area_fall_in_waiting_window():
             if d == INF or app.v == s:
                 continue
             area = area_graph(g, dt, area_spec(dt, None, app, delta))
-            if s not in area.vertices:
+            if s not in oracles.endpoints(area.time_edges):
                 continue
             triples = [(e.u, e.v, e.t) for e in area.time_edges]
             for path in oracles.enumerate_restless_paths(
@@ -241,7 +242,8 @@ def test_chained_areas_share_only_the_chaining_vertex():
         delta = rng.randint(1, 3)
         source_side = area_graph(g, dt, area_spec(dt, None, lower, delta))
         hop = area_graph(g, dt, area_spec(dt, lower, upper, delta))
-        assert source_side.vertices & hop.vertices <= {lower.v}
+        shared = oracles.endpoints(source_side.time_edges) & oracles.endpoints(hop.time_edges)
+        assert shared <= {lower.v}
         checked += 1
 
 

@@ -9,7 +9,8 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  find_exact_restless_path, find_exact_restless_path_brute,
                  find_exact_restless_path_sieve, random_temporal_graph)
-from rtp.path_finder import _build_structure, _certified_path
+from rtp.path_finder import _build_structure, _certified_path, _sieve_decide, first_sieve_length
+from rtp.rng import SeedStream
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -152,6 +153,33 @@ def test_dispatch_auto_uses_sieve_for_long_searches():
     assert stats.sieve_trials >= 1
 
 
+def test_one_rule_for_probes_that_may_reach_the_sieve(monkeypatch):
+    import rtp.path_finder
+    assert first_sieve_length(FinderConfig(backend="brute")) == float("inf")
+    assert first_sieve_length(FinderConfig(backend="sieve")) == 2
+    assert first_sieve_length(FinderConfig(backend="auto", auto_threshold=1)) == 2
+    assert first_sieve_length(FinderConfig(backend="auto", auto_threshold=5)) == 5
+    inner = rtp.path_finder.find_exact_restless_path_sieve
+    reached = []
+
+    def recorded(*args, **kwargs):
+        reached.append(args[4])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(rtp.path_finder, "find_exact_restless_path_sieve", recorded)
+    g = random_temporal_graph(10, 6, 3.5, 13)
+    assert len(g.time_edges) > 16  # not tiny, so auto may reach the sieve
+    for backend, threshold in (("brute", 7), ("sieve", 7), ("auto", 1), ("auto", 4)):
+        cfg = FinderConfig(backend=backend, auto_threshold=threshold, seed=1)
+        reached.clear()
+        for length in range(1, 7):
+            stats = SolveStats()
+            find_exact_restless_path(g.time_edges, 0, 9, 2, length, cfg, stats=stats)
+            assert stats.finder_calls == 1
+        first = first_sieve_length(cfg)
+        assert reached == [length for length in range(1, 7) if length >= first], cfg
+
+
 def test_sieve_trial_work_scales_with_subsets_and_length():
     # raw decision work, screens off: per-trial ops should track
     # 2^length * length * graph size within a factor of two
@@ -198,16 +226,14 @@ def random_builds(seed, count):
 
 
 def test_build_structure_matches_definition():
-    # layers, pred positions, label vertices and cost against walks
-    # enumerated from the definition
-    counts = {"full": 0, "cut": 0, "screened out": 0}
+    # layers and pred positions against walks enumerated from the
+    # definition, and a screens-off decision's work against its cost
+    counts = {"full": 0, "cut": 0, "screened out": 0, "decided": 0}
     lengths = set()
-    for triples, s, z, delta, length, screens in random_builds(4242, 2400):
+    for n, (triples, s, z, delta, length, screens) in enumerate(random_builds(4242, 2400)):
         got = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, screens)
         want = oracles.arc_layers(triples, s, z, delta, length, screens)
-        assert got.layers == want, (triples, s, z, delta, length, screens)
-        assert got.label_vertices == tuple(sorted({h for layer in want for h, _e, _p in layer}))
-        assert got.cost_per_subset == sum(len(p) + 2 for layer in want for _h, _e, p in layer)
+        assert got == want, (triples, s, z, delta, length, screens)
         lengths.add(length)
         if screens:
             roles_only = oracles.arc_layers(triples, s, z, delta, length, False)
@@ -216,9 +242,18 @@ def test_build_structure_matches_definition():
                 counts["cut"] += sum(map(len, want)) < sum(map(len, roles_only))
             else:
                 counts["screened out"] += bool(roles_only[-1])
+        elif want[-1] and n % 8 == 1:  # a sample, for time
+            # per subset, each arc costs its preds plus two products
+            cost = sum(len(p) + 2 for layer in want for _h, _e, p in layer)
+            stats = SolveStats()
+            _found, ops = _sieve_decide(got, length, 2, SeedStream(n), stats)
+            assert stats.sieve_trials >= 1
+            assert ops == stats.sieve_trials * (2 ** length - 1) * cost
+            counts["decided"] += 1
     assert lengths == set(range(1, 8))
     assert counts["full"] >= 300 and counts["cut"] >= 150, counts
     assert counts["screened out"] >= 150, counts
+    assert counts["decided"] >= 100, counts
 
 
 def test_certified_walk_is_a_path():
@@ -226,10 +261,10 @@ def test_certified_walk_is_a_path():
     # its length exists, and the certified edges are one
     certified = refused = long_certified = 0
     for triples, s, z, delta, length, _screens in random_builds(2424, 6000):
-        structure = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, True)
-        if not structure.layers[-1]:
+        layers = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, True)
+        if not layers[-1]:
             continue
-        path = _certified_path(structure, len(triples))
+        path = _certified_path(layers, len(triples))
         if path is None:
             refused += 1
             continue
@@ -326,26 +361,30 @@ def test_extraction_matches_one_at_a_time_peel():
         g = random_temporal_graph(9, 6, rng.choice([4.0, 6.0]), rng.getrandbits(64))
         s, z = rng.sample(range(9), 2)
         instances.append((g, s, z, rng.choice((1, 2, 3))))
-    yes = dense_yes = certified = 0
+    yes = dense_yes = certified = parallel_singles = 0
     lengths = set()
     for g, s, z, delta in instances:
-        length = rng.randint(2, 7)
         triples = oracles.edge_triples(g)
-        want = oracles.peel_witness(triples, s, z, delta, length)
-        if want is None:
-            continue
-        cfg = FinderConfig(backend="sieve", seed=rng.getrandbits(64))
-        stats = SolveStats()
-        got = find_exact_restless_path_sieve(g.time_edges, s, z, delta, length, cfg,
-                                             stats=stats)
-        assert got is not None and as_triples(got) == want, (triples, s, z, delta, length)
-        yes += 1
-        dense_yes += len(triples) >= 20
-        certified += stats.sieve_trials == 0  # else the sieve decided and peeled
-        lengths.add(length)
+        for length in (1, rng.randint(2, 7)):
+            want = oracles.peel_witness(triples, s, z, delta, length)
+            if want is None:
+                continue
+            cfg = FinderConfig(backend="sieve", seed=rng.getrandbits(64))
+            stats = SolveStats()
+            got = find_exact_restless_path_sieve(g.time_edges, s, z, delta, length, cfg,
+                                                 stats=stats)
+            assert got is not None and as_triples(got) == want, (triples, s, z, delta, length)
+            yes += 1
+            dense_yes += len(triples) >= 20
+            certified += stats.sieve_trials == 0  # else the sieve decided and peeled
+            # at length 1 the peel leaves the last of the s-z time-edges
+            parallel_singles += (length == 1
+                                 and sum({u, v} == {s, z} for u, v, _t in triples) >= 2)
+            lengths.add(length)
     assert yes >= 200 and dense_yes >= 100, (yes, dense_yes)
     assert certified >= 100 and yes - certified >= 100, (certified, yes)
-    assert lengths == set(range(2, 8))
+    assert parallel_singles >= 50, parallel_singles
+    assert lengths == set(range(1, 8))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])

@@ -142,6 +142,68 @@ def test_budget_split_that_underflows_is_rejected(fig1):
     assert res.decision and 0.0 < res.subcall_error_prob < 1e-320
 
 
+def test_budget_covers_every_link_of_the_witness_chain():
+    # a false no needs a false no at one relevant probe per link of a
+    # solution's chain, so the reconstructed chain's links, one share of p
+    # each, must fit in p, also when they outnumber ceil(k_eff/ell)
+    p = 0.05
+    rng = random.Random(31)
+    instances = random_instances(97, 300, max_vertices=10, max_lifetime=10, max_k=7)
+    for _ in range(60):  # long chronological paths, a little noise: long chains
+        n = rng.randint(5, 10)
+        edges = {(i, i + 1, i + 1) for i in range(n)}
+        edges |= {(*sorted(rng.sample(range(n + 4), 2)), rng.randint(1, n))
+                  for _ in range(n // 3)}
+        g = TemporalGraph.from_time_edges(n + 4, n, edges)
+        instances.append((g, 0, n, rng.randint(1, 2), n + rng.randint(1, 3)))
+    yes = longer = 0
+    for i, (g, s, z, delta, k) in enumerate(instances):
+        cfg = FinderConfig(backend="brute", seed=i)
+        res = solve(g, s, z, delta, k, p, cfg)
+        if not res.decision:
+            continue
+        dt = compute_distances(g, z)
+        dp = fill_table(g, dt, s, z, delta, res.k_effective,
+                        dataclasses.replace(cfg, error_prob=res.subcall_error_prob))
+        end = min((VertexAppearance(z, t) for t in dt.appearance_times(z)),
+                  key=lambda app: dp.entries.get(app, INF))
+        assert reconstruct(dp, end) == res.witness.steps
+        links = 0
+        app = end
+        while app is not None:
+            app, steps = dp.preds[app]
+            links += bool(steps)  # a source appearance closes the chain
+        assert 1 <= links <= res.k_effective
+        assert links * res.subcall_error_prob <= p
+        yes += 1
+        longer += links > -(-res.k_effective // max(1, res.ell))
+    assert yes >= 100 and longer >= 5, (yes, longer)
+
+
+def test_windowed_budget_covers_its_windows(monkeypatch):
+    # one share per window solved; each window's solve splits it again
+    import rtp.solver
+    inner = rtp.solver.solve
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(rtp.solver, "solve", recorded)
+    p = 0.05
+    many = 0
+    for g, s, z, delta, k in random_instances(5, 300, max_lifetime=12, deltas=(1, 2)):
+        results.clear()
+        res = solve_windowed(g, s, z, delta, k, p, FinderConfig(backend="brute"))
+        for r in results:
+            assert r.error_prob == res.subcall_error_prob
+            assert r.subcall_error_prob is None or r.subcall_error_prob <= r.error_prob
+        assert sum(r.error_prob for r in results) <= p * (1 + 1e-12)
+        many += len(results) >= 2
+    assert many >= 5, many
+
+
 def test_reconstruct_base_case(fig1):
     dt = compute_distances(fig1, Z)
     dp = fill_table(fig1, dt, S, Z, 2, 5, FinderConfig(backend="brute"))
@@ -184,7 +246,9 @@ def test_pred_links_satisfy_window_conditions():
             # chained corridors may only share the chaining vertex
             source_side = area_graph(g, dt, area_spec(dt, None, pred, delta))
             hop = area_graph(g, dt, area_spec(dt, pred, app, delta))
-            assert source_side.vertices & hop.vertices <= {pred.v}, (pred, app)
+            shared = (oracles.endpoints(source_side.time_edges)
+                      & oracles.endpoints(hop.time_edges))
+            assert shared <= {pred.v}, (pred, app)
 
 
 def test_zone_structure_of_table_values():
@@ -342,7 +406,7 @@ def test_resources_independent_of_lifetime_header(monkeypatch):
     tracemalloc.start()
     try:
         g = parse_temporal_graph(text)
-        assert g.size() == 3 + 2 + 1_000_000 - 2
+        assert len(g.time_edges) == 2 and g.lifetime == 1_000_000
         assert restless_walk_distance(g, 0, 2, 2) == 2
         res = solve_windowed(g, 0, 2, 2, 2, 0.01, FinderConfig(backend="brute"))
         _, peak = tracemalloc.get_traced_memory()
@@ -408,6 +472,28 @@ def test_corridor_edges_sum_built_corridors(monkeypatch):
         assert res.stats.corridor_edges == sum(sizes)
         total += res.stats.corridor_edges
     assert total > 0
+
+
+@pytest.mark.parametrize("backend,threshold", [("brute", 7), ("sieve", 7), ("auto", 3)])
+def test_only_probes_that_may_reach_the_sieve_leave_the_index(backend, threshold,
+                                                             monkeypatch):
+    import rtp.solver
+    from rtp.path_finder import first_sieve_length
+    inner = rtp.solver.find_exact_restless_path
+    lengths = []
+
+    def recorded(*args, **kwargs):
+        lengths.append(args[4])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(rtp.solver, "find_exact_restless_path", recorded)
+    cfg = FinderConfig(backend=backend, auto_threshold=threshold, seed=12)
+    calls = 0
+    for g, s, z, delta, k in random_instances(12, 60, max_lifetime=12):
+        calls += solve(g, s, z, delta, k, 0.01, cfg).stats.finder_calls
+    # every shorter probe, length 1 included, is searched in place
+    assert all(length >= first_sieve_length(cfg) for length in lengths)
+    assert calls > len(lengths) and (backend == "brute") == (not lengths)
 
 
 def test_json_dict_shape(fig1):
