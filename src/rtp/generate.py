@@ -7,8 +7,22 @@ import random
 
 from .temporal_graph import TemporalGraph
 
+_POISSON_PART = 500  # exp(-mean) underflows to 0 near a mean of 745
 
-def _poisson(rng: random.Random, mean: float) -> int:
+
+def _poisson(rng: random.Random, mean: float, cap: int) -> int:
+    """A Poisson draw of the given mean, for a caller that clips it to cap.
+    A mean above _POISSON_PART is drawn as a sum of equal parts of at most
+    that mean, which stops once it reaches cap, so a huge mean costs no
+    more than its cap."""
+    if mean > _POISSON_PART:
+        parts = math.ceil(mean / _POISSON_PART)
+        count = 0
+        for _ in range(parts):
+            if count >= cap:
+                break
+            count += _poisson(rng, mean / parts, cap)
+        return count
     if mean <= 0:
         return 0
     limit = math.exp(-mean)
@@ -48,7 +62,7 @@ def random_temporal_graph(vertices: int, lifetime: int, edges_per_layer: float,
     max_edges = vertices * (vertices - 1) // 2
     layers = []
     for _ in range(lifetime):
-        count = min(_poisson(rng, edges_per_layer), max_edges)
+        count = min(_poisson(rng, edges_per_layer, max_edges), max_edges)
         picks = rng.sample(range(max_edges), count)
         layers.append([_unrank_pair(i, vertices) for i in sorted(picks)])
     return TemporalGraph(vertices, lifetime, layers)

@@ -14,10 +14,12 @@ Two backends behind one contract:
   (2*length)/2^64 per trial when a path does exist. Yes answers are
   always certified by an explicit path, peeled out of the time-edges the
   decision's arc screen kept by deleting blocks of them, halved on a
-  failed deletion, while the decision stays yes. When no screened walk
-  can revisit a vertex (no vertex heads two hops at least two apart),
-  every walk is a path: the yes is exact, and the peel's witness comes
-  from one least-weight pass over the layers, with no trial at all.
+  failed deletion, while the decision stays yes. Two cases need no trial
+  at all. When the screened walks hold fewer than `length` distinct heads
+  or time-edges, no path fits them: the no is exact. When no screened
+  walk can revisit a vertex (no vertex heads two hops at least two
+  apart), every walk is a path: the yes is exact, and the peel's witness
+  comes from one least-weight pass over the layers.
 
 Which probes may reach the sieve is one rule, ``first_sieve_length``: the
 dispatcher sends shorter probes to brute, and a table fill searches them
@@ -50,19 +52,15 @@ class FinderConfig:
 
     error_prob bounds the probability that the sieve reports absent when a
     path exists, and so sets its trial count; solve and solve_windowed
-    replace it with their per-call share of the query's p. use_screens
-    enables the cheap walk-feasibility pre-checks that skip provably
-    hopeless sieve runs, and the certificate that answers yes, without
-    trials, when no screened walk can revisit a vertex. No benchmark turns
-    them off; only tests do, such as ``test_criterion_8_scaling_shape``,
-    which measures raw sieve work per unit of slack.
+    replace it with their per-call share of the query's p. seed feeds the
+    sieve's coefficients, and auto_threshold is the shortest probe that
+    backend auto may send to the sieve (``first_sieve_length``).
     """
 
     backend: str = "auto"
     error_prob: float = 0.01
     seed: int = 0
     auto_threshold: int = 7
-    use_screens: bool = True
 
     def __post_init__(self):
         if self.backend not in _BACKENDS:
@@ -82,12 +80,15 @@ class SolveStats:
     peeling a witness out goes to extraction_ops. The sieve_* and
     extraction_* counters count randomized decisions only: a sieve call
     whose screened walks cannot revisit a vertex is certified without
-    one and moves none of them. areas_built, corridor_edges (time-edges
-    summed over the corridors built), table_entries and elapsed_seconds
-    are filled by the solver. Probes shorter than ``first_sieve_length``
-    search their corridors in place, so areas_built counts only corridors
-    with a probe that may reach the sieve and that hold both ends of their
-    search (``areas.holds_endpoints``).
+    one and moves none of them. screened counts the sieve calls answered
+    no by the screen alone: their screened walks hold fewer than `length`
+    distinct heads or time-edges, so no path fits them. areas_built,
+    corridor_edges (time-edges summed over the corridors built),
+    table_entries and elapsed_seconds are filled by the solver. Probes
+    shorter than ``first_sieve_length`` search their corridors in place,
+    so areas_built counts only corridors with a probe that may reach the
+    sieve and that hold both ends of their search
+    (``areas.holds_endpoints``).
     """
 
     finder_calls: int = 0
@@ -120,36 +121,39 @@ def search_index(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
     over an ``incident_index``: the first step within [t_lo, t_hi], each
     later one within [last_t, min(last_t + delta, t_hi)], and with ``keep``
     only over time-edges it passes, so a corridor is searched in place.
-    Pairs are tried in index order, the same over the kept edges alone."""
+    Pairs are tried in index order, the same over the kept edges alone;
+    the DFS keeps an explicit stack, so a path's length is not bounded by
+    the interpreter's recursion limit."""
+    def searched(edge: TimeEdge) -> bool:  # in the index, and kept
+        return ((edge.t, edge.v) in pairs_between(incident.get(edge.u, []), edge.t, edge.t)
+                and (keep is None or keep(edge.u, edge.v, edge.t)))
+
     steps: list[tuple[int, int, int]] = []
     visited = {s}
-
-    def extend(cur: int, lo: int, hi: float, depth: int) -> bool:
-        final = depth + 1 == length
-        pairs = incident.get(cur, [])
-        first = bisect_left(pairs, (lo,))
-        for t, nxt in pairs[first:bisect_right(pairs, (hi, math.inf), first)]:
+    cur = s
+    # stack[i]: the untried pairs of hop i + 1, leaving cur when i = len(steps)
+    stack = [iter(pairs_between(incident.get(s, []), t_lo, t_hi))]
+    while stack:
+        final = len(stack) == length
+        for t, nxt in stack[-1]:
             if nxt in visited or (nxt == z) != final:
                 continue
             if keep is not None and not keep(cur, nxt, t):
                 continue
             steps.append((cur, nxt, t))
             if final:
-                return True
+                return check_restless_path(searched, [TimeEdge(*step) for step in steps],
+                                           s, z, delta)
             visited.add(nxt)
-            if extend(nxt, t, min(t + delta, t_hi), depth + 1):
-                return True
-            visited.discard(nxt)
-            steps.pop()
-        return False
-
-    def searched(edge: TimeEdge) -> bool:  # in the index, and kept
-        return ((edge.t, edge.v) in pairs_between(incident.get(edge.u, []), edge.t, edge.t)
-                and (keep is None or keep(edge.u, edge.v, edge.t)))
-
-    if not extend(s, t_lo, t_hi, 0):
-        return None
-    return check_restless_path(searched, [TimeEdge(*step) for step in steps], s, z, delta)
+            cur = nxt
+            stack.append(iter(pairs_between(incident.get(nxt, []), t, min(t + delta, t_hi))))
+            break
+        else:
+            stack.pop()
+            if steps:
+                cur, nxt, _t = steps.pop()
+                visited.discard(nxt)
+    return None
 
 
 def pairs_between(pairs: list[tuple[int, int]], t_lo: int,
@@ -183,18 +187,20 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
 # A structure is a list of layers, one per hop: layers[i] holds, in arc
 # order, (head, edge_index, pred_positions) triples for hop i + 1, and pred
 # positions index into the previous layer. The final layer contains only
-# arcs entering the target, and is empty when no walk of the full length
-# survives, so the decision is a certain no.
+# arcs entering the target. A structure no path fits is empty, and its
+# decision a certain no.
 
 _Layers = list[list[tuple[int, int, tuple[int, ...]]]]
 
 
 def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
-                     length: int, use_screens: bool) -> _Layers:
-    """Layer i + 1 holds, in arc order, the arcs a walk may take at hop
-    i + 1: a walk leaves s only at hop 1 and enters z only at the last.
-    With use_screens, only arcs on some walk of the full length are kept
-    (a forward pass from s, then a backward pass from z)."""
+                     length: int) -> _Layers:
+    """Layer i + 1 holds, in arc order, the arcs at hop i + 1 of some walk
+    of the full length (a forward pass from s, then a backward pass from
+    z): a walk leaves s only at hop 1 and enters z only at the last. A
+    path of `length` hops enters `length` distinct vertices over `length`
+    distinct time-edges, all on kept arcs, so when the kept arcs hold
+    fewer distinct heads or time-edges than that, the structure is []."""
     # (tail, head, t, edge_index); walks never leave the target, never re-enter the source
     arcs = [(x, y, edge.t, idx) for idx, edge in enumerate(edges)
             for x, y in ((edge.u, edge.v), (edge.v, edge.u)) if x != z and y != s]
@@ -207,13 +213,15 @@ def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
     preds = [[p for p in into.get(x, ()) if t - delta <= arcs[p][2] <= t]
              for x, _y, t, _e in arcs]
     kept = [roles.get((i == 1, i == length), []) for i in range(1, length + 1)]
-    if use_screens:
-        for i in range(1, length):
-            prev = set(kept[i - 1])
-            kept[i] = [a for a in kept[i] if any(p in prev for p in preds[a])]
-        for i in range(length - 1, 0, -1):
-            needed = {p for a in kept[i] for p in preds[a]}
-            kept[i - 1] = [a for a in kept[i - 1] if a in needed]
+    for i in range(1, length):
+        prev = set(kept[i - 1])
+        kept[i] = [a for a in kept[i] if any(p in prev for p in preds[a])]
+    for i in range(length - 1, 0, -1):
+        needed = {p for a in kept[i] for p in preds[a]}
+        kept[i - 1] = [a for a in kept[i - 1] if a in needed]
+    on = [arcs[a] for layer in kept for a in layer]
+    if min(len({y for _x, y, _t, _e in on}), len({e for _x, _y, _t, e in on})) < length:
+        return []
 
     layers: _Layers = []
     pos: dict[int, int] = {}
@@ -225,9 +233,9 @@ def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
 
 
 def _certified_path(layers: _Layers, edge_count: int) -> list[int] | None:
-    """For screened layers with a non-empty final layer: the sorted edge
-    indices of the least walk, weight 2^(edge_count-1-e) on time-edge e,
-    when no vertex heads two layers at least two apart; else None."""
+    """For a non-empty structure: the sorted edge indices of the least
+    walk, weight 2^(edge_count-1-e) on time-edge e, when no vertex heads
+    two layers at least two apart; else None."""
     first: dict[int, int] = {}
     for i, layer in enumerate(layers):
         for head, _e, _p in layer:
@@ -332,18 +340,18 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     path. Once `length` edges remain they are the path; a false negative
     (below 2^-58 per trial) only leaves extra ones for the brute search.
 
-    With the screens on, a call whose screened layers pass a certificate
-    makes no decision at all. A screened walk leaves s only at hop 1 and
-    enters z only at its last hop, and with no self-loops it can revisit
-    a vertex v only if v heads hops i and j >= i + 2. If no vertex heads
-    two layers at least two apart, every walk is a path, so a non-empty
-    final layer is a certain yes; lengths up to 3 always qualify. The
-    peel's witness is then computed directly: deleting in index order
-    while a path survives leaves the path whose time-edge indicator
-    vector is lexicographically least, and as a path uses each time-edge
-    once, that is the walk of least total weight with weight 2^(m-1-i) on
-    time-edge i of m, found in one pass over the layers with
-    back-pointers. Such a call draws nothing from its seed stream. At
+    A call makes no decision at all when its structure is empty, as no
+    path fits the screened walks, or passes a certificate. A screened walk
+    leaves s only at hop 1 and enters z only at its last hop, and with no
+    self-loops it can revisit a vertex v only if v heads hops i and
+    j >= i + 2. If no vertex heads two layers at least two apart, every
+    walk is a path, so a non-empty structure is a certain yes; lengths up
+    to 3 always qualify. The peel's witness is then computed directly:
+    deleting in index order while a path survives leaves the path whose
+    time-edge indicator vector is lexicographically least, and as a path
+    uses each time-edge once, that is the walk of least total weight with
+    weight 2^(m-1-i) on time-edge i of m, found in one pass over the layers
+    with back-pointers. Such a call draws nothing from its seed stream. At
     length 1 that witness is the last s-z time-edge in canonical order.
     """
     if s == z:
@@ -355,31 +363,19 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     if stats is None:
         stats = SolveStats()
     stats.finder_calls += 1
-    if cfg.use_screens:
-        vertices = {v for e in edges for v in e.pair}
-        if (len(edges) < length or len(vertices) < length + 1
-                or s not in vertices or z not in vertices):
-            stats.screened += 1
-            return None
-
+    layers = _build_structure(edges, s, z, delta, length)
+    if not layers:
+        stats.screened += 1
+        return None
+    path = _certified_path(layers, len(edges))
+    if path is not None:
+        return find_exact_restless_path_brute([edges[i] for i in path], s, z, delta, length)
     stream = SeedStream(cfg.seed if seed is None else seed)
     trials = _trials_for(cfg.error_prob)
-
-    layers = _build_structure(edges, s, z, delta, length, cfg.use_screens)
-    if not layers[-1]:  # no walk of the full length
-        if cfg.use_screens:
-            stats.screened += 1
-        return None
-    if cfg.use_screens:
-        path = _certified_path(layers, len(edges))
-        if path is not None:
-            return find_exact_restless_path_brute([edges[i] for i in path], s, z, delta, length)
     found, ops = _sieve_decide(layers, length, trials, stream, stats)
     stats.sieve_ops += ops
     if not found:
         return None
-    if not cfg.use_screens:
-        layers = _build_structure(edges, s, z, delta, length, True)
 
     def survivors(kept: _Layers) -> list[int]:  # sorted, indices into edges
         return sorted({e for layer in kept for _head, e, _preds in layer})
@@ -396,8 +392,8 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
         if not doomed:
             gone = set(block)
             candidate = [i for i in remaining if i not in gone]
-            sub = _build_structure([edges[i] for i in candidate], s, z, delta, length, True)
-            if sub[-1]:
+            sub = _build_structure([edges[i] for i in candidate], s, z, delta, length)
+            if sub:
                 stats.extraction_decisions += 1
                 found, ops = _sieve_decide(sub, length, trials, stream, stats)
                 stats.extraction_ops += ops

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rtp import TemporalGraph, parse_temporal_graph, random_temporal_graph
+from rtp import TemporalGraph, TimeEdge, parse_temporal_graph, random_temporal_graph
 
 FIG1_TEXT = importlib.resources.files("rtp").joinpath("data/fig1.tel").read_text()
 
@@ -35,3 +35,11 @@ def random_instances(seed: int, count: int, *, max_vertices=8, max_lifetime=6,
             continue
         out.append((g, s, z, rng.choice(deltas), rng.randint(1, max_k)))
     return out
+
+
+def line_with_chord(n: int) -> TemporalGraph:
+    """Vertices 0..n-1 on a line, edge {i, i+1} at stamp i+1, plus the
+    chord {0, n-1} at stamp n: one restless 0-(n-1) path of each length
+    1 and n - 1 at waiting bound 1."""
+    return TemporalGraph.from_time_edges(
+        n, n, [TimeEdge(i, i + 1, i + 1) for i in range(n - 1)] + [TimeEdge(0, n - 1, n)])

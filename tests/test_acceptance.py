@@ -17,6 +17,8 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  compute_distances, find_exact_restless_path_sieve,
                  restless_walk_distance, solve, validate_restless_path)
+from rtp.path_finder import _sieve_decide, _trials_for
+from rtp.rng import SeedStream
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -104,18 +106,19 @@ def test_criterion_4_no_side_error_rate():
         noes += not res.decision
     bound = 0.2 + 3 * (0.2 * 0.8 / 400) ** 0.5
     assert noes / 400 <= bound, (noes, bound)
-    # screened probes here are certified without trials; with the screens
-    # off the sieve decides every probe
+    # screened probes here are certified without trials, so the sieve's
+    # own no-rate comes from deciding the length-3 probe's unscreened layers
+    layers = oracles.arc_layers(oracles.edge_triples(g), 0, 3, 2, 3, False)
     raw_noes = trials = 0
     for seed in range(400):
-        res = solve(g, 0, 3, 2, 3, 0.2,
-                    FinderConfig(backend="sieve", seed=seed, use_screens=False))
-        raw_noes += not res.decision
-        trials += res.stats.sieve_trials
+        stats = SolveStats()
+        found, _ops = _sieve_decide(layers, 3, _trials_for(0.2), SeedStream(seed), stats)
+        raw_noes += not found
+        trials += stats.sieve_trials
     assert raw_noes / 400 <= bound, (raw_noes, bound)
     assert trials >= 400, trials
     print(f"ACCEPTANCE 4 PASS: no-rate {noes}/400 <= {bound:.3f}, "
-          f"{raw_noes}/400 with the screens off")
+          f"{raw_noes}/400 deciding unscreened layers")
 
 
 def test_criterion_5_distance_table():
@@ -189,7 +192,9 @@ def test_criterion_7_separator_structure(corpus):
 
 def test_criterion_8_scaling_shape():
     # two hub stars plus sparse interior; s and z deliberately disconnected
-    # so every probe measures pure decision work (no witness extraction)
+    # so every probe measures pure decision work (no witness extraction).
+    # The sieve's screen answers such probes with no trial, so the decision
+    # runs on each probe's unscreened layers, the ones a walk's roles allow
     edges = []
     for t in (1, 2, 3):
         for i in (1, 2, 3, 4):
@@ -198,23 +203,28 @@ def test_criterion_8_scaling_shape():
             edges.append((11, j, t))
     edges += [(1, 2, 2), (3, 4, 2), (6, 7, 2), (8, 9, 2)]
     g = TemporalGraph.from_time_edges(12, 3, edges)
+    cfg = FinderConfig(backend="sieve")
+    layers = {length: oracles.arc_layers(oracles.edge_triples(g), 0, 11, 2, length, False)
+              for length in range(1, 10)}
     per_call = {}
     wall = {}
     for ell in (1, 2, 3, 4):
         stats = SolveStats()
         t0 = time.perf_counter()
         for length in range(1, 2 * ell + 2):
-            cfg = FinderConfig(backend="sieve", seed=600 + length,
-                               use_screens=False)
-            assert find_exact_restless_path_sieve(
-                g.time_edges, 0, 11, 2, length, cfg, stats=stats) is None
+            assert find_exact_restless_path_sieve(g.time_edges, 0, 11, 2, length, cfg) is None
+            if layers[length][-1]:  # else no walk of the full length: a certain no
+                found, ops = _sieve_decide(layers[length], length, _trials_for(cfg.error_prob),
+                                           SeedStream(600 + length), stats)
+                assert not found
+                stats.sieve_ops += ops
         wall[ell] = time.perf_counter() - t0
         per_call[ell] = stats.sieve_ops / (2 * ell + 1)
     ratios = [per_call[e + 1] / per_call[e] for e in (1, 2, 3)]
     for ratio in ratios:
         assert 3.0 <= ratio <= 6.0, (per_call, ratios)
     wall_ratios = [wall[e + 1] / wall[e] for e in (1, 2, 3)]
-    print("ACCEPTANCE 8 PASS: ops-per-call factors "
-          + ", ".join(f"{r:.2f}" for r in ratios)
-          + " (wall-clock factors " + ", ".join(f"{r:.2f}" for r in wall_ratios)
-          + ")")
+    print("ACCEPTANCE 8 PASS: decision ops per call "
+          + ", ".join(f"{per_call[e]:.1f}" for e in per_call)
+          + "; factors " + ", ".join(f"{r:.2f}" for r in ratios)
+          + " (wall-clock factors " + ", ".join(f"{r:.2f}" for r in wall_ratios) + ")")

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from conftest import FIG1_TEXT
-from rtp import parse_temporal_graph
+from conftest import FIG1_TEXT, line_with_chord
+from rtp import parse_temporal_graph, serialize_temporal_graph
 from rtp.cli import main
 
 
@@ -75,6 +75,17 @@ def test_solve_golden_files_byte_compare(fig1_file, capsys, k, golden):
     normalized = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     want = pathlib.Path(__file__).with_name("golden").joinpath(golden).read_text()
     assert normalized == want
+
+
+def test_solve_with_deep_probes(tmp_path, capsys):
+    # slack 1098: the table's probes follow the line past the recursion limit
+    path = tmp_path / "line.tel"
+    path.write_text(serialize_temporal_graph(line_with_chord(1100)))
+    code, out, _ = run(capsys, [
+        "solve", "-i", str(path), "-s", "0", "-z", "1099",
+        "--delta", "1", "--k", "1099", "--backend", "brute"])
+    assert code == 0
+    assert [(w["u"], w["v"], w["t"]) for w in json.loads(out)["witness"]] == [(0, 1099, 1100)]
 
 
 def test_solve_usage_errors(fig1_file, capsys):

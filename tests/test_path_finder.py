@@ -5,11 +5,12 @@ import random
 import pytest
 
 import oracles
-from conftest import S, A, B, C, D, E, Z, random_instances
+from conftest import S, A, B, C, D, E, Z, line_with_chord, random_instances
 from rtp import (FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  find_exact_restless_path, find_exact_restless_path_brute,
                  find_exact_restless_path_sieve, random_temporal_graph)
-from rtp.path_finder import _build_structure, _certified_path, _sieve_decide, first_sieve_length
+from rtp.path_finder import (_build_structure, _certified_path, _sieve_decide, _trials_for,
+                             first_sieve_length, incident_index, search_index)
 from rtp.rng import SeedStream
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
@@ -17,6 +18,18 @@ FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
 def as_triples(path):
     return tuple((e.u, e.v, e.t) for e in path.steps)
+
+
+def decide_unscreened(triples, s, z, delta, length, seed, stats):
+    """The sieve's decision alone, at the default trial count, over the
+    unscreened layers that a walk's roles allow (``oracles.arc_layers``):
+    (found, ops), and a certain no with no trial when no walk of the full
+    length survives the roles."""
+    layers = oracles.arc_layers(triples, s, z, delta, length, False)
+    if not layers[-1]:
+        return False, 0
+    return _sieve_decide(layers, length, _trials_for(FinderConfig().error_prob),
+                         SeedStream(seed), stats)
 
 
 def test_brute_finds_unique_fig1_path(fig1):
@@ -39,6 +52,14 @@ def test_single_step_always_restless():
                    lambda *a: find_exact_restless_path_sieve(*a, cfg)):
         path = finder(g.time_edges, 0, 1, 1, 1)
         assert path is not None and path.length == 1
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # a probe of 1099 hops, past the interpreter's default recursion limit
+    g = line_with_chord(1100)
+    path = search_index(incident_index(g.time_edges), 0, 1099, 1, 1099)
+    assert path is not None
+    assert as_triples(path) == tuple((i, i + 1, i + 1) for i in range(1099))
 
 
 def test_brute_parameter_validation(fig1):
@@ -181,88 +202,112 @@ def test_one_rule_for_probes_that_may_reach_the_sieve(monkeypatch):
 
 
 def test_sieve_trial_work_scales_with_subsets_and_length():
-    # raw decision work, screens off: per-trial ops should track
+    # raw decision work over unscreened layers: per-trial ops should track
     # 2^length * length * graph size within a factor of two
     g = random_temporal_graph(10, 6, 2.0, 8)
-    cfg0 = FinderConfig(backend="sieve", use_screens=False, seed=77)
     measured = {}
     lengths = (4, 6, 8, 10)
     for length in lengths:
         stats = SolveStats()
-        find_exact_restless_path_sieve(g.time_edges, 0, 9, 2, length, cfg0, stats=stats)
-        measured[length] = stats.sieve_ops / stats.sieve_trials
+        _found, ops = decide_unscreened(oracles.edge_triples(g), 0, 9, 2, length, 77, stats)
+        measured[length] = ops / stats.sieve_trials
     ratios = [measured[length] / (2 ** length * length) for length in lengths]
     assert max(ratios) <= 2 * min(ratios), (measured, ratios)
 
 
 def test_screens_cut_raw_sieve_work(fig1):
-    # the probe schedule of one slack-2 link, lengths 1..5, with and
-    # without the walk-feasibility screens
-    ops = {}
-    for screens in (True, False):
-        stats = SolveStats()
-        for length in range(1, 6):
-            cfg = FinderConfig(backend="sieve", seed=3 + length, use_screens=screens)
-            find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, length, cfg,
-                                           stats=stats)
-        ops[screens] = stats.sieve_ops
-    assert ops[False] > ops[True]
+    # the probe schedule of one slack-2 link, lengths 1..5: the sieve's
+    # decision work against deciding every probe's unscreened layers
+    stats, raw = SolveStats(), SolveStats()
+    raw_ops = 0
+    for length in range(1, 6):
+        cfg = FinderConfig(backend="sieve", seed=3 + length)
+        find_exact_restless_path_sieve(fig1.time_edges, S, Z, 2, length, cfg, stats=stats)
+        raw_ops += decide_unscreened(oracles.edge_triples(fig1), S, Z, 2, length,
+                                     3 + length, raw)[1]
+    assert raw_ops > stats.sieve_ops
 
 
 def random_builds(seed, count):
-    """(triples, s, z, delta, length, screens) for random structure builds,
-    half of them over shuffled edges, every other one screened."""
+    """(triples, s, z, delta, length, shuffled) for random structure
+    builds, about half of them over shuffled edges."""
     rng = random.Random(seed)
-    for n in range(count):
+    for _ in range(count):
         nv = rng.randint(2, 9)
         g = random_temporal_graph(nv, rng.randint(1, 6), rng.choice([0.5, 1.0, 2.0, 3.5, 5.0]),
                                   rng.getrandbits(64))
         s, z = rng.sample(range(nv), 2)
         triples = oracles.edge_triples(g)
-        if rng.random() < 0.5:
+        shuffled = rng.random() < 0.5
+        if shuffled:
             rng.shuffle(triples)
         length, delta = rng.randint(1, 7), rng.randint(1, 3)
-        yield triples, s, z, delta, length, n % 2 == 0
+        yield triples, s, z, delta, length, shuffled
+
+
+def fits_a_path(layers, length):
+    """The screen's count rule, by definition: at least `length` distinct
+    heads and `length` distinct time-edges on the layers' arcs."""
+    heads = {head for layer in layers for head, _e, _p in layer}
+    edge_ids = {e for layer in layers for _h, e, _p in layer}
+    return min(len(heads), len(edge_ids)) >= length
 
 
 def test_build_structure_matches_definition():
     # layers and pred positions against walks enumerated from the
-    # definition, and a screens-off decision's work against its cost
-    counts = {"full": 0, "cut": 0, "screened out": 0, "decided": 0}
+    # definition, empty when the count rule leaves no room for a path, and
+    # a decision's work over unscreened layers against its cost
+    counts = {"full": 0, "cut": 0, "screened out": 0, "counted out": 0, "decided": 0}
     lengths = set()
-    for n, (triples, s, z, delta, length, screens) in enumerate(random_builds(4242, 2400)):
-        got = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, screens)
-        want = oracles.arc_layers(triples, s, z, delta, length, screens)
-        assert got == want, (triples, s, z, delta, length, screens)
+    for n, (triples, s, z, delta, length, _shuffled) in enumerate(random_builds(4242, 2400)):
+        got = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length)
+        want = oracles.arc_layers(triples, s, z, delta, length, True)
+        assert got == (want if fits_a_path(want, length) else []), (triples, s, z, delta, length)
         lengths.add(length)
-        if screens:
-            roles_only = oracles.arc_layers(triples, s, z, delta, length, False)
-            if want[-1]:
-                counts["full"] += 1
-                counts["cut"] += sum(map(len, want)) < sum(map(len, roles_only))
-            else:
-                counts["screened out"] += bool(roles_only[-1])
-        elif want[-1] and n % 8 == 1:  # a sample, for time
+        roles_only = oracles.arc_layers(triples, s, z, delta, length, False)
+        if got:
+            counts["full"] += 1
+            counts["cut"] += sum(map(len, want)) < sum(map(len, roles_only))
+        else:
+            counts["screened out"] += bool(roles_only[-1])
+            counts["counted out"] += bool(want[-1])
+        if roles_only[-1] and n % 8 == 1:  # a sample, for time
             # per subset, each arc costs its preds plus two products
-            cost = sum(len(p) + 2 for layer in want for _h, _e, p in layer)
+            cost = sum(len(p) + 2 for layer in roles_only for _h, _e, p in layer)
             stats = SolveStats()
-            _found, ops = _sieve_decide(got, length, 2, SeedStream(n), stats)
+            _found, ops = _sieve_decide(roles_only, length, 2, SeedStream(n), stats)
             assert stats.sieve_trials >= 1
             assert ops == stats.sieve_trials * (2 ** length - 1) * cost
             counts["decided"] += 1
     assert lengths == set(range(1, 8))
     assert counts["full"] >= 300 and counts["cut"] >= 150, counts
-    assert counts["screened out"] >= 150, counts
+    assert counts["screened out"] >= 150 and counts["counted out"] >= 100, counts
     assert counts["decided"] >= 100, counts
+
+
+def test_count_rule_never_rejects_a_path():
+    # every build the screen empties has no restless path of its length,
+    # over shuffled and canonical edge orders alike
+    rejected = {False: 0, True: 0}
+    walks_rejected = 0
+    for triples, s, z, delta, length, shuffled in random_builds(2525, 3000):
+        if _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length):
+            continue
+        assert length not in oracles.restless_path_lengths(triples, s, z, delta, length), \
+            (triples, s, z, delta, length)
+        rejected[shuffled] += 1
+        walks_rejected += bool(oracles.arc_layers(triples, s, z, delta, length, True)[-1])
+    assert min(rejected.values()) >= 500, rejected
+    assert walks_rejected >= 150, walks_rejected  # walks of the full length, but no room
 
 
 def test_certified_walk_is_a_path():
     # whenever a screened build passes the certificate, a restless path of
     # its length exists, and the certified edges are one
     certified = refused = long_certified = 0
-    for triples, s, z, delta, length, _screens in random_builds(2424, 6000):
-        layers = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length, True)
-        if not layers[-1]:
+    for triples, s, z, delta, length, _shuffled in random_builds(2424, 6000):
+        layers = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length)
+        if not layers:
             continue
         path = _certified_path(layers, len(triples))
         if path is None:
@@ -280,22 +325,37 @@ def test_certified_walk_is_a_path():
 
 
 def test_sieve_cancels_walks_that_are_not_paths():
-    # a length-4 restless walk exists (s-a-b-a-z revisits a) but no simple
-    # path does; the disconnected edge keeps the vertex support large
-    # enough that only the algebraic cancellation can reject
-    g = TemporalGraph.from_time_edges(6, 4, [
+    # length-4 restless walks exist (s-a-b-a-z and s-a-c-a-z revisit a) but
+    # no simple path does; the two pendants give the walks 4 heads and 6
+    # time-edges, room for a path, so only the algebraic cancellation rejects
+    g = TemporalGraph.from_time_edges(5, 4, [
         TimeEdge(0, 1, 1), TimeEdge(1, 2, 2), TimeEdge(1, 2, 3),
-        TimeEdge(1, 3, 4), TimeEdge(4, 5, 1)])
-    assert oracles.restless_walk_min(
-        oracles.edge_triples(g), 0, 3, 1, cap=8) <= 4
-    assert oracles.restless_path_lengths(
-        oracles.edge_triples(g), 0, 3, 1, 5) == set()
+        TimeEdge(1, 4, 2), TimeEdge(1, 4, 3), TimeEdge(1, 3, 4)])
+    triples = oracles.edge_triples(g)
+    assert oracles.restless_walk_min(triples, 0, 3, 1, cap=8) <= 4
+    assert oracles.restless_path_lengths(triples, 0, 3, 1, 5) == set()
+    assert fits_a_path(oracles.arc_layers(triples, 0, 3, 1, 4, True), 4)
     for seed in range(80):
         stats = SolveStats()
         cfg = FinderConfig(backend="sieve", seed=seed)
         assert find_exact_restless_path_sieve(g.time_edges, 0, 3, 1, 4, cfg,
                                               stats=stats) is None
-        assert stats.sieve_trials >= 1  # the screens alone cannot reject
+        assert stats.sieve_trials >= 1 and stats.screened == 0
+
+
+def test_screen_answers_walks_without_room_for_a_path():
+    # one pendant: the walk s-a-b-a-z has only 3 distinct heads, so the
+    # screen answers no with no trial, whatever the disconnected edge adds
+    g = TemporalGraph.from_time_edges(6, 4, [
+        TimeEdge(0, 1, 1), TimeEdge(1, 2, 2), TimeEdge(1, 2, 3),
+        TimeEdge(1, 3, 4), TimeEdge(4, 5, 1)])
+    assert oracles.restless_walk_min(oracles.edge_triples(g), 0, 3, 1, cap=8) <= 4
+    for seed in range(10):
+        stats = SolveStats()
+        cfg = FinderConfig(backend="sieve", seed=seed)
+        assert find_exact_restless_path_sieve(g.time_edges, 0, 3, 1, 4, cfg,
+                                              stats=stats) is None
+        assert stats.sieve_trials == 0 and stats.screened == 1
 
 
 def test_sieve_separates_parallel_routes():
@@ -308,12 +368,10 @@ def test_sieve_separates_parallel_routes():
         cfg = FinderConfig(backend="sieve", seed=seed)
         path = find_exact_restless_path_sieve(g.time_edges, 0, 3, 2, 2, cfg)
         assert path is not None and path.length == 2
-    for seed in range(40):  # screens off: the certificate is off too, the sieve decides
+    for seed in range(40):  # the certificate answers above: the decision alone
         stats = SolveStats()
-        cfg = FinderConfig(backend="sieve", seed=seed, use_screens=False)
-        path = find_exact_restless_path_sieve(g.time_edges, 0, 3, 2, 2, cfg, stats=stats)
-        assert path is not None and path.length == 2
-        assert stats.sieve_trials >= 1
+        found, _ops = decide_unscreened(oracles.edge_triples(g), 0, 3, 2, 2, seed, stats)
+        assert found and stats.sieve_trials >= 1
 
 
 def test_single_stamp_graph():
@@ -325,11 +383,9 @@ def test_single_stamp_graph():
         cfg = FinderConfig(backend=backend, seed=2)
         path = find_exact_restless_path(g.time_edges, 0, 4, 1, 4, cfg)
         assert path is not None and path.length == 4
-    stats = SolveStats()  # screens off: the sieve decides
-    cfg = FinderConfig(backend="sieve", seed=2, use_screens=False)
-    path = find_exact_restless_path(g.time_edges, 0, 4, 1, 4, cfg, stats=stats)
-    assert path is not None and path.length == 4
-    assert stats.sieve_trials >= 1
+    stats = SolveStats()  # the decision alone, over unscreened layers
+    found, _ops = decide_unscreened(oracles.edge_triples(g), 0, 4, 1, 4, 2, stats)
+    assert found and stats.sieve_trials >= 1
 
 
 def test_finder_config_validation():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import fnmatch
 import pathlib
 import re
 
 import rtp
+from rtp import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +22,19 @@ def test_readme_building_blocks_are_exported():
         assert matches, f"README names `{pattern}`, which rtp.__all__ lacks"
         for name in matches:
             assert hasattr(rtp, name), name
+
+
+def test_readme_names_every_cli_option():
+    text = README.read_text()
+
+    def named(option):
+        return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [(command, action.option_strings) for command, sub in commands.choices.items()
+               for action in sub._actions if "--help" not in action.option_strings]
+    assert len(options) >= 20, options
+    missing = [f"rtp {command} {'/'.join(forms)}" for command, forms in options
+               if not any(named(form) for form in forms)]
+    assert not missing, f"README names no form of {missing}"

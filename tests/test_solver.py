@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
@@ -336,6 +338,54 @@ def test_sieve_statistical_no_rate_on_fixed_yes_instance():
         else:
             noes += 1
     assert noes <= 0.2 * 200 + 3 * (200 * 0.2 * 0.8) ** 0.5
+
+
+@st.composite
+def slack_queries(draw):
+    """(graph, s, z, delta, ell, seed): a graph of 5 to 9 vertices over 3
+    to 10 stamps with a temporal s-z path, queried at slack 3 or 4.
+    Sparse layers at delta 1 give restless nos, dense ones long probes for
+    the sieve."""
+    nv = draw(st.integers(5, 9))
+    lifetime = draw(st.integers(3, 10))
+    per_layer = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    layers = [draw(st.lists(st.sampled_from(pairs), unique=True, max_size=per_layer))
+              for _ in range(lifetime)]
+    s, z = draw(st.lists(st.integers(0, nv - 1), min_size=2, max_size=2, unique=True))
+    return (TemporalGraph(nv, lifetime, layers), s, z, draw(st.integers(1, 2)),
+            draw(st.integers(3, 4)), draw(st.integers(0, 2**64 - 1)))
+
+
+def test_sieve_differential_at_slack_three_and_four():
+    # plain and windowed solves on the sieve backend against the path
+    # oracle: a yes needs an oracle path within k and a valid witness, and
+    # a no on an oracle yes is a miss, allowed at the configured rate
+    p = 0.01
+    seen = {"yes": 0, "misses": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(slack_queries())
+    def check(query):
+        g, s, z, delta, ell, seed = query
+        d = compute_distances(g, z).source_distance(s)
+        assume(d < INF)
+        k = d + ell
+        want = oracles.shortest_restless_path(oracles.edge_triples(g), s, z, delta, k)
+        cfg = FinderConfig(backend="sieve", seed=seed)
+        for runner in (solve, solve_windowed):
+            res = runner(g, s, z, delta, k, p, cfg)
+            if res.decision:
+                assert want is not None and want <= k, (query, runner)
+                path = validate_restless_path(g, res.witness.steps, s, z, delta)
+                assert want <= path.length <= k, (query, runner)
+            seen["yes"] += want is not None
+            seen["misses"] += want is not None and not res.decision
+
+    check()
+    yes = seen["yes"]
+    assert yes >= 100, seen
+    assert seen["misses"] <= p * yes + 3 * (p * yes) ** 0.5 + 1, seen
 
 
 def test_sieve_fixed_no_instance_never_yes(fig1):
