@@ -4,7 +4,8 @@ Two backends behind one contract:
 
 * brute: exhaustive DFS over a time-sorted incident index with
   chronological, waiting-time and simplicity pruning, which a table fill
-  runs in place under a corridor's keep rule. Deterministic, zero error.
+  runs in place under a corridor's keep rule over a range of lengths, for
+  the shortest connector. Deterministic, zero error.
 * sieve: counts waiting-time-bounded walks of the requested length in a
   dynamic program over (directed time-edge, hop) states, evaluated over
   GF(2^64) with fresh random vertex-label and edge-position coefficients,
@@ -22,8 +23,8 @@ Two backends behind one contract:
   comes from one least-weight pass over the layers.
 
 Which probes may reach the sieve is one rule, ``first_sieve_length``: the
-dispatcher sends shorter probes to brute, and a table fill searches them
-in place without building a corridor.
+dispatcher sends shorter probes to brute, and a table fill searches all of
+them at once in place without building a corridor.
 
 Every returned path is built by check_restless_path against the searched
 edge set, the same checker validate_restless_path runs on witnesses, so
@@ -84,11 +85,14 @@ class SolveStats:
     no by the screen alone: their screened walks hold fewer than `length`
     distinct heads or time-edges, so no path fits them. areas_built,
     corridor_edges (time-edges summed over the corridors built),
-    table_entries and elapsed_seconds are filled by the solver. Probes
-    shorter than ``first_sieve_length`` search their corridors in place,
-    so areas_built counts only corridors with a probe that may reach the
-    sieve and that hold both ends of their search
-    (``areas.holds_endpoints``).
+    table_entries and elapsed_seconds are filled by the solver. A table
+    fill searches each link's lengths below ``first_sieve_length`` in place
+    with one shortest-connector search, so areas_built counts only
+    corridors with a probe that may reach the sieve and that hold both ends
+    of their search (``areas.holds_endpoints``). finder_calls counts the
+    exact-length probes a link stands for, not searches run: L* when the
+    in-place search finds a path of length L*, else every length it
+    covered, plus each exact probe after it.
     """
 
     finder_calls: int = 0
@@ -114,36 +118,46 @@ def incident_index(edges: Iterable[TimeEdge]) -> dict[int, list[tuple[int, int]]
 
 
 def search_index(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
-                 delta: int, length: int, *,
+                 delta: int, lo: int, hi: int, *,
                  keep: Callable[[int, int, int], bool] | None = None,
                  t_lo: int = 0, t_hi: float = math.inf) -> RestlessPath | None:
-    """Exhaustive DFS for a restless s-z path of exactly `length` steps
-    over an ``incident_index``: the first step within [t_lo, t_hi], each
-    later one within [last_t, min(last_t + delta, t_hi)], and with ``keep``
-    only over time-edges it passes, so a corridor is searched in place.
-    Pairs are tried in index order, the same over the kept edges alone;
-    the DFS keeps an explicit stack, so a path's length is not bounded by
-    the interpreter's recursion limit."""
+    """Exhaustive DFS for the shortest restless s-z path with lo <= length
+    <= hi over an ``incident_index``: the first step within [t_lo, t_hi],
+    each later one within [last_t, min(last_t + delta, t_hi)], and with
+    ``keep`` only over time-edges it passes, so a corridor is searched in
+    place. Pairs are tried in index order, the same over the kept edges
+    alone; the DFS keeps an explicit stack, so a path's length is not
+    bounded by the interpreter's recursion limit.
+
+    A step into z ends a path at any depth in [lo, hi] and is skipped
+    below lo. After a path of length L the DFS allows only shorter ones
+    (hi = L - 1) and stops once hi < lo. Among paths of the least length
+    L*, the one returned is the first in index order, which is the path the
+    DFS over [L*, L*] returns: every bound set before it is found is at
+    least L*, so no walk of up to L* hops is cut before it."""
     def searched(edge: TimeEdge) -> bool:  # in the index, and kept
         return ((edge.t, edge.v) in pairs_between(incident.get(edge.u, []), edge.t, edge.t)
                 and (keep is None or keep(edge.u, edge.v, edge.t)))
 
+    best = None
     steps: list[tuple[int, int, int]] = []
     visited = {s}
     cur = s
     # stack[i]: the untried pairs of hop i + 1, leaving cur when i = len(steps)
     stack = [iter(pairs_between(incident.get(s, []), t_lo, t_hi))]
-    while stack:
-        final = len(stack) == length
-        for t, nxt in stack[-1]:
-            if nxt in visited or (nxt == z) != final:
+    while stack and lo <= hi:
+        depth = len(stack)
+        for t, nxt in stack[-1] if depth <= hi else ():
+            # z ends a path from depth lo on; other vertices lead on below hi
+            if nxt in visited or (depth < lo if nxt == z else depth == hi):
                 continue
             if keep is not None and not keep(cur, nxt, t):
                 continue
+            if nxt == z:
+                best = [*steps, (cur, nxt, t)]
+                hi = depth - 1  # the next pass of the loop backs out of this hop
+                break
             steps.append((cur, nxt, t))
-            if final:
-                return check_restless_path(searched, [TimeEdge(*step) for step in steps],
-                                           s, z, delta)
             visited.add(nxt)
             cur = nxt
             stack.append(iter(pairs_between(incident.get(nxt, []), t, min(t + delta, t_hi))))
@@ -153,7 +167,9 @@ def search_index(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
             if steps:
                 cur, nxt, _t = steps.pop()
                 visited.discard(nxt)
-    return None
+    if best is None:
+        return None
+    return check_restless_path(searched, [TimeEdge(*step) for step in best], s, z, delta)
 
 
 def pairs_between(pairs: list[tuple[int, int]], t_lo: int,
@@ -168,8 +184,9 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
                                    stats: SolveStats | None = None
                                    ) -> RestlessPath | None:
     """Exhaustive search for a restless s-z path of exactly `length` steps
-    over the time-edges `edges`, given in canonical order: the first path
-    ``search_index`` finds over their index."""
+    over the time-edges `edges`, given in canonical order: the first in
+    index order, as ``search_index`` over their index at [length, length]
+    finds it."""
     if s == z:
         raise ValueError("source and target must differ")
     if length < 1:
@@ -178,7 +195,7 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
         raise ValueError("delta must be at least 1")
     if stats is not None:
         stats.finder_calls += 1
-    return search_index(incident_index(edges), s, z, delta, length)
+    return search_index(incident_index(edges), s, z, delta, length, length)
 
 
 # ---------------------------------------------------------------------------

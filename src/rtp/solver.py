@@ -4,15 +4,18 @@ With d the unrestricted temporal s-z distance and k the length budget, the
 slack ell = k - d bounds how far any solution can stray from monotone
 progress toward z. A table over non-isolated vertex appearances is filled
 outward from the near zone (appearances at distance within ell of d): near
-entries get the shortest restless source path inside their source-side
-corridor, probing lengths 1..2*ell; far entries take the minimum over
+entries get the shortest restless source path of length at most 2*ell
+inside their source-side corridor; far entries take the minimum over
 admissible predecessor appearances - at most ell+1 distance levels above,
 not later in time - of predecessor value plus the shortest restless
-connector inside the corridor between the two appearances, probing lengths
-1..2*ell+1. The instance is a yes iff some appearance of z gets a value at
-most k; the witness is reassembled from recorded predecessor links and
-re-validated, so yes answers carry no error. No answers inherit at most
-the configured probability from the randomized exact-length subroutine.
+connector of length at most 2*ell+1 inside the corridor between the two
+appearances. Each link runs one in-place search for its shortest connector
+below ``first_sieve_length``; only when that finds none does it build the
+corridor and probe the exact lengths from there up. The instance is a yes
+iff some appearance of z gets a value at most k; the witness is
+reassembled from recorded predecessor links and re-validated, so yes
+answers carry no error. No answers inherit at most the configured
+probability from the randomized exact-length subroutine.
 
 Entries are filled in order of decreasing distance (per level: increasing
 time, then vertex id), which makes every dependency available and, with
@@ -129,26 +132,29 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             limit = probes
             if best != INF:
                 limit = min(limit, int(best) - base - 1)  # only improvements
-            area = None  # while every probe goes to brute, search in place
-            for length in range(1, limit + 1):
-                seed = seeds.next()  # one per probe on either path
-                if area is None and length >= first_sieve:
-                    # the sieve, and the dispatcher's edge count, need the edges
-                    area = area_graph(g, dt, spec)
-                    stats.areas_built += 1
-                    stats.corridor_edges += len(area.time_edges)
-                if area is None:
-                    stats.finder_calls += 1
-                    found = search_index(incident, frm, u, delta, length,
-                                         keep=keep, t_lo=t_lo, t_hi=t_up)
-                else:
+            # one in-place search stands for the probes below the sieve
+            # (limit >= 1): a seed and a finder call each, up to its find
+            in_place = min(limit, first_sieve - 1)
+            found = search_index(incident, frm, u, delta, 1, in_place,
+                                 keep=keep, t_lo=t_lo, t_hi=t_up)
+            probed = in_place if found is None else found.length
+            stats.finder_calls += probed
+            for _ in range(probed):
+                seeds.next()
+            if found is None and limit >= first_sieve:
+                # the sieve, and the dispatcher's edge count, need the edges
+                area = area_graph(g, dt, spec)
+                stats.areas_built += 1
+                stats.corridor_edges += len(area.time_edges)
+                for length in range(first_sieve, limit + 1):
                     found = find_exact_restless_path(
                         area.time_edges, frm, u, delta, length, cfg,
-                        seed=seed, stats=stats)
-                if found is not None:
-                    best = base + length
-                    best_link = (pred, found.steps)
-                    break
+                        seed=seeds.next(), stats=stats)
+                    if found is not None:
+                        break
+            if found is not None:
+                best = base + found.length
+                best_link = (pred, found.steps)
         table.entries[app] = best
         if best_link is not None:
             table.preds[app] = best_link

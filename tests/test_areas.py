@@ -118,7 +118,8 @@ def test_in_place_search_matches_materialized_corridors():
     # for every corridor a table fill could search: the keep rule filters
     # g.time_edges to exactly the materialized corridor (and to the
     # definitional filter), and the in-place search over the whole graph's
-    # index returns the same steps as brute over the corridor's edges
+    # index returns the same steps as brute over the corridor's edges, at
+    # each exact length and, over the range of lengths, the shortest
     counts = {"corridors": 0, "probes": 0, "found": 0, "multi-step": 0}
     for g, s, z, delta, k in random_instances(1618, 300, max_vertices=9, max_lifetime=10):
         dt = compute_distances(g, z)
@@ -143,15 +144,22 @@ def test_in_place_search_matches_materialized_corridors():
                 assert area.time_edges == filtered, spec
                 assert filtered == naive_area_edges(g, dt, lower, upper, delta), spec
                 frm, t_lo = (s, 0) if lower is None else lower
-                for length in range(1, 2 * ell + 2):
-                    got = search_index(incident, frm, upper.v, delta, length,
+                hi = 2 * ell + 1
+                shortest = None  # the first exact probe that finds a path
+                for length in range(1, hi + 1):
+                    got = search_index(incident, frm, upper.v, delta, length, length,
                                        keep=keep, t_lo=t_lo, t_hi=upper.t)
                     want = find_exact_restless_path_brute(
                         area.time_edges, frm, upper.v, delta, length)
                     assert (got and got.steps) == (want and want.steps), (spec, length)
+                    shortest = shortest or got
                     counts["probes"] += 1
                     counts["found"] += want is not None
                     counts["multi-step"] += want is not None and length > 1
+                # one range search returns that path, and None iff every probe does
+                ranged = search_index(incident, frm, upper.v, delta, 1, hi,
+                                      keep=keep, t_lo=t_lo, t_hi=upper.t)
+                assert (ranged and ranged.steps) == (shortest and shortest.steps), spec
                 counts["corridors"] += 1
     assert counts["corridors"] >= 5_000 and counts["probes"] >= 30_000, counts
     assert counts["found"] >= 5_000 and counts["multi-step"] >= 2_000, counts

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import S, A, B, C, D, E, Z, line_with_chord, random_instances
@@ -57,9 +59,33 @@ def test_single_step_always_restless():
 def test_search_depth_is_not_bounded_by_recursion():
     # a probe of 1099 hops, past the interpreter's default recursion limit
     g = line_with_chord(1100)
-    path = search_index(incident_index(g.time_edges), 0, 1099, 1, 1099)
-    assert path is not None
-    assert as_triples(path) == tuple((i, i + 1, i + 1) for i in range(1099))
+    incident = incident_index(g.time_edges)
+    line = tuple((i, i + 1, i + 1) for i in range(1099))
+    for lo in (1099, 2):
+        path = search_index(incident, 0, 1099, 1, lo, 1099)
+        assert path is not None and as_triples(path) == line
+    # the 1099-hop line is found first; the dropped bound then admits the chord
+    assert as_triples(search_index(incident, 0, 1099, 1, 1, 1099)) == ((0, 1099, 1100),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 6), st.sampled_from([0.5, 1.5, 3.0, 5.0]),
+       st.integers(0, 2**64 - 1), st.integers(1, 3), st.integers(1, 6), st.integers(0, 5))
+def test_range_search_returns_the_first_exact_hit(nv, lifetime, density, seed, delta,
+                                                  lo, extra):
+    # over the whole graph's index: [lo, hi] returns the path of the first
+    # exact probe L = lo..hi that finds one, and None iff every probe does
+    g = random_temporal_graph(nv, lifetime, density, seed)
+    s, z, hi = 0, nv - 1, lo + extra
+    incident = incident_index(g.time_edges)
+    exact = (search_index(incident, s, z, delta, length, length)
+             for length in range(lo, hi + 1))
+    want = next((path for path in exact if path is not None), None)
+    got = search_index(incident, s, z, delta, lo, hi)
+    assert (got and got.steps) == (want and want.steps)
+    lengths = {n for n in oracles.restless_path_lengths(
+        oracles.edge_triples(g), s, z, delta, hi) if n >= lo}
+    assert (got and got.length) == min(lengths, default=None)
 
 
 def test_brute_parameter_validation(fig1):

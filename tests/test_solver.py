@@ -341,31 +341,44 @@ def test_sieve_statistical_no_rate_on_fixed_yes_instance():
 
 
 @st.composite
-def slack_queries(draw):
+def slack_queries(draw, detour=False):
     """(graph, s, z, delta, ell, seed): a graph of 5 to 9 vertices over 3
     to 10 stamps with a temporal s-z path, queried at slack 3 or 4.
     Sparse layers at delta 1 give restless nos, dense ones long probes for
-    the sieve."""
+    the sieve. With detour, a restless walk s, a, b, a, c, z that must
+    wait at b is planted, one time-edge every delta stamps (s-a, a-b, a-b,
+    then a-c and c-z together), so the screened walks revisit a and the
+    sieve's certificate cannot answer."""
     nv = draw(st.integers(5, 9))
-    lifetime = draw(st.integers(3, 10))
+    lifetime = draw(st.integers(7 if detour else 3, 10))
     per_layer = draw(st.integers(1, 8))
     pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
     layers = [draw(st.lists(st.sampled_from(pairs), unique=True, max_size=per_layer))
               for _ in range(lifetime)]
     s, z = draw(st.lists(st.integers(0, nv - 1), min_size=2, max_size=2, unique=True))
-    return (TemporalGraph(nv, lifetime, layers), s, z, draw(st.integers(1, 2)),
+    delta = draw(st.integers(1, 2))
+    if detour:
+        a, b, c = draw(st.lists(st.sampled_from([v for v in range(nv) if v not in (s, z)]),
+                                min_size=3, max_size=3, unique=True))
+        t = draw(st.integers(0, lifetime - 1 - 3 * delta))
+        walk = [(t, s, a), (t + delta, a, b), (t + 2 * delta, a, b),
+                (t + 3 * delta, a, c), (t + 3 * delta, c, z)]
+        for i, x, y in walk:
+            layers[i] = sorted({*layers[i], (min(x, y), max(x, y))})
+    return (TemporalGraph(nv, lifetime, layers), s, z, delta,
             draw(st.integers(3, 4)), draw(st.integers(0, 2**64 - 1)))
 
 
-def test_sieve_differential_at_slack_three_and_four():
-    # plain and windowed solves on the sieve backend against the path
-    # oracle: a yes needs an oracle path within k and a valid witness, and
-    # a no on an oracle yes is a miss, allowed at the configured rate
+def sieve_differential(queries) -> dict:
+    """Plain and windowed solves on the sieve backend against the path
+    oracle over 200 queries: a yes needs an oracle path within k and a
+    valid witness, and a no on an oracle yes is a miss, allowed at the
+    configured rate. Returns the yes, miss and summed sieve trial counts."""
     p = 0.01
-    seen = {"yes": 0, "misses": 0}
+    seen = {"yes": 0, "misses": 0, "trials": 0}
 
     @settings(max_examples=200, deadline=None)
-    @given(slack_queries())
+    @given(queries)
     def check(query):
         g, s, z, delta, ell, seed = query
         d = compute_distances(g, z).source_distance(s)
@@ -381,11 +394,24 @@ def test_sieve_differential_at_slack_three_and_four():
                 assert want <= path.length <= k, (query, runner)
             seen["yes"] += want is not None
             seen["misses"] += want is not None and not res.decision
+            seen["trials"] += res.stats.sieve_trials
 
     check()
     yes = seen["yes"]
     assert yes >= 100, seen
     assert seen["misses"] <= p * yes + 3 * (p * yes) ** 0.5 + 1, seen
+    return seen
+
+
+def test_sieve_differential_at_slack_three_and_four():
+    sieve_differential(slack_queries())
+
+
+def test_sieve_differential_past_the_certificate():
+    # the screen and the certificate answer almost every probe of plain
+    # queries; planted detours make the randomized decision run
+    seen = sieve_differential(slack_queries(detour=True))
+    assert seen["trials"] > 0, seen
 
 
 def test_sieve_fixed_no_instance_never_yes(fig1):
