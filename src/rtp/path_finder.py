@@ -12,15 +12,19 @@ Two backends behind one contract:
   and sums the evaluations over all label subsets. Walks that revisit a
   vertex cancel in characteristic 2, so a nonzero total proves a simple
   path exists; a zero total is wrong with probability at most
-  (2*length)/2^64 per trial when a path does exist. Yes answers are
-  always certified by an explicit path, peeled out of the time-edges the
-  decision's arc screen kept by deleting blocks of them, halved on a
-  failed deletion, while the decision stays yes. Two cases need no trial
-  at all. When the screened walks hold fewer than `length` distinct heads
-  or time-edges, no path fits them: the no is exact. When no screened
-  walk can revisit a vertex (no vertex heads two hops at least two
-  apart), every walk is a path: the yes is exact, and the peel's witness
-  comes from one least-weight pass over the layers.
+  (2*length)/2^64 per trial when a path does exist. Its arc screen reads
+  the DFS's incident index, expanding the pairs the DFS would within the
+  same hop window, and names each time-edge by its canonical key
+  (t, u, v), so its answers do not depend on the input order. Yes
+  answers are always certified by an explicit path, peeled out of the
+  time-edges the screen kept by deleting blocks of them, halved on a
+  failed deletion, while the decision stays yes; the path is the one the
+  DFS finds over the time-edges left. Two cases need no trial at all.
+  When the screened walks hold fewer than `length` distinct heads or
+  time-edges, no path fits them: the no is exact. When no screened walk
+  can revisit a vertex (no vertex heads two hops at least two apart),
+  every walk is a path: the yes is exact, and the peel's time-edges come
+  from one least-weight pass over the layers.
 
 Which probes may reach the sieve is one rule, ``first_sieve_length``: the
 dispatcher sends shorter probes to brute, and a table fill searches all of
@@ -108,12 +112,14 @@ class SolveStats:
 
 
 def incident_index(edges: Iterable[TimeEdge]) -> dict[int, list[tuple[int, int]]]:
-    """Vertex -> the (t, neighbour) pairs of its time-edges, sorted. For
-    edges in canonical order this is also each vertex's canonical order."""
+    """Vertex -> the (t, neighbour) pairs of its time-edges, sorted, which
+    is each vertex's canonical order, whatever the order of `edges`."""
     index: dict[int, list[tuple[int, int]]] = {}
-    for edge in edges:  # canonical order keeps every list sorted
+    for edge in edges:
         index.setdefault(edge.u, []).append((edge.t, edge.v))
         index.setdefault(edge.v, []).append((edge.t, edge.u))
+    for pairs in index.values():
+        pairs.sort()  # linear when `edges` is in canonical order
     return index
 
 
@@ -184,9 +190,8 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
                                    stats: SolveStats | None = None
                                    ) -> RestlessPath | None:
     """Exhaustive search for a restless s-z path of exactly `length` steps
-    over the time-edges `edges`, given in canonical order: the first in
-    index order, as ``search_index`` over their index at [length, length]
-    finds it."""
+    over the time-edges `edges`, in any order: the first in index order, as
+    ``search_index`` over their index at [length, length] finds it."""
     if s == z:
         raise ValueError("source and target must differ")
     if length < 1:
@@ -202,75 +207,89 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
 # sieve backend
 #
 # A structure is a list of layers, one per hop: layers[i] holds, in arc
-# order, (head, edge_index, pred_positions) triples for hop i + 1, and pred
+# order, (head, key, pred_positions) triples for hop i + 1. An arc is one
+# direction of a time-edge, named by the time-edge's canonical key
+# (t, u, v) with u < v; arc order is key order, u->v before v->u. Pred
 # positions index into the previous layer. The final layer contains only
 # arcs entering the target. A structure no path fits is empty, and its
 # decision a certain no.
 
-_Layers = list[list[tuple[int, int, tuple[int, ...]]]]
+_Key = tuple[int, int, int]
+_Layers = list[list[tuple[int, _Key, tuple[int, ...]]]]
 
 
-def _build_structure(edges: Sequence[TimeEdge], s: int, z: int, delta: int,
-                     length: int) -> _Layers:
+def _kept_in(keys: set[_Key]) -> Callable[[int, int, int], bool]:
+    """The keep rule of the time-edges whose keys are in `keys`."""
+    return lambda x, y, t: (t, x, y) in keys or (t, y, x) in keys
+
+
+def _build_structure(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
+                     delta: int, length: int,
+                     keep: Callable[[int, int, int], bool] | None = None) -> _Layers:
     """Layer i + 1 holds, in arc order, the arcs at hop i + 1 of some walk
-    of the full length (a forward pass from s, then a backward pass from
-    z): a walk leaves s only at hop 1 and enters z only at the last. A
-    path of `length` hops enters `length` distinct vertices over `length`
-    distinct time-edges, all on kept arcs, so when the kept arcs hold
-    fewer distinct heads or time-edges than that, the structure is []."""
-    # (tail, head, t, edge_index); walks never leave the target, never re-enter the source
-    arcs = [(x, y, edge.t, idx) for idx, edge in enumerate(edges)
-            for x, y in ((edge.u, edge.v), (edge.v, edge.u)) if x != z and y != s]
-    into: dict[int, list[int]] = {}
-    roles: dict[tuple[bool, bool], list[int]] = {}
-    for ai, (x, y, _t, _e) in enumerate(arcs):
-        into.setdefault(y, []).append(ai)
-        roles.setdefault((x == s, y == z), []).append(ai)
-    # preds[a]: the arcs p that may come just before a, in arc order
-    preds = [[p for p in into.get(x, ()) if t - delta <= arcs[p][2] <= t]
-             for x, _y, t, _e in arcs]
-    kept = [roles.get((i == 1, i == length), []) for i in range(1, length + 1)]
-    for i in range(1, length):
-        prev = set(kept[i - 1])
-        kept[i] = [a for a in kept[i] if any(p in prev for p in preds[a])]
-    for i in range(length - 1, 0, -1):
-        needed = {p for a in kept[i] for p in preds[a]}
-        kept[i - 1] = [a for a in kept[i - 1] if a in needed]
-    on = [arcs[a] for layer in kept for a in layer]
-    if min(len({y for _x, y, _t, _e in on}), len({e for _x, _y, _t, e in on})) < length:
-        return []
+    of the full length over an ``incident_index``, expanding only
+    time-edges that ``keep`` passes, as ``search_index`` does. A forward
+    pass takes layer 1 from s's pairs and layer i + 1 from the pairs that
+    leave a head of layer i within [t, t + delta] of an arc into it, the
+    DFS's hop window (``pairs_between``), recording those arcs as preds;
+    one backward pass from z then drops every arc no later arc follows. A
+    walk leaves s only at hop 1 and enters z only at the last. A path of
+    `length` hops enters `length` distinct vertices over `length` distinct
+    time-edges, so when the kept arcs hold fewer distinct heads or
+    time-edges than that, the structure is []."""
+    def arcs(x: int, pairs: list[tuple[int, int]], hop: int, arrivals: list[tuple[int, int]]):
+        # the kept arcs x -> y at hop, each with the arrivals (t, position) it may follow;
+        # a walk never re-enters s and enters z only at its last hop
+        for t, y in pairs:
+            if y != s and (y == z) == (hop == length) and (keep is None or keep(x, y, t)):
+                yield y, ((t, x, y) if x < y else (t, y, x)), tuple(
+                    p for t_in, p in arrivals if t_in <= t <= t_in + delta)
 
-    layers: _Layers = []
-    pos: dict[int, int] = {}
-    for layer in kept:
-        layers.append([(arcs[a][1], arcs[a][3], tuple(pos[p] for p in preds[a] if p in pos))
-                       for a in layer])
-        pos = {a: j for j, a in enumerate(layer)}
+    def order(arc):  # by key, then u->v before v->u
+        return arc[1], arc[0] == arc[1][1]
+
+    layers = [sorted(arcs(s, incident.get(s, []), 1, []), key=order)]
+    for hop in range(2, length + 1):
+        into: dict[int, list[tuple[int, int]]] = {}  # head -> (t, position), by t
+        for pos, (head, (t, _u, _v), _p) in enumerate(layers[-1]):
+            into.setdefault(head, []).append((t, pos))
+        layers.append(sorted((arc for x, ins in into.items() for arc in arcs(
+            x, pairs_between(incident[x], ins[0][0], ins[-1][0] + delta), hop, ins)
+            if arc[2]), key=order))  # an arc in a gap between windows follows none
+    for i in range(length - 1, 0, -1):
+        needed = sorted({p for _h, _k, preds in layers[i] for p in preds})
+        at = {p: j for j, p in enumerate(needed)}
+        layers[i] = [(h, k, tuple(at[p] for p in preds)) for h, k, preds in layers[i]]
+        layers[i - 1] = [layers[i - 1][p] for p in needed]
+    on = [arc for layer in layers for arc in layer]
+    if min(len({h for h, _k, _p in on}), len({k for _h, k, _p in on})) < length:
+        return []
     return layers
 
 
-def _certified_path(layers: _Layers, edge_count: int) -> list[int] | None:
-    """For a non-empty structure: the sorted edge indices of the least
-    walk, weight 2^(edge_count-1-e) on time-edge e, when no vertex heads
-    two layers at least two apart; else None."""
+def _certified_path(layers: _Layers) -> set[_Key] | None:
+    """For a non-empty structure: the keys of the least walk, weight
+    2^(m-1-r) on the time-edge of rank r among the m keys of the layers,
+    when no vertex heads two layers at least two apart; else None."""
     first: dict[int, int] = {}
     for i, layer in enumerate(layers):
-        for head, _e, _p in layer:
+        for head, _k, _p in layer:
             if i - first.setdefault(head, i) >= 2:
                 return None
-    top = edge_count - 1
-    cost = [1 << (top - e) for _h, e, _p in layers[0]]
+    keys = sorted({key for layer in layers for _h, key, _p in layer}, reverse=True)
+    weight = {key: 1 << r for r, key in enumerate(keys)}  # an earlier key weighs more
+    cost = [weight[key] for _h, key, _p in layers[0]]
     back = []  # back[i][pos]: the position in layer i that arc pos of layer i + 1 follows
     for layer in layers[1:]:
-        picks = [min(preds, key=cost.__getitem__) for _h, _e, preds in layer]
-        cost = [cost[p] + (1 << (top - e)) for p, (_h, e, _p) in zip(picks, layer)]
+        picks = [min(preds, key=cost.__getitem__) for _h, _k, preds in layer]
+        cost = [cost[p] + weight[key] for p, (_h, key, _p) in zip(picks, layer)]
         back.append(picks)
     pos = min(range(len(cost)), key=cost.__getitem__)
-    path = [layers[-1][pos][1]]
+    path = {layers[-1][pos][1]}
     for layer, picks in zip(reversed(layers[:-1]), reversed(back)):
         pos = picks[pos]
-        path.append(layer[pos][1])
-    return sorted(path)
+        path.add(layer[pos][1])
+    return path
 
 
 def _sieve_decide(layers: _Layers, length: int, trials: int, stream: SeedStream,
@@ -342,20 +361,25 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     probability at most cfg.error_prob, returned paths are always valid.
     seed, when given, replaces cfg.seed for this call. Every length is
     answered by the sieve itself; the dispatcher and the table fill send
-    length-1 probes to brute (``first_sieve_length``).
+    length-1 probes to brute (``first_sieve_length``). Every structure and
+    search of the call reads one ``incident_index`` of `edges`, given in
+    any order, and names time-edges by their canonical keys.
 
     After a yes, which is certain, the witness is the path left by deleting
-    time-edges one at a time in canonical order, each deletion kept iff the
-    sieve still says yes. Under exact decisions, fewer decisions leave the
-    same edge set. (1) Peeling starts from the screen's survivors, the
-    time-edges on a kept arc; any other is on no path and would go anyway.
-    (2) A contiguous block of them goes at once iff one at a time would
-    delete each, as every set in between holds the final one; else its
-    first half, then its second, is peeled (after a wholly deleted first
-    half the second cannot go whole). (3) Keeping only a yes candidate's
-    survivors never drops a time-edge kept earlier: it is on every later
-    path. Once `length` edges remain they are the path; a false negative
-    (below 2^-58 per trial) only leaves extra ones for the brute search.
+    time-edges one at a time in canonical key order, whatever the input
+    order, each deletion kept iff the sieve still says yes. Under exact
+    decisions, fewer decisions leave the same edge set. (1) Peeling starts
+    from the screen's survivors, the time-edges on a kept arc; any other is
+    on no path and would go anyway. (2) A contiguous block of them goes at
+    once iff one at a time would delete each, as every set in between
+    holds the final one; else its first half, then its second, is peeled
+    (after a wholly deleted first half the second cannot go whole). (3)
+    Keeping only a yes candidate's survivors never drops a time-edge kept
+    earlier: it is on every later path. A candidate is screened over the
+    index under the keep rule "key still a candidate". Once `length` edges
+    remain they are the path; a false negative (below 2^-58 per trial)
+    only leaves extra ones. The witness is the path the in-place DFS
+    (``search_index`` at [length, length]) finds over the edges left.
 
     A call makes no decision at all when its structure is empty, as no
     path fits the screened walks, or passes a certificate. A screened walk
@@ -363,13 +387,14 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     self-loops it can revisit a vertex v only if v heads hops i and
     j >= i + 2. If no vertex heads two layers at least two apart, every
     walk is a path, so a non-empty structure is a certain yes; lengths up
-    to 3 always qualify. The peel's witness is then computed directly:
-    deleting in index order while a path survives leaves the path whose
+    to 3 always qualify. The peel's edge set is then computed directly:
+    deleting in key order while a path survives leaves the path whose
     time-edge indicator vector is lexicographically least, and as a path
     uses each time-edge once, that is the walk of least total weight with
-    weight 2^(m-1-i) on time-edge i of m, found in one pass over the layers
-    with back-pointers. Such a call draws nothing from its seed stream. At
-    length 1 that witness is the last s-z time-edge in canonical order.
+    weight 2^(m-1-r) on the time-edge of rank r of m, found in one pass
+    over the layers with back-pointers. Such a call draws nothing from its
+    seed stream. At length 1 that witness is the last s-z time-edge in
+    canonical order.
     """
     if s == z:
         raise ValueError("source and target must differ")
@@ -380,42 +405,38 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     if stats is None:
         stats = SolveStats()
     stats.finder_calls += 1
-    layers = _build_structure(edges, s, z, delta, length)
+    incident = incident_index(edges)
+    layers = _build_structure(incident, s, z, delta, length)
     if not layers:
         stats.screened += 1
         return None
-    path = _certified_path(layers, len(edges))
+    path = _certified_path(layers)
     if path is not None:
-        return find_exact_restless_path_brute([edges[i] for i in path], s, z, delta, length)
+        return search_index(incident, s, z, delta, length, length, keep=_kept_in(path))
     stream = SeedStream(cfg.seed if seed is None else seed)
     trials = _trials_for(cfg.error_prob)
     found, ops = _sieve_decide(layers, length, trials, stream, stats)
     stats.sieve_ops += ops
     if not found:
         return None
+    remaining = {key for layer in layers for _h, key, _p in layer}  # the survivors
 
-    def survivors(kept: _Layers) -> list[int]:  # sorted, indices into edges
-        return sorted({e for layer in kept for _head, e, _preds in layer})
-    remaining = survivors(layers)
-
-    def peel(block: list[int], doomed: bool) -> bool:  # True: none of block is left
+    def peel(block: list[_Key], doomed: bool) -> bool:  # True: none of block is left
         nonlocal remaining
-        left = set(remaining)
-        block = [i for i in block if i in left]
+        block = [key for key in block if key in remaining]
         if not block:
             return True
         if len(remaining) == length:  # the path's own time-edges
             return False
         if not doomed:
-            gone = set(block)
-            candidate = [i for i in remaining if i not in gone]
-            sub = _build_structure([edges[i] for i in candidate], s, z, delta, length)
+            sub = _build_structure(incident, s, z, delta, length,
+                                   _kept_in(remaining.difference(block)))
             if sub:
                 stats.extraction_decisions += 1
                 found, ops = _sieve_decide(sub, length, trials, stream, stats)
                 stats.extraction_ops += ops
                 if found:
-                    remaining = [candidate[j] for j in survivors(sub)]
+                    remaining = {key for layer in sub for _h, key, _p in layer}
                     return True
         if len(block) == 1:
             return False
@@ -423,8 +444,8 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
         first = peel(block[:half], False)
         return peel(block[half:], first) and first
 
-    peel(remaining, True)  # deleting every time-edge leaves no path
-    return find_exact_restless_path_brute([edges[i] for i in remaining], s, z, delta, length)
+    peel(sorted(remaining), True)  # deleting every time-edge leaves no path
+    return search_index(incident, s, z, delta, length, length, keep=_kept_in(remaining))
 
 
 def first_sieve_length(cfg: FinderConfig) -> float:

@@ -263,20 +263,21 @@ def separator_trace(path, dt) -> SeparatorTrace:
 
 def arc_layers(triples, s, z, delta, length, screens):
     """The sieve's layered arc skeleton by definition: per hop 1..length,
-    the (head, edge index, pred positions) of each arc a walk may take.
+    the (head, key, pred positions) of each arc a walk may take.
 
-    An arc is one direction of a time-edge; arcs are listed per time-edge
-    in the given order, u->v first. A walk of `length` arcs departs s at
-    its first arc only, enters z at its last only, never enters s nor
-    leaves z, and each later arc leaves the previous head within
-    [t, t + delta] of the previous stamp. Without screens, hop i holds
+    An arc is one direction of a time-edge, whose key is (t, min, max) of
+    its triple; arcs are listed in key order, whatever the order of
+    `triples`, the min->max direction first. A walk of `length` arcs
+    departs s at its first arc only, enters z at its last only, never
+    enters s nor leaves z, and each later arc leaves the previous head
+    within [t, t + delta] of the previous stamp. Without screens, hop i holds
     every arc those roles allow there, and an arc's preds are the arcs of
     hop i - 1 that it may follow. With screens, hop i holds the arcs at
     hop i of some whole walk, found by enumerating every walk, and an
     arc's preds are the arcs just before it in one of them.
     """
-    arcs = [(x, y, t, idx) for idx, (u, v, t) in enumerate(triples)
-            for x, y in ((u, v), (v, u))]
+    keys = sorted((t, min(u, v), max(u, v)) for u, v, t in triples)
+    arcs = [(x, y, t, (t, u, v)) for t, u, v in keys for x, y in ((u, v), (v, u))]
 
     def fits(arc, hop):
         x, y = arc[0], arc[1]

@@ -200,6 +200,51 @@ def test_dispatch_auto_uses_sieve_for_long_searches():
     assert stats.sieve_trials >= 1
 
 
+def test_dispatch_auto_sends_tiny_edge_sets_to_brute():
+    # two 0-1 routes at one stamp: brute returns the first in index order
+    # (via 2), the sieve's certificate the last in key order (via 3);
+    # time-edges on {4, 5} make the set 16 (tiny, brute) or 17 (the sieve)
+    routes = [TimeEdge(0, 2, 1), TimeEdge(1, 2, 1), TimeEdge(0, 3, 1), TimeEdge(1, 3, 1)]
+    cfg = FinderConfig(backend="auto", auto_threshold=2, seed=1)
+    for count in (16, 17):
+        g = TemporalGraph.from_time_edges(
+            6, 13, routes + [TimeEdge(4, 5, t) for t in range(1, count - 3)])
+        assert len(g.time_edges) == count
+        brute = as_triples(find_exact_restless_path_brute(g.time_edges, 0, 1, 1, 2))
+        sieve = as_triples(find_exact_restless_path_sieve(g.time_edges, 0, 1, 1, 2, cfg))
+        assert brute == ((0, 2, 1), (1, 2, 1)) and sieve == ((0, 3, 1), (1, 3, 1))
+        got = as_triples(find_exact_restless_path(g.time_edges, 0, 1, 1, 2, cfg))
+        assert got == (brute if count == 16 else sieve), count
+
+
+def test_finders_answer_any_edge_order_as_canonical():
+    # reversed and shuffled time-edges get the canonical input's answer,
+    # step for step, from brute, the sieve (whose peel runs in key order)
+    # and the auto dispatcher
+    rng = random.Random(1515)
+    stats = SolveStats()
+    found = 0
+    for seed in range(200):
+        g = random_temporal_graph(7, 6, 4.0, seed)
+        s, z = rng.sample(range(7), 2)
+        delta = rng.randint(1, 3)
+        shuffled = list(g.time_edges)
+        rng.shuffle(shuffled)
+        cfg = FinderConfig(backend="auto", auto_threshold=2, seed=seed)
+        finders = (find_exact_restless_path_brute,
+                   lambda *a, **kw: find_exact_restless_path_sieve(*a, cfg, **kw),
+                   lambda *a, **kw: find_exact_restless_path(*a, cfg, **kw))
+        for length in range(1, 5):
+            for finder in finders:
+                want = finder(g.time_edges, s, z, delta, length, stats=stats)
+                found += want is not None
+                for edges in (g.time_edges[::-1], shuffled):
+                    got = finder(edges, s, z, delta, length)
+                    assert (got and as_triples(got)) == (want and as_triples(want)), \
+                        (seed, length, finder)
+    assert found >= 1500 and stats.extraction_decisions >= 100, (found, stats)
+
+
 def test_one_rule_for_probes_that_may_reach_the_sieve(monkeypatch):
     import rtp.path_finder
     assert first_sieve_length(FinderConfig(backend="brute")) == float("inf")
@@ -271,6 +316,11 @@ def random_builds(seed, count):
         yield triples, s, z, delta, length, shuffled
 
 
+def build(triples, s, z, delta, length):
+    """The sieve's structure over the incident index of `triples`."""
+    return _build_structure(incident_index([TimeEdge(*x) for x in triples]), s, z, delta, length)
+
+
 def fits_a_path(layers, length):
     """The screen's count rule, by definition: at least `length` distinct
     heads and `length` distinct time-edges on the layers' arcs."""
@@ -282,11 +332,13 @@ def fits_a_path(layers, length):
 def test_build_structure_matches_definition():
     # layers and pred positions against walks enumerated from the
     # definition, empty when the count rule leaves no room for a path, and
-    # a decision's work over unscreened layers against its cost
+    # a decision's work over unscreened layers against its cost; the
+    # oracle lists arcs in key order, so the shuffled half also checks that
+    # the structure does not depend on the input order
     counts = {"full": 0, "cut": 0, "screened out": 0, "counted out": 0, "decided": 0}
     lengths = set()
     for n, (triples, s, z, delta, length, _shuffled) in enumerate(random_builds(4242, 2400)):
-        got = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length)
+        got = build(triples, s, z, delta, length)
         want = oracles.arc_layers(triples, s, z, delta, length, True)
         assert got == (want if fits_a_path(want, length) else []), (triples, s, z, delta, length)
         lengths.add(length)
@@ -317,7 +369,7 @@ def test_count_rule_never_rejects_a_path():
     rejected = {False: 0, True: 0}
     walks_rejected = 0
     for triples, s, z, delta, length, shuffled in random_builds(2525, 3000):
-        if _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length):
+        if build(triples, s, z, delta, length):
             continue
         assert length not in oracles.restless_path_lengths(triples, s, z, delta, length), \
             (triples, s, z, delta, length)
@@ -332,16 +384,16 @@ def test_certified_walk_is_a_path():
     # its length exists, and the certified edges are one
     certified = refused = long_certified = 0
     for triples, s, z, delta, length, _shuffled in random_builds(2424, 6000):
-        layers = _build_structure([TimeEdge(*x) for x in triples], s, z, delta, length)
+        layers = build(triples, s, z, delta, length)
         if not layers:
             continue
-        path = _certified_path(layers, len(triples))
+        path = _certified_path(layers)
         if path is None:
             refused += 1
             continue
         assert length in oracles.restless_path_lengths(triples, s, z, delta, length), \
             (triples, s, z, delta, length)
-        steps = {triples[i] for i in path}
+        steps = {(u, v, t) for t, u, v in path}
         assert any(steps == set(p) for p in oracles.enumerate_restless_paths(
             triples, s, z, delta, length) if len(p) == length)
         certified += 1
