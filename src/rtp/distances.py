@@ -5,7 +5,8 @@ t or later. All values for non-isolated vertex appearances (v on some
 edge at t) come from one backward sweep over the time-sorted edges: the
 later stamps are settled first, so a vertex may stand still into its next
 later appearance for free, and a small unit-weight Dijkstra per stamp
-handles chains of equal-stamp edges.
+handles chains of equal-stamp edges. A forward sweep from one source,
+bounded in hops, answers that source's distance alone without a table.
 
 Also provides the polynomial lower bound: the minimum length of a
 waiting-time-bounded s-z walk (vertex repeats allowed).
@@ -140,6 +141,41 @@ def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
             entries[VertexAppearance(v, t)] = d
             later[v] = d
     return DistanceTable(target=z, entries=entries, work=work)
+
+
+def fewest_hops(edges: Iterable[TimeEdge], s: int, z: int,
+                bound: int) -> int | float:
+    """Fewest hops of a temporal s-z walk over stamp-ordered time-edges when
+    that is at most ``bound``; INF otherwise.
+
+    The forward mirror of ``compute_distances``: ``hops[v]`` holds the
+    fewest hops that reach v by the current stamp (s at 0 from the start),
+    a vertex waits for free, and a unit-weight Dijkstra per stamp follows
+    same-stamp chains. A prefix is not expanded when it could reach z only
+    past ``bound`` hops, or no sooner than z's best label. On a graph of the
+    same time-edges this is ``compute_distances(g, z).source_distance(s)``
+    wherever that is at most ``bound``, at the cost of one forward pass.
+    """
+    hops: dict[int, int] = {s: 0}
+    limit = bound  # prefixes at limit hops or more are not expanded
+    for _t, adj in _stamp_adjacency(edges):
+        value = {v: hops[v] for v in adj if v in hops}
+        heap = [(d, v) for v, d in value.items() if d < limit]
+        if not heap:
+            continue
+        heapq.heapify(heap)
+        while heap:
+            d, x = heapq.heappop(heap)
+            if d > value[x] or d >= limit:
+                continue
+            for y in adj[x]:
+                if d + 1 < value.get(y, INF):
+                    value[y] = d + 1
+                    heapq.heappush(heap, (d + 1, y))
+        hops.update(value)
+        if z in value:
+            limit = min(limit, value[z] - 1)
+    return hops.get(z, INF)  # every label is at most bound
 
 
 def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int | float:

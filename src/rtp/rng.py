@@ -8,11 +8,12 @@ whole runs replay bit-for-bit.
 from __future__ import annotations
 
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15  # splitmix64's fixed state increment
 
 
 def splitmix64(state: int) -> tuple[int, int]:
     """Advance a splitmix64 state, returning (next_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    state = (state + GAMMA) & MASK64
     x = state
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -28,3 +29,10 @@ class SeedStream:
     def next(self) -> int:
         self._state, value = splitmix64(self._state)
         return value
+
+    def skip(self, n: int) -> None:
+        """Advance past n values, as n calls of next() would, in O(1): each
+        step only adds GAMMA to the state."""
+        if n < 0:
+            raise ValueError(f"cannot skip a negative count {n}")
+        self._state = (self._state + n * GAMMA) & MASK64

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
 from .areas import area_graph, area_spec, holds_endpoints, keep_rule
-from .distances import INF, DistanceTable, compute_distances
+from .distances import INF, DistanceTable, compute_distances, fewest_hops
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           first_sieve_length, incident_index, search_index)
 from .rng import SeedStream
@@ -139,8 +139,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                                  keep=keep, t_lo=t_lo, t_hi=t_up)
             probed = in_place if found is None else found.length
             stats.finder_calls += probed
-            for _ in range(probed):
-                seeds.next()
+            seeds.skip(probed)
             if found is None and limit >= first_sieve:
                 # the sieve, and the dispatcher's edge count, need the edges
                 area = area_graph(g, dt, spec)
@@ -275,11 +274,15 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     """Solve once per departure time t0 of s on the stamps [t0, t0 +
     (k-1)*delta + 1] only, which holds every solution departing at t0 and
     can shrink the slack. Departures with d(s, t0) > k are skipped; d grows
-    with t0, so the rest are a prefix. The error budget is split evenly
-    over them (subcall_error_prob): a false no needs a false no from a
-    window that holds a solution, and at most len(departures) windows are
-    solved, so their shares sum to at most p. Each window's solve splits
-    its share again over its own chain."""
+    with t0, so the rest are a prefix. A window whose own distance d(s, t0)
+    exceeds the budget is rejected by a forward ``fewest_hops`` sweep over
+    its time-edges before any graph or table is built: its solve would stop
+    there, with no probe and all-zero counters. The error budget is split
+    evenly over the departures (subcall_error_prob), one share each, solved
+    or rejected: a false no needs a false no from a window that holds a
+    solution, and at most len(departures) windows are solved, so their
+    shares sum to at most p. Each window's solve splits its share again
+    over its own chain."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()
@@ -291,9 +294,12 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
     witness = None
     for t0 in departures:
+        edges = g.edges_between(t0, t0 + (k - 1) * delta + 1)
+        # the window has g's vertices, so its k_eff is this one
+        if fewest_hops(edges, s, z, k_eff) > k_eff:
+            continue
         window = TemporalGraph.from_time_edges(
-            g.vertex_count, g.lifetime,
-            g.edges_between(t0, t0 + (k - 1) * delta + 1), g.aliases)
+            g.vertex_count, g.lifetime, edges, g.aliases)
         result = solve(window, s, z, delta, k, sub_p, cfg)
         for f in fields(SolveStats):  # _result resets the summed wall time
             setattr(stats, f.name, getattr(stats, f.name) + getattr(result.stats, f.name))

@@ -272,3 +272,18 @@ def test_answers_do_not_depend_on_debug_mode(fig1_file):
         payload["stats"] = {key: 0 for key in payload["stats"]}
         outs.append(payload)
     assert outs[0] == outs[1]
+
+
+def test_package_runs_as_a_module(fig1_file):
+    # python -m rtp from a checkout, with only the source tree on the path
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    codes = []
+    for k in ("5", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtp", "solve", "-i", fig1_file,
+             "-s", "s", "-z", "z", "--delta", "2", "--k", k],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stdout, proc.stderr
+        codes.append(proc.returncode)
+    assert codes == [0, 1]

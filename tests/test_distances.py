@@ -9,6 +9,7 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance,
                  compute_distances, random_temporal_graph,
                  restless_walk_distance)
+from rtp.distances import fewest_hops
 
 
 def naive_non_isolated(g: TemporalGraph) -> set[VertexAppearance]:
@@ -123,6 +124,48 @@ def test_source_distance_of_absent_vertex():
     g = TemporalGraph.from_time_edges(3, 2, [TimeEdge(0, 1, 1)])
     dt = compute_distances(g, 0)
     assert dt.source_distance(2) == INF
+
+
+def test_fewest_hops_matches_the_window_tables():
+    # every departure window solve_windowed may build, at every bound: the
+    # sweep is the window table's d(s, t0) within the bound, INF past it
+    windows = exact = cut = 0
+    for g, s, z, delta, k in random_instances(2024, 300, max_vertices=10,
+                                              max_lifetime=30):
+        for t0 in compute_distances(g, z).appearance_times(s):
+            edges = g.edges_between(t0, t0 + (k - 1) * delta + 1)
+            window = TemporalGraph.from_time_edges(g.vertex_count, g.lifetime, edges)
+            table = compute_distances(window, z)
+            want = table.get(s, t0)
+            assert want == table.source_distance(s)
+            windows += 1
+            for bound in range(1, 7):
+                got = fewest_hops(edges, s, z, bound)
+                if want <= bound:
+                    assert got == want, (edges, s, z, bound, got, want)
+                    exact += 1
+                else:
+                    assert got > bound, (edges, s, z, bound, got, want)
+                    cut += want < INF  # a path exists, past the bound
+    assert windows >= 1000 and exact >= 1000 and cut >= 100, (windows, exact, cut)
+
+
+def test_fewest_hops_follows_equal_stamp_chains():
+    # z = 1 is reached only along 3-0, 0-2, 2-1, all at stamp 2, which
+    # canonical order lists out of chain order; the stamp-1 edge 0-1
+    # comes before 0 is reached
+    edges = TemporalGraph.from_time_edges(
+        4, 2, [(0, 1, 1), (0, 3, 2), (0, 2, 2), (1, 2, 2)]).time_edges
+    assert [fewest_hops(edges, 3, 1, bound) for bound in (1, 2, 3, 4)] == [INF, INF, 3, 3]
+
+
+def test_fewest_hops_is_temporal_not_restless():
+    # the only route waits 8 stamps at vertex 1, past any waiting bound
+    # below 9: the sweep counts it, restless_walk_distance does not
+    g = TemporalGraph.from_time_edges(3, 10, [(0, 1, 1), (1, 2, 9)])
+    assert fewest_hops(g.time_edges, 0, 2, 5) == 2
+    assert compute_distances(g, 2).source_distance(0) == 2
+    assert restless_walk_distance(g, 0, 2, 2) == INF
 
 
 def test_restless_walk_fig1(fig1):

@@ -195,15 +195,73 @@ def test_windowed_budget_covers_its_windows(monkeypatch):
     monkeypatch.setattr(rtp.solver, "solve", recorded)
     p = 0.05
     many = 0
-    for g, s, z, delta, k in random_instances(5, 300, max_lifetime=12, deltas=(1, 2)):
+    # windows over budget are rejected before their solve, so few queries
+    # solve two or more: enough instances to meet the floor
+    for g, s, z, delta, k in random_instances(5, 1000, max_lifetime=12, deltas=(1, 2)):
         results.clear()
         res = solve_windowed(g, s, z, delta, k, p, FinderConfig(backend="brute"))
         for r in results:
             assert r.error_prob == res.subcall_error_prob
             assert r.subcall_error_prob is None or r.subcall_error_prob <= r.error_prob
         assert sum(r.error_prob for r in results) <= p * (1 + 1e-12)
+        # one share per departure, solved or rejected
+        dt = compute_distances(g, z)
+        departures = [t0 for t0 in dt.appearance_times(s)
+                      if dt.get(s, t0) <= res.k_effective]
+        assert len(results) <= len(departures)
+        if departures:
+            assert len(departures) * res.subcall_error_prob <= p * (1 + 1e-12)
         many += len(results) >= 2
     assert many >= 5, many
+
+
+def solve_every_window(g, s, z, delta, k, p, cfg):
+    """``solve_windowed`` without its window gate: every departure window
+    gets its graph and a solve. Returns (witness, subcall_error_prob,
+    summed stats, windows whose solve stopped at d_source > k_eff)."""
+    dt = compute_distances(g, z)
+    k_eff = min(k, max(1, g.vertex_count - 1))
+    departures = [t0 for t0 in dt.appearance_times(s) if dt.get(s, t0) <= k_eff]
+    sub_p = p / len(departures) if departures else None
+    stats = SolveStats()
+    witness = None
+    stopped = 0
+    for t0 in departures:
+        window = TemporalGraph.from_time_edges(
+            g.vertex_count, g.lifetime,
+            g.edges_between(t0, t0 + (k - 1) * delta + 1), g.aliases)
+        res = solve(window, s, z, delta, k, sub_p, cfg)
+        stopped += res.ell is None
+        for f in dataclasses.fields(SolveStats):
+            setattr(stats, f.name, getattr(stats, f.name) + getattr(res.stats, f.name))
+        if res.decision:
+            witness = res.witness
+            break
+    return witness, sub_p, stats, stopped
+
+
+@pytest.mark.parametrize("backend", ["brute", "sieve"])
+def test_window_gate_changes_no_result(backend):
+    # a rejected window's solve stops before its first probe, so skipping
+    # it leaves the decision, witness, split and every counter as they were
+    counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
+    yes = stopped = 0
+    # long sparse lifetimes, where a window's horizon often cuts d(s, t0)
+    for g, s, z, delta, k in random_instances(6060, 300, max_vertices=12,
+                                              max_lifetime=60, deltas=(1, 2)):
+        cfg = FinderConfig(backend=backend, seed=17)
+        got = solve_windowed(g, s, z, delta, k, 0.05, cfg)
+        witness, sub_p, stats, skipped = solve_every_window(
+            g, s, z, delta, k, 0.05, cfg)
+        assert got.decision == (witness is not None)
+        if witness is not None:
+            assert got.witness.steps == witness.steps
+        assert got.subcall_error_prob == sub_p
+        assert [getattr(got.stats, c) for c in counters] == \
+            [getattr(stats, c) for c in counters], (g, s, z, delta, k)
+        yes += got.decision
+        stopped += skipped
+    assert yes >= 50 and stopped >= 100, (yes, stopped)
 
 
 def test_reconstruct_base_case(fig1):
