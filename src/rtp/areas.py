@@ -14,9 +14,11 @@ appearance farther from the target than the upper corner.
 A corridor is a view, not a copy: ``keep`` answers for one time-edge from
 the distance table in a few lookups. ``holds_endpoints`` asks it about the
 corner vertices' incident pairs, so a table fill skips every corridor that
-cannot hold both ends of its search; a brute probe walks the graph's
-incident index under ``keep`` (``path_finder.search_index``); and only the
-sieve gets the edge list, from ``area_graph``.
+cannot hold both ends of its search; a link's in-place search walks the
+graph's incident index under ``keep`` (``path_finder.search_index``); and
+only a probe that may reach the sieve gets the edge list, from
+``area_graph``. That list also serves the dispatcher on ``auto``, which
+counts its time-edges and hands a corridor of at most 16 to brute.
 """
 
 from __future__ import annotations

@@ -133,6 +133,8 @@ def cmd_distances(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.delta < 1:  # a usage error here, as in solve and distances
+        raise CliError("delta must be at least 1")
     g = _read_graph(args.input)
     s = _vertex(g, args.source)
     z = _vertex(g, args.target)

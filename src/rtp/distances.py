@@ -7,6 +7,7 @@ later stamps are settled first, so a vertex may stand still into its next
 later appearance for free, and a small unit-weight Dijkstra per stamp
 handles chains of equal-stamp edges. A forward sweep from one source,
 bounded in hops, answers that source's distance alone without a table.
+``DistanceTable`` is the entries alone; it keeps no derived index.
 
 Also provides the polynomial lower bound: the minimum length of a
 waiting-time-bounded s-z walk (vertex repeats allowed).
@@ -16,12 +17,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .temporal_graph import TemporalGraph, TimeEdge, VertexAppearance
 
@@ -39,64 +38,26 @@ def _stamp_adjacency(
         yield t, adj
 
 
-class Level(NamedTuple):
-    """The appearances at one finite distance, sorted by (t, v), with
-    their stamps in a parallel list for bisection."""
-
-    apps: list[VertexAppearance]
-    stamps: list[int]
-
-    def between(self, t_lo: int, t_hi: int) -> list[VertexAppearance]:
-        """The appearances with t_lo <= t <= t_hi, in (t, v) order."""
-        lo = bisect_left(self.stamps, t_lo)
-        return self.apps[lo:bisect_right(self.stamps, t_hi, lo=lo)]
-
-
 @dataclass
 class DistanceTable:
     """d(v, t) for every non-isolated appearance, with INF for unreachable.
 
-    work counts the edge relaxations of the computing sweep (each edge is
-    relaxed at most once from each endpoint, so work <= 2 * |E|), as a
-    linearity diagnostic. ``levels`` indexes the finite entries by
-    distance and ``_times`` the appearance stamps by vertex; each is built
-    on first use, once per table.
+    The table is its entries alone, with no derived index: a reader that
+    wants another order builds it. work counts the edge relaxations of the
+    computing sweep (each edge is relaxed at most once from each endpoint,
+    so work <= 2 * |E|), as a linearity diagnostic.
     """
 
     target: int
     entries: dict[VertexAppearance, int | float] = field(default_factory=dict)
     work: int = 0
 
-    @cached_property
-    def levels(self) -> dict[int, Level]:
-        """Finite distance -> its appearances sorted by (t, v)."""
-        groups: dict[int, list[VertexAppearance]] = {}
-        for app, d in self.entries.items():
-            if d != INF:
-                groups.setdefault(d, []).append(app)
-        out = {}
-        for d, apps in groups.items():
-            apps.sort(key=lambda a: (a.t, a.v))
-            out[d] = Level(apps, [a.t for a in apps])
-        return out
-
-    @cached_property
-    def _times(self) -> dict[int, list[int]]:
-        """Vertex -> the stamps of its non-isolated appearances, sorted."""
-        out: dict[int, list[int]] = {}
-        for v, t in self.entries:
-            out.setdefault(v, []).append(t)
-        for stamps in out.values():
-            stamps.sort()
-        return out
-
     def get(self, v: int, t: int, default=None):
         return self.entries.get(VertexAppearance(v, t), default)
 
     def appearance_times(self, v: int) -> list[int]:
-        """The sorted stamps of v's non-isolated appearances; the list is
-        shared by every call, so callers must not mutate it."""
-        return self._times.get(v, [])
+        """The sorted stamps of v's non-isolated appearances, as a new list."""
+        return sorted(t for w, t in self.entries if w == v)
 
     def source_distance(self, s: int) -> int | float:
         """d at the earliest non-isolated appearance of s (INF if none).
@@ -186,6 +147,8 @@ def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int 
     chains of equal-stamp edges. A walk may revisit vertices, so this is a
     lower bound for restless path length and a fast no-certificate.
     """
+    if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
+        raise ValueError("source or target is not a vertex of the graph")
     if s == z:
         raise ValueError("source and target must differ")
     if delta < 1:

@@ -9,8 +9,11 @@ inside their source-side corridor; far entries take the minimum over
 admissible predecessor appearances - at most ell+1 distance levels above,
 not later in time - of predecessor value plus the shortest restless
 connector of length at most 2*ell+1 inside the corridor between the two
-appearances. Each link runs one in-place search for its shortest connector
-below ``first_sieve_length``; only when that finds none does it build the
+appearances. Only a predecessor that already holds a finite value can
+contribute, so the fill keeps, per distance, the appearances it has
+reached, and a far entry draws its predecessors from those lists alone.
+Each link runs one in-place search for its shortest connector below
+``first_sieve_length``; only when that finds none does it build the
 corridor and probe the exact lengths from there up. The instance is a yes
 iff some appearance of z gets a value at most k; the witness is
 reassembled from recorded predecessor links and re-validated, so yes
@@ -88,7 +91,12 @@ class SolveResult:
 def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                delta: int, k: int, cfg: FinderConfig, *,
                stats: SolveStats | None = None) -> DpTable:
-    """Fill the appearance table for budget k; requires finite d(s) <= k."""
+    """Fill the appearance table for budget k; requires z to be dt's
+    target, s != z and finite d(s) <= k."""
+    if z != dt.target:
+        raise ValueError(f"target {z} is not the distance table's target {dt.target}")
+    if s == z:
+        raise ValueError("source and target must differ")
     d_source = dt.source_distance(s)
     if d_source == INF or d_source > k:
         raise ValueError("fill_table requires a temporal s-z path within budget")
@@ -98,7 +106,9 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     near_floor = d_source - ell
     table = DpTable(ell=ell)
     seeds = SeedStream(cfg.seed)
-    levels = dt.levels
+    # distance -> the appearances filled with a finite value, in (t, v)
+    # order; a level is complete before any nearer level reads it
+    reached: dict[int | float, list[VertexAppearance]] = {}
     incident = incident_index(g.time_edges)
     first_sieve = first_sieve_length(cfg)
 
@@ -108,21 +118,23 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
         if u == s:
             table.entries[app] = 0
             table.preds[app] = (None, ())
+            reached.setdefault(d, []).append(app)
             continue
         # links are (predecessor appearance, its value); the near zone, INF
         # distances included, chains once from the source side at value 0
         if d >= near_floor:
             links = [(None, 0)] if d != INF and ell > 0 else []
             probes = 2 * ell
-        else:  # far zone: a strictly farther, no-later appearance
-            links = ((pred, table.entries.get(pred, INF))
-                     for d_pred in range(d + 1, d + ell + 2) if d_pred in levels
-                     for pred in levels[d_pred].between(0, t_up))
+        else:  # far zone: a strictly farther, no-later, reached appearance
+            links = ((pred, table.entries[pred])
+                     for d_pred in range(d + 1, d + ell + 2)
+                     for pred in takewhile(lambda a: a.t <= t_up,
+                                           reached.get(d_pred, ())))
             probes = 2 * ell + 1
         best: int | float = INF
         best_link = None
         for pred, base in links:
-            if base == INF or base + 1 >= best:
+            if base + 1 >= best:
                 continue
             spec = area_spec(dt, pred, app, delta)
             keep = keep_rule(dt, spec)
@@ -157,6 +169,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
         table.entries[app] = best
         if best_link is not None:
             table.preds[app] = best_link
+            reached.setdefault(d, []).append(app)
 
     stats.table_entries += len(table.entries)
     return table

@@ -182,6 +182,14 @@ def test_validate_rejects(fig1_file, capsys):
     assert json.loads(out)["reason"] == "waiting-exceeded"
 
 
+@pytest.mark.parametrize("delta", ["0", "-1"])
+def test_validate_rejects_delta_below_one_as_usage_error(fig1_file, capsys, delta):
+    code, out, err = run(capsys, [
+        "validate", "-i", fig1_file, "-s", "s", "-z", "z", "--delta", delta,
+        "--path", "0,1,2;1,3,4;3,2,4;2,5,4;5,6,6"])
+    assert code == 2 and out == "" and "delta must be at least 1" in err
+
+
 def test_gen_deterministic(capsys):
     args = ["gen", "--vertices", "8", "--lifetime", "6",
             "--edges-per-layer", "3", "--seed", "7"]

@@ -92,22 +92,6 @@ def test_distances_match_oracle_on_random_graphs():
             assert d == want, (v, t, z, d, want)
 
 
-def test_levels_group_finite_entries_by_distance():
-    for g, _s, z, _delta, _k in random_instances(515, 60, max_vertices=10, max_lifetime=20):
-        dt = compute_distances(g, z)
-        want: dict = {}
-        for app, d in dt.entries.items():
-            if d < INF:
-                want.setdefault(d, []).append(app)
-        assert {d: level.apps for d, level in dt.levels.items()} == {
-            d: sorted(apps, key=lambda a: (a.t, a.v)) for d, apps in want.items()}
-        for level in dt.levels.values():
-            assert level.stamps == [a.t for a in level.apps]
-            t_lo, t_hi = level.stamps[0] + 1, level.stamps[-1]
-            assert level.between(t_lo, t_hi) == [
-                a for a in level.apps if t_lo <= a.t <= t_hi]
-
-
 def test_distances_monotone_in_time():
     rng = random.Random(555)
     for _ in range(200):
@@ -171,6 +155,13 @@ def test_fewest_hops_is_temporal_not_restless():
 def test_restless_walk_fig1(fig1):
     assert restless_walk_distance(fig1, S, Z, 2) == 5
     assert restless_walk_distance(fig1, S, Z, 5) == 2
+
+
+@pytest.mark.parametrize("s, z", [(0, 99), (99, 0), (-1, 3), (0, 4)])
+def test_restless_walk_rejects_endpoints_outside_the_graph(s, z):
+    g = TemporalGraph.from_time_edges(4, 3, [(0, 1, 1), (1, 3, 2)])
+    with pytest.raises(ValueError, match="not a vertex"):
+        restless_walk_distance(g, s, z, 1)
 
 
 def test_restless_walk_disconnected():

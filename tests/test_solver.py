@@ -568,6 +568,18 @@ def test_stats_are_populated(fig1):
     assert res.stats.elapsed_seconds > 0
 
 
+def test_fill_table_rejects_a_target_other_than_the_tables(fig1):
+    dt = compute_distances(fig1, Z)
+    with pytest.raises(ValueError, match="table's target"):
+        fill_table(fig1, dt, S, 3, 2, 5, FinderConfig(backend="brute"))
+
+
+def test_fill_table_rejects_source_equal_to_target(fig1):
+    dt = compute_distances(fig1, Z)
+    with pytest.raises(ValueError, match="must differ"):
+        fill_table(fig1, dt, Z, Z, 2, 5, FinderConfig(backend="brute"))
+
+
 def test_fill_table_stats_accumulate_over_calls(fig1):
     dt = compute_distances(fig1, Z)
     stats = SolveStats()
