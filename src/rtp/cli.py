@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import pathlib
 import sys
 
 from .areas import area_graph, area_spec
@@ -33,10 +34,9 @@ class CliError(Exception):
 
 
 def _read_graph(path: str):
-    if path == "-":
-        return parse_temporal_graph(sys.stdin.read())
-    with open(path, "rb") as fh:
-        return parse_temporal_graph(fh.read())
+    # bytes from both, so the parser decodes them and reports a bad byte alike
+    data = sys.stdin.buffer.read() if path == "-" else pathlib.Path(path).read_bytes()
+    return parse_temporal_graph(data)
 
 
 def _seed(text: str) -> int:
@@ -67,11 +67,6 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _finder_config(args) -> FinderConfig:
-    return FinderConfig(backend=args.backend, error_prob=args.error_prob,
-                        seed=args.seed, auto_threshold=args.auto_threshold)
-
-
 def _parse_appearance(text: str) -> VertexAppearance:
     v, _, t = text.partition(",")
     try:
@@ -86,7 +81,7 @@ def cmd_solve(args) -> int:
     z = _vertex(g, args.target)
     if s == z:
         raise CliError("source and target must differ")
-    cfg = _finder_config(args)
+    cfg = FinderConfig(backend=args.backend, error_prob=args.error_prob, seed=args.seed)
 
     if args.dump_area:
         dt = compute_distances(g, z)
@@ -187,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=_seed, default=0)
     p_solve.add_argument("--backend", choices=("brute", "sieve", "auto"),
                          default="auto")
-    p_solve.add_argument("--auto-threshold", type=int, default=7)
     p_solve.add_argument("--time-window", action="store_true",
                          help="try each departure time of the source on a trimmed horizon")
     p_solve.add_argument("--dump-area", metavar="B,T[:A,T]",

@@ -48,6 +48,7 @@ from .temporal_graph import RestlessPath, TimeEdge, check_restless_path
 
 _BACKENDS = ("brute", "sieve", "auto")
 _TINY_EDGE_COUNT = 16
+_AUTO_FIRST_SIEVE = 7  # the shortest probe backend auto may send to the sieve
 _TRIAL_FAILURE_LOG2 = 58  # per-trial miss probability bound, for length <= 32 (_trials_for)
 
 
@@ -55,25 +56,22 @@ _TRIAL_FAILURE_LOG2 = 58  # per-trial miss probability bound, for length <= 32 (
 class FinderConfig:
     """Knobs for the exact-length search.
 
-    error_prob bounds the probability that the sieve reports absent when a
-    path exists, and so sets its trial count; solve and solve_windowed
-    replace it with their per-call share of the query's p. seed feeds the
-    sieve's coefficients, and auto_threshold is the shortest probe that
-    backend auto may send to the sieve (``first_sieve_length``).
+    backend picks brute, sieve or auto; which probes may reach the sieve
+    follows from it alone (``first_sieve_length``). error_prob bounds the
+    probability that the sieve reports absent when a path exists, and so
+    sets its trial count; solve and solve_windowed replace it with their
+    per-call share of the query's p. seed feeds the sieve's coefficients.
     """
 
     backend: str = "auto"
     error_prob: float = 0.01
     seed: int = 0
-    auto_threshold: int = 7
 
     def __post_init__(self):
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
         if not 0.0 < self.error_prob < 1.0:
             raise ValueError("error_prob must be in (0, 1)")
-        if self.auto_threshold < 1:
-            raise ValueError("auto_threshold must be at least 1")
 
 
 @dataclass
@@ -94,9 +92,9 @@ class SolveStats:
     with one shortest-connector search, so areas_built counts only
     corridors with a probe that may reach the sieve and that hold both ends
     of their search (``areas.holds_endpoints``). finder_calls counts the
-    exact-length probes a link stands for, not searches run: L* when the
-    in-place search finds a path of length L*, else every length it
-    covered, plus each exact probe after it.
+    connector searches run: each finder call counts itself, and a table
+    fill adds one per in-place search, one per link whose corridor holds
+    both ends.
     """
 
     finder_calls: int = 0
@@ -450,10 +448,10 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
 
 def first_sieve_length(cfg: FinderConfig) -> float:
     """The shortest probe length that may reach the sieve under cfg: 2 for
-    backend sieve, max(2, auto_threshold) for auto, and never (inf) for
+    backend sieve, ``_AUTO_FIRST_SIEVE`` (7) for auto, and never (inf) for
     brute. Shorter probes go to brute; a length-1 probe only scans the
     source's time-edges. On auto, a tiny edge set also goes to brute."""
-    return {"sieve": 2, "auto": max(2, cfg.auto_threshold)}.get(cfg.backend, math.inf)
+    return {"sieve": 2, "auto": _AUTO_FIRST_SIEVE}.get(cfg.backend, math.inf)
 
 
 def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
@@ -462,10 +460,11 @@ def find_exact_restless_path(edges: Sequence[TimeEdge], s: int, z: int,
                              stats: SolveStats | None = None
                              ) -> RestlessPath | None:
     """Dispatch to the configured backend: probes shorter than
-    ``first_sieve_length(cfg)``, and on auto tiny searches, go to brute,
-    the rest to the sieve. seed, when given, replaces cfg.seed for this
-    call, so a caller drawing one seed per probe need not build a config
-    per probe."""
+    ``first_sieve_length(cfg)`` (on auto, shorter than 7), and on auto
+    searches over at most 16 time-edges, go to brute, the rest to the
+    sieve. Either way the call counts one finder call. seed, when given,
+    replaces cfg.seed for this call, so a caller drawing one seed per
+    probe need not build a config per probe."""
     if length < first_sieve_length(cfg) or (
             cfg.backend == "auto" and len(edges) <= _TINY_EDGE_COUNT):
         return find_exact_restless_path_brute(edges, s, z, delta, length, stats=stats)

@@ -29,10 +29,3 @@ class SeedStream:
     def next(self) -> int:
         self._state, value = splitmix64(self._state)
         return value
-
-    def skip(self, n: int) -> None:
-        """Advance past n values, as n calls of next() would, in O(1): each
-        step only adds GAMMA to the state."""
-        if n < 0:
-            raise ValueError(f"cannot skip a negative count {n}")
-        self._state = (self._state + n * GAMMA) & MASK64

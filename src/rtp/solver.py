@@ -14,7 +14,8 @@ contribute, so the fill keeps, per distance, the appearances it has
 reached, and a far entry draws its predecessors from those lists alone.
 Each link runs one in-place search for its shortest connector below
 ``first_sieve_length``; only when that finds none does it build the
-corridor and probe the exact lengths from there up. The instance is a yes
+corridor and probe the exact lengths from there up, each exact-length
+probe drawing the next seed of the fill's stream. The instance is a yes
 iff some appearance of z gets a value at most k; the witness is
 reassembled from recorded predecessor links and re-validated, so yes
 answers carry no error. No answers inherit at most the configured
@@ -141,17 +142,12 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             if not holds_endpoints(incident, spec, keep, s):
                 continue
             frm, t_lo = (s, 0) if pred is None else pred
-            limit = probes
-            if best != INF:
-                limit = min(limit, int(best) - base - 1)  # only improvements
-            # one in-place search stands for the probes below the sieve
-            # (limit >= 1): a seed and a finder call each, up to its find
-            in_place = min(limit, first_sieve - 1)
-            found = search_index(incident, frm, u, delta, 1, in_place,
+            limit = min(probes, best - base - 1)  # only improvements
+            # one in-place search covers the lengths below the sieve
+            # (limit >= 1); only the finder calls after it draw seeds
+            found = search_index(incident, frm, u, delta, 1, min(limit, first_sieve - 1),
                                  keep=keep, t_lo=t_lo, t_hi=t_up)
-            probed = in_place if found is None else found.length
-            stats.finder_calls += probed
-            seeds.skip(probed)
+            stats.finder_calls += 1
             if found is None and limit >= first_sieve:
                 # the sieve, and the dispatcher's edge count, need the edges
                 area = area_graph(g, dt, spec)
@@ -218,7 +214,11 @@ def _check_query(g: TemporalGraph, s: int, z: int, delta: int, k: int,
 
 def _share(p: float, parts: int, split: str) -> float:
     """p split evenly over `parts` calls. A share that underflows to 0 is
-    rejected, not clamped: a larger share would weaken the bound on p."""
+    rejected, not clamped: a larger share would weaken the bound on p, and
+    a share below the smallest positive double cannot be carried by
+    FinderConfig.error_prob. Honouring it would need a log2 budget threaded
+    through FinderConfig, fill_table and _trials_for, for a p no caller
+    uses."""
     share = p / parts
     if share == 0.0:
         raise ValueError(f"error probability p={p!r} is too small: its split "
@@ -286,8 +286,9 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
                    p: float, cfg: FinderConfig) -> SolveResult:
     """Solve once per departure time t0 of s on the stamps [t0, t0 +
     (k-1)*delta + 1] only, which holds every solution departing at t0 and
-    can shrink the slack. Departures with d(s, t0) > k are skipped; d grows
-    with t0, so the rest are a prefix. A window whose own distance d(s, t0)
+    can shrink the slack. Departures with d(s, t0) > k_eff = min(k,
+    max(1, vertex_count - 1)) are skipped; d grows with t0, so the rest
+    are a prefix. A window whose own distance d(s, t0)
     exceeds the budget is rejected by a forward ``fewest_hops`` sweep over
     its time-edges before any graph or table is built: its solve would stop
     there, with no probe and all-zero counters. The error budget is split

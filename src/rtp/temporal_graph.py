@@ -8,7 +8,8 @@ stamp) and vertex appearances (vertex, stamp).
 The text format ("TEL") is line based:
 
     <vertex_count> <lifetime>
-    # name <id> <label>        optional vertex aliases
+    # name <id> <label>        optional vertex aliases; a label is one
+                               field that does not read as an integer
     % free-form comment
     <u> <v> <t>                one time-edge per line
 
@@ -148,13 +149,30 @@ class TemporalGraph:
         self.vertex_count = vertex_count
         self.lifetime = lifetime
         self.time_edges = time_edges
-        self.aliases = dict(aliases) if aliases else {}
-        for vid in self.aliases:
-            if not 0 <= vid < vertex_count:
-                raise ValueError(f"alias id out of range: {vid}")
-        self._alias_to_id = {name: vid for vid, name in self.aliases.items()}
-        if len(self._alias_to_id) != len(self.aliases):
-            raise ValueError("duplicate alias label")
+        self.aliases: dict[int, str] = {}
+        self._alias_to_id: dict[str, int] = {}
+        for vid, label in (aliases or {}).items():
+            self._add_alias(vid, label)
+
+    def _add_alias(self, vid: int, label: str) -> None:
+        """Check one alias and add it. A label is one non-empty field
+        without whitespace, as TEL carries it, that ``int()`` rejects, so
+        ``id_for`` never reads it in place of a vertex id."""
+        if not 0 <= vid < self.vertex_count:
+            raise ValueError(f"alias id out of range: {vid}")
+        if vid in self.aliases:
+            raise ValueError(f"duplicate alias for vertex {vid}")
+        if not isinstance(label, str) or label.split() != [label]:
+            raise ValueError(f"alias label {label!r} must be one field without whitespace")
+        if label in self._alias_to_id:
+            raise ValueError(f"duplicate alias label {label!r}")
+        try:
+            int(label)
+        except ValueError:
+            self.aliases[vid] = label
+            self._alias_to_id[label] = vid
+            return
+        raise ValueError(f"alias label {label!r} reads as a vertex id")
 
     def edges_between(self, t_lo: int, t_hi: int) -> tuple[TimeEdge, ...]:
         """Time-edges with t_lo <= t <= t_hi, in canonical order."""
@@ -218,7 +236,11 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
     if hasattr(text, "read"):
         text = text.read()
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:  # the bytes before the bad one decode
+            raise TelParseError(len((text[:err.start].decode() + ".").splitlines()),
+                                f"not UTF-8: byte {text[err.start]:#04x}") from None
     lines = text.splitlines()
 
     header_idx = None
@@ -242,8 +264,8 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
     if lifetime < 1:
         raise TelParseError(header_idx + 1, "lifetime must be at least 1")
 
-    aliases: dict[int, str] = {}
-    labels_seen: set[str] = set()
+    g = TemporalGraph.__new__(TemporalGraph)
+    g._assign(vertex_count, lifetime, (), None)  # the time-edges are set once all are read
     keys: set[tuple[int, int, int]] = set()
     for i in range(header_idx + 1, len(lines)):
         lineno = i + 1
@@ -258,14 +280,10 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
                 vid = int(fields[2])
             except ValueError:
                 raise TelParseError(lineno, "alias id must be an integer") from None
-            if not 0 <= vid < vertex_count:
-                raise TelParseError(lineno, f"alias id out of range: {vid}")
-            if vid in aliases:
-                raise TelParseError(lineno, f"duplicate alias for vertex {vid}")
-            if fields[3] in labels_seen:
-                raise TelParseError(lineno, f"duplicate alias label {fields[3]!r}")
-            aliases[vid] = fields[3]
-            labels_seen.add(fields[3])
+            try:
+                g._add_alias(vid, fields[3])
+            except ValueError as err:
+                raise TelParseError(lineno, str(err)) from None
             continue
         fields = line.split()
         if len(fields) != 3:
@@ -284,9 +302,7 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
         if key in keys:
             raise TelParseError(lineno, f"duplicate time-edge {key[1:]} at time {t}")
         keys.add(key)
-    g = TemporalGraph.__new__(TemporalGraph)
-    g._assign(vertex_count, lifetime,
-              tuple(TimeEdge(u, v, t) for t, u, v in sorted(keys)), aliases)
+    g.time_edges = tuple(TimeEdge(u, v, t) for t, u, v in sorted(keys))
     return g
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import rtp.path_finder
 from rtp import TemporalGraph, TimeEdge, parse_temporal_graph, random_temporal_graph
 
 FIG1_TEXT = importlib.resources.files("rtp").joinpath("data/fig1.tel").read_text()
@@ -13,6 +14,13 @@ FIG1_TEXT = importlib.resources.files("rtp").joinpath("data/fig1.tel").read_text
 @pytest.fixture(scope="session")
 def fig1() -> TemporalGraph:
     return parse_temporal_graph(FIG1_TEXT)
+
+
+@pytest.fixture
+def auto_first_sieve(monkeypatch):
+    """Call with a length to make it, for one test, the shortest probe that
+    backend auto may send to the sieve, so small instances reach it."""
+    return lambda length: monkeypatch.setattr(rtp.path_finder, "_AUTO_FIRST_SIEVE", length)
 
 
 # fig1 vertex ids by alias

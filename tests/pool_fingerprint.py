@@ -1,15 +1,21 @@
-"""Print one sha256 per solve workload over the answers to its benchmark pool.
+"""Print sha256s per solve workload over the answers to its benchmark pool.
 
     python3 tests/pool_fingerprint.py --seed 201
     python3 tests/pool_fingerprint.py --seed 201 --head 100   # first 100 queries
 
 For each of corridor, sieve and windowed, every query of
 ``bench/workloads.build_pool(W, seed)`` is answered by the benchmark's own
-operation (``workloads.run_op``). Each answer contributes its decision, its
-witness steps, every ``SolveStats`` field but ``elapsed_seconds``, its
-``subcall_error_prob`` and its ``temporal_distance``. Two checkouts that
-print the same lines give the same answers, witnesses and counters on these
-pools. The library is imported from ``src/`` next to this directory; the
+operation (``workloads.run_op``). Per workload, two lines:
+
+    <name> <queries> answers <sha256> counters <sha256>
+    <name> totals <counter>=<sum over the pool> ...
+
+The answers hash covers each answer's decision, witness steps,
+``subcall_error_prob`` and ``temporal_distance``; the counters hash covers
+every ``SolveStats`` field but ``elapsed_seconds``, and the totals line
+sums each of those fields over the pool. So a change that redefines one
+counter still shows whether the answers, and the other counters, stay the
+same. The library is imported from ``src/`` next to this directory; the
 script only reads ``bench/``. pytest does not collect it.
 """
 
@@ -19,6 +25,7 @@ import argparse
 import hashlib
 import pathlib
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -30,24 +37,31 @@ SOLVE_WORKLOADS = ("corridor", "sieve", "windowed")
 
 
 def answer_key(result) -> tuple:
-    """What one answer must reproduce: everything but its wall time."""
+    """What one answer must reproduce, counters aside."""
     steps = None
     if result.witness is not None:
         steps = tuple((e.u, e.v, e.t) for e in result.witness.steps)
+    return (result.decision, steps, result.subcall_error_prob, result.temporal_distance)
+
+
+def counters(result) -> dict[str, int]:
+    """Every ``SolveStats`` field but its wall time."""
     stats = asdict(result.stats)
     del stats["elapsed_seconds"]
-    return (result.decision, steps, tuple(sorted(stats.items())),
-            result.subcall_error_prob, result.temporal_distance)
+    return stats
 
 
-def fingerprint(name: str, seed: int, head: int | None) -> tuple[int, str]:
+def fingerprint(name: str, seed: int, head: int | None) -> tuple[int, str, str, Counter]:
     w = workloads.WORKLOADS[name]
     pool = workloads.build_pool(w, seed)[:head]
-    digest = hashlib.sha256()
+    answers, counted, totals = hashlib.sha256(), hashlib.sha256(), Counter()
     for q in pool:
-        digest.update(repr(answer_key(workloads.run_op(w, q))).encode())
-        digest.update(b"\n")
-    return len(pool), digest.hexdigest()
+        result = workloads.run_op(w, q)
+        stats = counters(result)
+        answers.update(repr(answer_key(result)).encode() + b"\n")
+        counted.update(repr(sorted(stats.items())).encode() + b"\n")
+        totals.update(stats)
+    return len(pool), answers.hexdigest(), counted.hexdigest(), totals
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -57,8 +71,10 @@ def main(argv: list[str] | None = None) -> None:
                         help="answer only the first HEAD queries of each pool")
     args = parser.parse_args(argv)
     for name in SOLVE_WORKLOADS:
-        count, digest = fingerprint(name, args.seed, args.head)
-        print(f"{name} {count} {digest}", flush=True)
+        count, answers, counted, totals = fingerprint(name, args.seed, args.head)
+        print(f"{name} {count} answers {answers} counters {counted}")
+        print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals)),
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -114,6 +114,27 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     assert code == 2 and "self-loop" in err
 
 
+def test_bad_byte_is_a_parse_error_on_its_line_from_file_and_stdin(tmp_path, capsys,
+                                                                   monkeypatch):
+    import io
+    raw = b"2 1\n% caf\xe9\n0 1 1\n"
+    bad = tmp_path / "bad.tel"
+    bad.write_bytes(raw)
+    argv = ["solve", "-s", "0", "-z", "1", "--delta", "1", "--k", "1", "-i"]
+    code, _, err = run(capsys, argv + [str(bad)])
+    assert code == 2 and "line 2:" in err and "0xe9" in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    assert run(capsys, argv + ["-"]) == (code, "", err)
+
+
+def test_integer_alias_label_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.tel"
+    bad.write_text("2 1\n# name 0 1\n0 1 1\n")
+    code, _, err = run(capsys, [
+        "solve", "-i", str(bad), "-s", "1", "-z", "0", "--delta", "1", "--k", "1"])
+    assert code == 2 and "line 2:" in err
+
+
 def test_solve_time_window_mode(fig1_file, capsys):
     code, out, _ = run(capsys, [
         "solve", "-i", fig1_file, "-s", "s", "-z", "z",
@@ -229,7 +250,7 @@ def test_gen_solve_round_trip_fuzz(monkeypatch):
             assert main(["gen", "--vertices", "5", "--lifetime", "4",
                          "--edges-per-layer", "1.5", "--seed", str(seed)]) == 0
             tel = sink.getvalue()
-        monkeypatch.setattr(sys, "stdin", io.StringIO(tel))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(tel.encode())))
         sink.seek(0)
         sink.truncate()
         with contextlib.redirect_stdout(sink):

@@ -8,10 +8,13 @@ shows up here. Only the named fields are recorded, so new stats keys do
 not disturb it.
 
 ``golden/fill_table_auto_seeds.json`` holds the same for solves on backend
-auto at threshold 3, plus the ``seed=`` of every probe the table fill hands
-to ``find_exact_restless_path``. A sieve solve searches only length 1 in
-place and brute probes ignore their seeds, so only this file catches a link
-that draws the wrong number of seeds before its sieve probes.
+auto with its sieve crossover (``path_finder._AUTO_FIRST_SIEVE``) patched
+to 3, plus the ``seed=`` of every probe the table fill hands to
+``find_exact_restless_path``. The fill's in-place searches draw no seed,
+and each finder call draws the next one of the fill's stream. A sieve
+solve searches only length 1 in place and brute probes ignore their seeds,
+so only this file catches a link that draws the wrong seeds for its sieve
+probes.
 
 Regenerate both on purpose with ``PYTHONPATH=src python tests/test_fill_table_golden.py``.
 """
@@ -22,6 +25,7 @@ import json
 import pathlib
 from unittest import mock
 
+import rtp.path_finder
 import rtp.solver
 from conftest import random_instances
 from rtp import FinderConfig, solve
@@ -54,12 +58,13 @@ def auto_seed_fingerprints() -> list[dict]:
         return inner(*args, **kwargs)
 
     out = []
-    with mock.patch.object(rtp.solver, "find_exact_restless_path", recorded):
+    with mock.patch.object(rtp.solver, "find_exact_restless_path", recorded), \
+            mock.patch.object(rtp.path_finder, "_AUTO_FIRST_SIEVE", 3):
         for i, (g, s, z, delta, k) in enumerate(random_instances(
                 4141, 60, max_vertices=14, max_lifetime=30, max_k=7)):
             seeds.clear()
             res = solve(g, s, z, delta, k, 0.01,
-                        FinderConfig(backend="auto", auto_threshold=3, seed=2000 + i))
+                        FinderConfig(backend="auto", seed=2000 + i))
             witness = None
             if res.witness is not None:
                 witness = [[e.u, e.v, e.t] for e in res.witness.steps]

@@ -3,11 +3,8 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from rtp import random_temporal_graph
 from rtp.generate import _poisson, _unrank_pair
-from rtp.rng import SeedStream
 
 
 def walk_unrank(index, n):
@@ -61,15 +58,3 @@ def test_huge_mean_stops_at_the_layer_capacity():
     assert time.perf_counter() - started < 1.0
     assert len(g.time_edges) == 3 * 45  # every pair at every stamp
 
-
-def test_seed_skip_equals_repeated_next():
-    for seed in (0, 1, 2**64 - 1, 0x9E3779B97F4A7C15):
-        for n in (0, 1, 2, 1000):
-            skipped, stepped = SeedStream(seed), SeedStream(seed)
-            skipped.skip(n)
-            for _ in range(n):
-                stepped.next()
-            assert [skipped.next() for _ in range(3)] == \
-                [stepped.next() for _ in range(3)], (seed, n)
-    with pytest.raises(ValueError):
-        SeedStream(7).skip(-1)

@@ -183,29 +183,32 @@ def test_dispatch_brute_matches_brute(fig1):
     assert as_triples(path) == FIG1_STEPS
 
 
-def test_dispatch_auto_uses_brute_below_threshold():
+def test_dispatch_auto_uses_brute_below_threshold(auto_first_sieve):
+    auto_first_sieve(4)
     g = random_temporal_graph(8, 6, 3.0, 12)
     stats = SolveStats()
-    cfg = FinderConfig(backend="auto", auto_threshold=4, seed=1)
+    cfg = FinderConfig(backend="auto", seed=1)
     find_exact_restless_path(g.time_edges, 0, 7, 2, 2, cfg, stats=stats)
     assert stats.sieve_trials == 0  # brute path taken, no sieve work
 
 
-def test_dispatch_auto_uses_sieve_for_long_searches():
+def test_dispatch_auto_uses_sieve_for_long_searches(auto_first_sieve):
+    auto_first_sieve(4)
     g = random_temporal_graph(10, 6, 3.5, 13)
     assert len(g.time_edges) > 16
     stats = SolveStats()
-    cfg = FinderConfig(backend="auto", auto_threshold=4, seed=1)
+    cfg = FinderConfig(backend="auto", seed=1)
     find_exact_restless_path(g.time_edges, 0, 9, 2, 5, cfg, stats=stats)
     assert stats.sieve_trials >= 1
 
 
-def test_dispatch_auto_sends_tiny_edge_sets_to_brute():
+def test_dispatch_auto_sends_tiny_edge_sets_to_brute(auto_first_sieve):
     # two 0-1 routes at one stamp: brute returns the first in index order
     # (via 2), the sieve's certificate the last in key order (via 3);
     # time-edges on {4, 5} make the set 16 (tiny, brute) or 17 (the sieve)
+    auto_first_sieve(2)
     routes = [TimeEdge(0, 2, 1), TimeEdge(1, 2, 1), TimeEdge(0, 3, 1), TimeEdge(1, 3, 1)]
-    cfg = FinderConfig(backend="auto", auto_threshold=2, seed=1)
+    cfg = FinderConfig(backend="auto", seed=1)
     for count in (16, 17):
         g = TemporalGraph.from_time_edges(
             6, 13, routes + [TimeEdge(4, 5, t) for t in range(1, count - 3)])
@@ -217,10 +220,11 @@ def test_dispatch_auto_sends_tiny_edge_sets_to_brute():
         assert got == (brute if count == 16 else sieve), count
 
 
-def test_finders_answer_any_edge_order_as_canonical():
+def test_finders_answer_any_edge_order_as_canonical(auto_first_sieve):
     # reversed and shuffled time-edges get the canonical input's answer,
     # step for step, from brute, the sieve (whose peel runs in key order)
     # and the auto dispatcher
+    auto_first_sieve(2)
     rng = random.Random(1515)
     stats = SolveStats()
     found = 0
@@ -230,7 +234,7 @@ def test_finders_answer_any_edge_order_as_canonical():
         delta = rng.randint(1, 3)
         shuffled = list(g.time_edges)
         rng.shuffle(shuffled)
-        cfg = FinderConfig(backend="auto", auto_threshold=2, seed=seed)
+        cfg = FinderConfig(backend="auto", seed=seed)
         finders = (find_exact_restless_path_brute,
                    lambda *a, **kw: find_exact_restless_path_sieve(*a, cfg, **kw),
                    lambda *a, **kw: find_exact_restless_path(*a, cfg, **kw))
@@ -245,12 +249,13 @@ def test_finders_answer_any_edge_order_as_canonical():
     assert found >= 1500 and stats.extraction_decisions >= 100, (found, stats)
 
 
-def test_one_rule_for_probes_that_may_reach_the_sieve(monkeypatch):
+def test_one_rule_for_probes_that_may_reach_the_sieve(monkeypatch, auto_first_sieve):
     import rtp.path_finder
     assert first_sieve_length(FinderConfig(backend="brute")) == float("inf")
     assert first_sieve_length(FinderConfig(backend="sieve")) == 2
-    assert first_sieve_length(FinderConfig(backend="auto", auto_threshold=1)) == 2
-    assert first_sieve_length(FinderConfig(backend="auto", auto_threshold=5)) == 5
+    assert first_sieve_length(FinderConfig(backend="auto")) == 7
+    auto_first_sieve(5)  # read at call time
+    assert first_sieve_length(FinderConfig(backend="auto")) == 5
     inner = rtp.path_finder.find_exact_restless_path_sieve
     reached = []
 
@@ -261,8 +266,9 @@ def test_one_rule_for_probes_that_may_reach_the_sieve(monkeypatch):
     monkeypatch.setattr(rtp.path_finder, "find_exact_restless_path_sieve", recorded)
     g = random_temporal_graph(10, 6, 3.5, 13)
     assert len(g.time_edges) > 16  # not tiny, so auto may reach the sieve
-    for backend, threshold in (("brute", 7), ("sieve", 7), ("auto", 1), ("auto", 4)):
-        cfg = FinderConfig(backend=backend, auto_threshold=threshold, seed=1)
+    for backend, threshold in (("brute", 7), ("sieve", 7), ("auto", 2), ("auto", 4)):
+        auto_first_sieve(threshold)
+        cfg = FinderConfig(backend=backend, seed=1)
         reached.clear()
         for length in range(1, 7):
             stats = SolveStats()
@@ -473,8 +479,6 @@ def test_finder_config_validation():
         FinderConfig(error_prob=0.0)
     with pytest.raises(ValueError):
         FinderConfig(error_prob=1.0)
-    with pytest.raises(ValueError):
-        FinderConfig(auto_threshold=0)
 
 
 def test_stats_counters_move(fig1):

@@ -585,17 +585,24 @@ def test_fill_table_stats_accumulate_over_calls(fig1):
     stats = SolveStats()
     for _ in range(2):
         fill_table(fig1, dt, S, Z, 2, 5, FinderConfig(backend="brute"), stats=stats)
-    # brute probes search their corridors in place, so none is built
-    assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (44, 0, 30)
+    # brute probes search their corridors in place, so none is built, and
+    # each link that holds both ends counts its one search
+    assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (18, 0, 30)
 
 
-def test_corridors_are_built_only_where_both_ends_fit():
+def test_corridors_are_built_only_where_both_ends_fit(monkeypatch):
     # the table fill asks for 1033 corridors here, and most cannot hold
     # both ends of their search; skipping those leaves every probe in place,
-    # and every probe is short enough for brute, which builds no corridor
+    # and every probe is short enough for brute, which builds no corridor.
+    # Each link that holds both ends runs one search, and counts it
+    import rtp.solver
+    inner = rtp.solver.holds_endpoints
+    held = []
+    monkeypatch.setattr(rtp.solver, "holds_endpoints",
+                        lambda *args: held.append(inner(*args)) or held[-1])
     g = random_temporal_graph(120, 120, 7.5, 120)
     res = solve(g, 65, 31, 2, 4, 0.01, FinderConfig())
-    assert res.stats.finder_calls == 379
+    assert res.stats.finder_calls == sum(held) == 97
     assert res.stats.areas_built == 0
 
 
@@ -622,7 +629,7 @@ def test_corridor_edges_sum_built_corridors(monkeypatch):
 
 @pytest.mark.parametrize("backend,threshold", [("brute", 7), ("sieve", 7), ("auto", 3)])
 def test_only_probes_that_may_reach_the_sieve_leave_the_index(backend, threshold,
-                                                             monkeypatch):
+                                                             monkeypatch, auto_first_sieve):
     import rtp.solver
     from rtp.path_finder import first_sieve_length
     inner = rtp.solver.find_exact_restless_path
@@ -633,7 +640,8 @@ def test_only_probes_that_may_reach_the_sieve_leave_the_index(backend, threshold
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(rtp.solver, "find_exact_restless_path", recorded)
-    cfg = FinderConfig(backend=backend, auto_threshold=threshold, seed=12)
+    auto_first_sieve(threshold)
+    cfg = FinderConfig(backend=backend, seed=12)
     calls = 0
     for g, s, z, delta, k in random_instances(12, 60, max_lifetime=12):
         calls += solve(g, s, z, delta, k, 0.01, cfg).stats.finder_calls

@@ -67,6 +67,44 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 3
 
 
+def test_parse_rejects_a_label_that_reads_as_a_vertex_id():
+    # id_for would resolve "1" to vertex 0, hiding vertex 1
+    with pytest.raises(TelParseError) as err:
+        parse_temporal_graph("2 1\n# name 0 1\n0 1 1\n")
+    assert err.value.line == 2 and "vertex id" in str(err.value)
+
+
+def test_parse_reports_the_line_of_a_bad_byte():
+    for raw, line in ((b"\xe93 1\n", 1), (b"3 1\n% caf\xe9\n0 1 1\n", 2),
+                      (b"3 1\r\n0 1 1\r\n% \xff\n", 3), (b"3 1\n0 1 1\n\xc3", 3)):
+        with pytest.raises(TelParseError) as err:
+            parse_temporal_graph(raw)
+        assert err.value.line == line, raw
+
+
+@pytest.mark.parametrize("label", ["", "a b", "x\ty", "1", "-2", " 3", "1_0"])
+def test_constructors_reject_a_label_parse_would(label):
+    # every label TEL cannot carry as one field, or that reads as an id
+    edges = [TimeEdge(0, 1, 1)]
+    with pytest.raises(ValueError, match="alias label"):
+        TemporalGraph.from_time_edges(3, 2, edges, {0: label})
+    with pytest.raises(ValueError, match="alias label"):
+        TemporalGraph(3, 2, [[(0, 1)], []], {2: "ok", 0: label})
+    text = serialize_temporal_graph(TemporalGraph.from_time_edges(3, 2, edges, {0: "ok"}))
+    with pytest.raises(TelParseError):
+        parse_temporal_graph(text.replace("ok", label))
+
+
+def test_constructor_aliases_round_trip_through_tel():
+    g = TemporalGraph.from_time_edges(3, 2, [TimeEdge(0, 1, 1)], {0: "a", 2: "x1"})
+    again = parse_temporal_graph(serialize_temporal_graph(g))
+    assert again.aliases == g.aliases and again.id_for("x1") == 2
+    with pytest.raises(ValueError, match="duplicate alias label"):
+        TemporalGraph.from_time_edges(3, 2, [], {0: "a", 1: "a"})
+    with pytest.raises(ValueError, match="alias id out of range"):
+        TemporalGraph.from_time_edges(3, 2, [], {3: "a"})
+
+
 def test_parse_accepts_comments_and_bytes():
     g = parse_temporal_graph(b"% header comment\n3 2\n% mid\n0 1 1\n\n1 2 2\n")
     assert len(g.time_edges) == 2
