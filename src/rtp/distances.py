@@ -5,9 +5,13 @@ t or later. All values for non-isolated vertex appearances (v on some
 edge at t) come from one backward sweep over the time-sorted edges: the
 later stamps are settled first, so a vertex may stand still into its next
 later appearance for free, and a small unit-weight Dijkstra per stamp
-handles chains of equal-stamp edges. A forward sweep from one source,
-bounded in hops, answers that source's distance alone without a table.
-``DistanceTable`` is the entries alone; it keeps no derived index.
+handles chains of equal-stamp edges. ``compute_distances`` runs that sweep
+unbounded and keeps every value in a ``DistanceTable``, the entries alone
+with no derived index. ``departure_distances`` runs the same sweep bounded
+at a hop count, expanding no label at or above it, and keeps one source's
+values alone: a windowed solve takes its departures and the temporal
+distance from it without building a full-graph table. A forward sweep from
+one source, bounded in hops, answers that source's distance alone.
 
 Also provides the polynomial lower bound: the minimum length of a
 waiting-time-bounded s-z walk (vertex repeats allowed).
@@ -60,48 +64,75 @@ class DistanceTable:
         return sorted(t for w, t in self.entries if w == v)
 
     def source_distance(self, s: int) -> int | float:
-        """d at the earliest non-isolated appearance of s (INF if none).
+        """The least d over s's non-isolated appearances (INF if none).
 
-        By time monotonicity this equals the unrestricted temporal s-target
-        distance.
+        d never decreases in time, so this is d at s's earliest appearance,
+        the unrestricted temporal s-target distance.
         """
-        times = self.appearance_times(s)
-        if not times:
-            return INF
-        return self.entries[VertexAppearance(s, times[0])]
+        return min((d for (v, _t), d in self.entries.items() if v == s), default=INF)
 
 
-def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
-    """Fill the full distance table in one backward sweep over the stamps.
+def _backward_sweep(edges: tuple[TimeEdge, ...], z: int, bound: int | float
+                    ) -> Iterator[tuple[int, dict[int, int | float], int]]:
+    """Yield (t, {v: d(v, t)}, relaxations) for each stamp, latest first.
 
     ``later[v]`` holds d at v's next later appearance (z counts as 0 from
-    the start). At each stamp, from the latest down, every vertex on an
-    edge at t starts from ``later`` (standing still costs nothing) and a
-    unit-weight Dijkstra over the stamp's edges lets it leave along a
-    same-stamp chain. Each stamp costs O(m_t log m_t) for its m_t edges.
+    the start). At each stamp every vertex on an edge at t starts from
+    ``later`` (standing still costs nothing) and a unit-weight Dijkstra over
+    the stamp's edges lets it leave along a same-stamp chain. A label at
+    ``bound`` or above is not expanded, so every value up to ``bound`` is
+    exact and every other value is at least its true distance. Each stamp
+    costs O(m_t log m_t) for its m_t edges.
     """
-    if not 0 <= z < g.vertex_count:
-        raise ValueError(f"target {z} is not a vertex of the graph")
     later: dict[int, int | float] = {z: 0}
-    entries: dict[VertexAppearance, int | float] = {}
-    work = 0
-    for t, adj in _stamp_adjacency(reversed(g.time_edges)):
+    for t, adj in _stamp_adjacency(reversed(edges)):
         value = {v: later.get(v, INF) for v in adj}
-        heap = [(d, v) for v, d in value.items() if d < INF]
+        heap = [(d, v) for v, d in value.items() if d < bound]
         heapq.heapify(heap)
+        work = 0
         while heap:
             d, x = heapq.heappop(heap)
             if d > value[x]:
                 continue
+            d += 1
             for y in adj[x]:
                 work += 1
-                if d + 1 < value[y]:
-                    value[y] = d + 1
-                    heapq.heappush(heap, (d + 1, y))
+                if d < value[y]:
+                    value[y] = d
+                    if d < bound:
+                        heapq.heappush(heap, (d, y))
+        later.update(value)
+        yield t, value, work
+
+
+def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
+    """Fill the full distance table in one unbounded backward sweep over the
+    stamps, from the latest down."""
+    if not 0 <= z < g.vertex_count:
+        raise ValueError(f"target {z} is not a vertex of the graph")
+    entries: dict[VertexAppearance, int | float] = {}
+    work = 0
+    for t, value, relaxed in _backward_sweep(g.time_edges, z, INF):
+        work += relaxed
         for v, d in value.items():
             entries[VertexAppearance(v, t)] = d
-            later[v] = d
     return DistanceTable(target=z, entries=entries, work=work)
+
+
+def departure_distances(g: TemporalGraph, s: int, z: int,
+                        bound: int) -> list[tuple[int, int]]:
+    """(t, d(s, t)) for every appearance of s with d(s, t) <= ``bound``, in
+    increasing t.
+
+    ``compute_distances``'s backward sweep, bounded at ``bound`` and keeping
+    s's values alone, with no table. d never decreases in t, so the list is
+    a prefix of s's appearances, and its first value is the temporal s-z
+    distance whenever that is at most ``bound``.
+    """
+    found = [(t, value[s]) for t, value, _ in _backward_sweep(g.time_edges, z, bound)
+             if value.get(s, INF) <= bound]
+    found.reverse()
+    return found
 
 
 def fewest_hops(edges: Iterable[TimeEdge], s: int, z: int,

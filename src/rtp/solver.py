@@ -37,7 +37,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
 from .areas import area_graph, area_spec, holds_endpoints, keep_rule
-from .distances import INF, DistanceTable, compute_distances, fewest_hops
+from .distances import (INF, DistanceTable, compute_distances, departure_distances,
+                        fewest_hops)
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           first_sieve_length, incident_index, search_index)
 from .rng import SeedStream
@@ -288,26 +289,32 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     (k-1)*delta + 1] only, which holds every solution departing at t0 and
     can shrink the slack. Departures with d(s, t0) > k_eff = min(k,
     max(1, vertex_count - 1)) are skipped; d grows with t0, so the rest
-    are a prefix. A window whose own distance d(s, t0)
-    exceeds the budget is rejected by a forward ``fewest_hops`` sweep over
-    its time-edges before any graph or table is built: its solve would stop
-    there, with no probe and all-zero counters. The error budget is split
-    evenly over the departures (subcall_error_prob), one share each, solved
-    or rejected: a false no needs a false no from a window that holds a
-    solution, and at most len(departures) windows are solved, so their
-    shares sum to at most p. Each window's solve splits its share again
-    over its own chain."""
+    are a prefix. The prefix and its d values come from one backward sweep
+    bounded at k_eff that keeps s's values alone (``departure_distances``);
+    no full-graph distance table is built. Its first value is the temporal
+    distance. When it is empty, that distance exceeds k_eff, and a forward
+    ``fewest_hops`` sweep bounded at vertex_count - 1 gives it exactly: a
+    fewest-hop temporal walk is a path. A window whose own distance
+    d(s, t0) exceeds the budget is rejected by a forward ``fewest_hops``
+    sweep over its time-edges before any graph or table is built: its solve
+    would stop there, with no probe and all-zero counters. The error budget
+    is split evenly over the departures (subcall_error_prob), one share
+    each, solved or rejected: a false no needs a false no from a window
+    that holds a solution, and at most len(departures) windows are solved,
+    so their shares sum to at most p. Each window's solve splits its share
+    again over its own chain."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()
-    dt = compute_distances(g, z)
-    d_source = dt.source_distance(s)
     k_eff = min(k, max(1, g.vertex_count - 1))
-    departures = list(takewhile(lambda t0: dt.get(s, t0) <= k_eff,
-                                dt.appearance_times(s)))
+    departures = departure_distances(g, s, z, k_eff)
+    if departures:
+        d_source = departures[0][1]
+    else:
+        d_source = fewest_hops(g.time_edges, s, z, g.vertex_count - 1)
     sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
     witness = None
-    for t0 in departures:
+    for t0, _ in departures:
         edges = g.edges_between(t0, t0 + (k - 1) * delta + 1)
         # the window has g's vertices, so its k_eff is this one
         if fewest_hops(edges, s, z, k_eff) > k_eff:

@@ -231,6 +231,15 @@ class RestlessPath:
         return self.steps[-1].t
 
 
+def _tel_lines(text: str) -> list[str]:
+    r"""Split at universal newlines (\r\n, \r, \n) only, as ``open()`` does:
+    ``str.splitlines`` also breaks at a form feed, \x85, \u2028 and others,
+    which a ``%`` comment may hold."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
     """Parse TEL text into a TemporalGraph, rejecting malformed input."""
     if hasattr(text, "read"):
@@ -239,9 +248,9 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as err:  # the bytes before the bad one decode
-            raise TelParseError(len((text[:err.start].decode() + ".").splitlines()),
+            raise TelParseError(len(_tel_lines(text[:err.start].decode())),
                                 f"not UTF-8: byte {text[err.start]:#04x}") from None
-    lines = text.splitlines()
+    lines = _tel_lines(text)
 
     header_idx = None
     for i, raw in enumerate(lines):

@@ -499,6 +499,23 @@ def test_windowed_solve_agrees_with_plain():
             assert path.length <= min(k, g.vertex_count - 1)
 
 
+def test_windowed_distance_and_slack_match_the_table():
+    # temporal_distance and ell come from the bounded sweep's first value,
+    # or, when no departure is within k_eff (every k below d), from the
+    # forward fallback; the bench pool has k = d + ell and never takes it
+    below = 0
+    for g, s, z, delta, k in random_instances(7070, 600, max_vertices=10,
+                                              max_lifetime=20):
+        d = compute_distances(g, z).source_distance(s)
+        for budget in {k, *range(1, d)} if d < INF else {k}:
+            res = solve_windowed(g, s, z, delta, budget, 0.01,
+                                 FinderConfig(backend="brute"))
+            assert res.temporal_distance == d, (g.time_edges, s, z, budget)
+            assert res.ell == (res.k_effective - d if d <= res.k_effective else None)
+            below += res.k_effective < d < INF
+    assert below >= 100, below
+
+
 def test_decision_monotone_in_budget_and_waiting_bound():
     cfg = FinderConfig(backend="brute")
     for g, s, z, _delta, _k in random_instances(2718, 80, max_vertices=7):

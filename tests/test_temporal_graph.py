@@ -82,6 +82,21 @@ def test_parse_reports_the_line_of_a_bad_byte():
         assert err.value.line == line, raw
 
 
+@pytest.mark.parametrize("mark", ["\x0c", "\x85", "\u2028"])
+def test_parse_breaks_lines_at_universal_newlines_only(mark):
+    # str.splitlines breaks at these too; a comment holding one is one line
+    text = f"3 2\r\n% a{mark}b c\n0 1 1\r0 1 9\n"
+    for raw in (text, text.encode()):
+        with pytest.raises(TelParseError) as err:
+            parse_temporal_graph(raw)
+        assert err.value.line == 4 and "out of [1, 2]" in str(err.value), raw
+    good = parse_temporal_graph(f"3 1\n% a{mark}b\n0 1 1\n".encode())
+    assert good.time_edges == (TimeEdge(0, 1, 1),)
+    with pytest.raises(TelParseError) as err:
+        parse_temporal_graph(f"3 1\n% a{mark}b\r\n".encode() + b"\xff")
+    assert err.value.line == 3
+
+
 @pytest.mark.parametrize("label", ["", "a b", "x\ty", "1", "-2", " 3", "1_0"])
 def test_constructors_reject_a_label_parse_would(label):
     # every label TEL cannot carry as one field, or that reads as an id
