@@ -12,18 +12,25 @@ The source-side variant has no lower corner: it admits every reachable
 appearance farther from the target than the upper corner.
 
 A corridor is a view, not a copy: ``keep`` answers for one time-edge from
-the distance table in a few lookups. ``holds_endpoints`` asks it about the
-corner vertices' incident pairs, so a table fill skips every corridor that
-cannot hold both ends of its search; a link's in-place search walks the
-graph's incident index under ``keep`` (``path_finder.search_index``); and
-only a probe that may reach the sieve gets the edge list, from
-``area_graph``. That list also serves the dispatcher on ``auto``, which
-counts its time-edges and hands a corridor of at most 16 to brute.
+the distance table in a few lookups. A table fill skips every corridor that
+cannot hold both ends of its search in two steps. Admission comes first and
+builds no rule: ``source_admission`` rejects a source-side link whose
+source has no window appearance by the upper corner's time, and
+``upper_admission`` answers, for every lower corner of one upper corner at
+once, whether the upper corner's vertex is entered inside the corridor.
+Then ``holds_endpoints``, the exact check, asks ``keep`` about the corner
+vertices' incident pairs. A link's in-place search walks the graph's
+incident index under ``keep`` (``path_finder.search_index``), and only a
+probe that may reach the sieve gets the edge list, from ``area_graph``.
+That list also serves the dispatcher on ``auto``, which counts its
+time-edges and hands a corridor of at most 16 to brute.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from .distances import INF, DistanceTable
@@ -140,7 +147,9 @@ def holds_endpoints(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
     side, ``source``). A vertex is in the corridor iff ``keep``, the
     corridor's ``keep_rule``, passes one of its pairs in ``incident`` (a
     ``path_finder.incident_index`` of the graph), so this equals asking
-    whether both are endpoints of ``area_graph(...).time_edges``.
+    whether both are endpoints of ``area_graph(...).time_edges``. It is the
+    exact check after admission (``source_admission``, ``upper_admission``),
+    which a table fill asks first.
 
     Only a few pairs need asking. Neither corner vertex has a window
     appearance, because d(v, .) never decreases in time: d(b, t) <=
@@ -156,3 +165,58 @@ def holds_endpoints(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
                 incident.get(b, []), max(t_lo, t_up - spec.delta), t_up))
             and any(keep(frm, w, t) for t, w in pairs_between(
                 incident.get(frm, []), t_lo, t_frm)))
+
+
+def source_admission(appearances: list[tuple[int, int | float]]
+                     ) -> Callable[[VertexAppearance, int | float], bool]:
+    """Admission for source-side corridors, from the source's appearances
+    as time-sorted (t, d) pairs: ``admits(upper, d_up)`` is False only
+    where ``holds_endpoints`` is False on the source side below upper.
+
+    The source s is never the upper corner, and the source side has no
+    lower corner, so ``keep`` passes a pair (s, w, t) only if s is a window
+    appearance at t, or arrives at one in (t, upper.t]: either way s has
+    an appearance at a stamp t' <= upper.t with d_up < d(s, t') < INF.
+    d(s, .) never decreases in time, so the finite values are a prefix and
+    the last of them at or before upper.t is the largest: one bisect and
+    one comparison decide whether any t' qualifies.
+    """
+    finite = [(t, d) for t, d in appearances if d != INF]
+    stamps = [t for t, _ in finite]
+    dists = [d for _, d in finite]
+
+    def admits(upper: VertexAppearance, d_up: int | float) -> bool:
+        i = bisect_right(stamps, upper.t)
+        return i > 0 and dists[i - 1] > d_up
+
+    return admits
+
+
+def upper_admission(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
+                    upper: VertexAppearance, delta: int
+                    ) -> Callable[[VertexAppearance, int | float], bool]:
+    """``holds_endpoints``' upper clause for every lower corner of upper at
+    once: ``admits(lower, d_lo)`` is whether the corridor from lower, at
+    distance d_lo, to upper holds upper's vertex b.
+
+    b is entered at t in [max(lower.t, upper.t - delta), upper.t], and
+    ``keep`` passes (b, w, t) there iff d_up < d(w, t) < d_lo, or w is the
+    lower corner's vertex at t = lower.t (whose d is d_lo). So over b's
+    pairs in [upper.t - delta, upper.t] with d_up < d(w, t) < INF, sorted
+    by t, a suffix minimum of d(w, t) answers each lower corner with one
+    bisect and one set lookup.
+    """
+    b, t_up = upper
+    get = dt.entries.get
+    d_up = dt.entries[upper]
+    entering = [(t, w, d) for t, w in pairs_between(incident.get(b, []), t_up - delta, t_up)
+                if d_up < (d := get((w, t), INF)) < INF]
+    stamps = [t for t, _, _ in entering]
+    suffix = [*accumulate(reversed([d for _, _, d in entering]), min)][::-1] + [INF]
+    pairs = {(t, w) for t, w, _ in entering}
+
+    def admits(lower: VertexAppearance, d_lo: int | float) -> bool:
+        a, t_lo = lower
+        return suffix[bisect_left(stamps, t_lo)] < d_lo or (t_lo, a) in pairs
+
+    return admits

@@ -12,7 +12,11 @@ connector of length at most 2*ell+1 inside the corridor between the two
 appearances. Only a predecessor that already holds a finite value can
 contribute, so the fill keeps, per distance, the appearances it has
 reached, and a far entry draws its predecessors from those lists alone.
-Each link runs one in-place search for its shortest connector below
+A link whose corridor cannot hold both ends of its search is dropped,
+most of them by a few distance-table lookups before the corridor's rule
+is built (``areas.source_admission``, ``areas.upper_admission``), the
+rest by the exact check (``areas.holds_endpoints``). Each remaining link
+runs one in-place search for its shortest connector below
 ``first_sieve_length``; only when that finds none does it build the
 corridor and probe the exact lengths from there up, each exact-length
 probe drawing the next seed of the fill's stream. The instance is a yes
@@ -36,7 +40,8 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
-from .areas import area_graph, area_spec, holds_endpoints, keep_rule
+from .areas import (area_graph, area_spec, holds_endpoints, keep_rule, source_admission,
+                    upper_admission)
 from .distances import (INF, DistanceTable, compute_distances, departure_distances,
                         fewest_hops)
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
@@ -99,7 +104,10 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
         raise ValueError(f"target {z} is not the distance table's target {dt.target}")
     if s == z:
         raise ValueError("source and target must differ")
-    d_source = dt.source_distance(s)
+    # s's appearances in time order, from one scan; d never decreases in
+    # time, so the earliest value is the temporal distance
+    source_apps = sorted((t, d) for (v, t), d in dt.entries.items() if v == s)
+    d_source = source_apps[0][1] if source_apps else INF
     if d_source == INF or d_source > k:
         raise ValueError("fill_table requires a temporal s-z path within budget")
     if stats is None:
@@ -113,6 +121,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     reached: dict[int | float, list[VertexAppearance]] = {}
     incident = incident_index(g.time_edges)
     first_sieve = first_sieve_length(cfg)
+    admits_source = source_admission(source_apps)
 
     order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
     for app, d in order:
@@ -122,22 +131,34 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             table.preds[app] = (None, ())
             reached.setdefault(d, []).append(app)
             continue
-        # links are (predecessor appearance, its value); the near zone, INF
-        # distances included, chains once from the source side at value 0
+        # links are (predecessor appearance, its distance, its value); the
+        # near zone, INF distances included, chains once from the source
+        # side at value 0
         if d >= near_floor:
-            links = [(None, 0)] if d != INF and ell > 0 else []
+            links = [(None, INF, 0)] if d != INF and ell > 0 else []
             probes = 2 * ell
         else:  # far zone: a strictly farther, no-later, reached appearance
-            links = ((pred, table.entries[pred])
+            links = ((pred, d_pred, table.entries[pred])
                      for d_pred in range(d + 1, d + ell + 2)
                      for pred in takewhile(lambda a: a.t <= t_up,
                                            reached.get(d_pred, ())))
             probes = 2 * ell + 1
         best: int | float = INF
         best_link = None
-        for pred, base in links:
+        admits_lower = None  # upper_admission of app, built on first use
+        for pred, d_pred, base in links:
             if base + 1 >= best:
                 continue
+            # a few table lookups reject most links before their corridor
+            # rule is built; holds_endpoints is the exact check after them
+            if pred is None:
+                if not admits_source(app, d):
+                    continue
+            else:
+                if admits_lower is None:
+                    admits_lower = upper_admission(dt, incident, app, delta)
+                if not admits_lower(pred, d_pred):
+                    continue
             spec = area_spec(dt, pred, app, delta)
             keep = keep_rule(dt, spec)
             if not holds_endpoints(incident, spec, keep, s):

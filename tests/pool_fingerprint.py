@@ -2,8 +2,10 @@
 
     python3 tests/pool_fingerprint.py --seed 201
     python3 tests/pool_fingerprint.py --seed 201 --head 100   # first 100 queries
+    python3 tests/pool_fingerprint.py --workload corridor     # that pool alone
 
-For each of corridor, sieve and windowed, every query of
+For each of corridor, sieve and windowed (or only the pools named by
+``--workload``, which may be repeated), every query of
 ``bench/workloads.build_pool(W, seed)`` is answered by the benchmark's own
 operation (``workloads.run_op``). Per workload, two lines:
 
@@ -69,8 +71,12 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--seed", type=int, default=201)
     parser.add_argument("--head", type=int, default=None,
                         help="answer only the first HEAD queries of each pool")
+    parser.add_argument("--workload", action="append", choices=SOLVE_WORKLOADS,
+                        help="fingerprint only this pool; repeat for more (default: all)")
     args = parser.parse_args(argv)
     for name in SOLVE_WORKLOADS:
+        if args.workload and name not in args.workload:
+            continue
         count, answers, counted, totals = fingerprint(name, args.seed, args.head)
         print(f"{name} {count} answers {answers} counters {counted}")
         print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals)),

@@ -9,7 +9,8 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, area_graph,
                  area_spec, compute_distances, find_exact_restless_path_brute,
                  random_temporal_graph)
-from rtp.areas import AreaSpec, holds_endpoints, keep_rule
+from rtp.areas import (AreaSpec, holds_endpoints, keep_rule, source_admission,
+                       upper_admission)
 from rtp.path_finder import incident_index, search_index
 
 
@@ -91,27 +92,44 @@ def test_area_graph_matches_definitional_filter_on_long_lifetimes():
 def test_holds_endpoints_matches_built_corridors():
     # every corridor of every instance: hop corridors between any two
     # finite appearances, and the source-side corridor below each one not
-    # of the source (the table fill asks for no such corridor)
-    counts = {"hop": 0, "source": 0, "skipped": 0}
+    # of the source (the table fill asks for no such corridor). The
+    # admission before it never rejects a corridor it holds: on the source
+    # side it is only necessary, and on a hop corridor it is exactly the
+    # upper corner's clause, whether upper.v is in the built corridor
+    counts = {"hop": 0, "source": 0, "skipped": 0, "source admitted": 0,
+              "upper admitted": 0}
     for g, s, z, delta, _k in random_instances(2718, 1900, max_vertices=10, max_lifetime=12):
         dt = compute_distances(g, z)
         incident = incident_index(g.time_edges)
         finite = [(app, d) for app, d in dt.entries.items() if d < INF]
+        admits_source = source_admission(sorted(
+            (t, d) for (v, t), d in dt.entries.items() if v == s))
         for upper, d_up in finite:
-            lowers = [lo for lo, d_lo in finite
+            admits_lower = upper_admission(dt, incident, upper, delta)
+            lowers = [(lo, d_lo) for lo, d_lo in finite
                       if d_lo > d_up and lo.t <= upper.t and lo.v != upper.v]
             if upper.v != s:
-                lowers.append(None)
-            for lower in lowers:
+                lowers.append((None, INF))
+            for lower, d_lo in lowers:
                 spec = area_spec(dt, lower, upper, delta)
                 frm = s if lower is None else lower.v
                 vertices = oracles.endpoints(area_graph(g, dt, spec).time_edges)
                 passes = holds_endpoints(incident, spec, keep_rule(dt, spec), s)
                 assert passes == ({frm, upper.v} <= vertices), spec
+                if lower is None:
+                    admitted = admits_source(upper, d_up)
+                    assert admitted or not passes, spec
+                else:
+                    admitted = admits_lower(lower, d_lo)
+                    assert admitted == (upper.v in vertices), spec
                 counts["source" if lower is None else "hop"] += 1
+                counts["source admitted" if lower is None else "upper admitted"] += admitted
                 counts["skipped"] += not passes
     assert counts["hop"] + counts["source"] >= 100_000, counts
     assert counts["source"] >= 5_000 and counts["skipped"] >= 50_000, counts
+    # each admission rejects more than half of its corridors
+    assert 2 * counts["source admitted"] < counts["source"], counts
+    assert 2 * counts["upper admitted"] < counts["hop"], counts
 
 
 def test_in_place_search_matches_materialized_corridors():

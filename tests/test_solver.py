@@ -609,16 +609,29 @@ def test_fill_table_stats_accumulate_over_calls(fig1):
 
 def test_corridors_are_built_only_where_both_ends_fit(monkeypatch):
     # the table fill asks for 1033 corridors here, and most cannot hold
-    # both ends of their search; skipping those leaves every probe in place,
-    # and every probe is short enough for brute, which builds no corridor.
-    # Each link that holds both ends runs one search, and counts it
+    # both ends of their search: a few distance-table lookups admit only
+    # 128 links to the exact check, which holds 97. Skipping the rest
+    # leaves every probe in place, and every probe is short enough for
+    # brute, which builds no corridor. Each link that holds both ends runs
+    # one search, and counts it
     import rtp.solver
+    links, held = [], []
+
+    def counted(admission):
+        def build(*args):
+            admits = admission(*args)
+            return lambda *link: links.append(admits(*link)) or links[-1]
+        return build
+
+    for name in ("source_admission", "upper_admission"):
+        monkeypatch.setattr(rtp.solver, name, counted(getattr(rtp.solver, name)))
     inner = rtp.solver.holds_endpoints
-    held = []
     monkeypatch.setattr(rtp.solver, "holds_endpoints",
                         lambda *args: held.append(inner(*args)) or held[-1])
     g = random_temporal_graph(120, 120, 7.5, 120)
     res = solve(g, 65, 31, 2, 4, 0.01, FinderConfig())
+    assert len(links) == 1033
+    assert sum(links) == len(held) == 128
     assert res.stats.finder_calls == sum(held) == 97
     assert res.stats.areas_built == 0
 
