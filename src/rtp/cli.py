@@ -107,6 +107,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_distances(args) -> int:
+    if args.delta < 1:  # a usage error with or without --source
+        raise CliError("delta must be at least 1")
     g = _read_graph(args.input)
     z = _vertex(g, args.target)
     dt = compute_distances(g, z)

@@ -1,4 +1,4 @@
-"""Temporal distances to a fixed target vertex.
+"""Temporal distances to a fixed target vertex, and shortest walks.
 
 d(v, t) is the length of a shortest temporal v-z path that departs at time
 t or later. All values for non-isolated vertex appearances (v on some
@@ -10,22 +10,26 @@ unbounded and keeps every value in a ``DistanceTable``, the entries alone
 with no derived index. ``departure_distances`` runs the same sweep bounded
 at a hop count, expanding no label at or above it, and keeps one source's
 values alone: a windowed solve takes its departures and the temporal
-distance from it without building a full-graph table. A forward sweep from
-one source, bounded in hops, answers that source's distance alone.
+distance from it without building a full-graph table.
 
-Also provides the polynomial lower bound: the minimum length of a
-waiting-time-bounded s-z walk (vertex repeats allowed).
+Shortest walks (vertex repeats allowed) from one source come from one
+breadth-first search over (vertex, arrival stamp) states, ``walk_hops``,
+held to a range of stamps and bounded in hops. With a waiting bound it
+gives ``restless_walk_distance``, the polynomial lower bound on restless
+path length; with none, a windowed solve's per-window distance check.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+from .path_finder import incident_index, pairs_between
 from .temporal_graph import TemporalGraph, TimeEdge, VertexAppearance
 
 INF = math.inf
@@ -135,48 +139,67 @@ def departure_distances(g: TemporalGraph, s: int, z: int,
     return found
 
 
-def fewest_hops(edges: Iterable[TimeEdge], s: int, z: int,
-                bound: int) -> int | float:
-    """Fewest hops of a temporal s-z walk over stamp-ordered time-edges when
-    that is at most ``bound``; INF otherwise.
+def _next_unclaimed(claimed: dict[int, int], i: int) -> int:
+    """The first index at or after i that ``claimed`` does not map, with
+    every index passed on the way remapped to it."""
+    root = i
+    while root in claimed:
+        root = claimed[root]
+    while i != root:
+        claimed[i], i = root, claimed[i]
+    return root
 
-    The forward mirror of ``compute_distances``: ``hops[v]`` holds the
-    fewest hops that reach v by the current stamp (s at 0 from the start),
-    a vertex waits for free, and a unit-weight Dijkstra per stamp follows
-    same-stamp chains. A prefix is not expanded when it could reach z only
-    past ``bound`` hops, or no sooner than z's best label. On a graph of the
-    same time-edges this is ``compute_distances(g, z).source_distance(s)``
-    wherever that is at most ``bound``, at the cost of one forward pass.
+
+def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
+              delta: int | float, t_lo: int, t_hi: int | float,
+              bound: int | float) -> int | float:
+    """Fewest hops of a delta-restless s-z walk with every step in
+    [t_lo, t_hi] when that is at most ``bound`` (at least 1); INF otherwise.
+
+    A breadth-first search over (vertex, arrival stamp) states of a
+    ``path_finder.incident_index``. Hop 1 takes every pair of s in range;
+    from a state (v, t) the next hop takes any pair of v in
+    [t, min(t + delta, t_hi)]. A step back into s is dropped: hop 1
+    already departs at every stamp. No state is expanded at ``bound``
+    hops. A pair is claimed by the first state that scans it, which holds
+    the fewest hops that can take it, and a later scan of v jumps over v's
+    claimed runs, so each pair is taken once however much the windows
+    overlap. With ``delta`` INF this is the fewest hops of a temporal walk,
+    which waits for free.
     """
-    hops: dict[int, int] = {s: 0}
-    limit = bound  # prefixes at limit hops or more are not expanded
-    for _t, adj in _stamp_adjacency(edges):
-        value = {v: hops[v] for v in adj if v in hops}
-        heap = [(d, v) for v, d in value.items() if d < limit]
-        if not heap:
-            continue
-        heapq.heapify(heap)
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > value[x] or d >= limit:
-                continue
-            for y in adj[x]:
-                if d + 1 < value.get(y, INF):
-                    value[y] = d + 1
-                    heapq.heappush(heap, (d + 1, y))
-        hops.update(value)
-        if z in value:
-            limit = min(limit, value[z] - 1)
-    return hops.get(z, INF)  # every label is at most bound
+    claimed: dict[int, dict[int, int]] = {}
+    frontier = []
+    for t, w in pairs_between(incident.get(s, []), t_lo, t_hi):
+        if w == z:
+            return 1
+        frontier.append((w, t))
+    hops = 1
+    while frontier and hops < bound:
+        hops += 1
+        reached = []
+        for v, t in frontier:
+            pairs = incident[v]
+            runs = claimed.setdefault(v, {})
+            hi = min(t + delta, t_hi)
+            i = _next_unclaimed(runs, bisect_left(pairs, (t,)))
+            while i < len(pairs) and pairs[i][0] <= hi:
+                t_next, w = pairs[i]
+                if w == z:
+                    return hops
+                if w != s:
+                    reached.append((w, t_next))
+                runs[i] = i + 1
+                i = _next_unclaimed(runs, i + 1)
+        frontier = reached
+    return INF
 
 
 def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int | float:
     """Minimum length of a delta-restless temporal s-z walk, or INF.
 
-    Chronological sweep over stamps; per vertex we keep the Pareto set of
-    (arrival time, hops) labels. Within one stamp a small Dijkstra handles
-    chains of equal-stamp edges. A walk may revisit vertices, so this is a
-    lower bound for restless path length and a fast no-certificate.
+    ``walk_hops`` over the whole graph's index, unbounded. A walk may
+    revisit vertices, so this is a lower bound for restless path length and
+    a fast no-certificate.
     """
     if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
         raise ValueError("source or target is not a vertex of the graph")
@@ -184,46 +207,4 @@ def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int 
         raise ValueError("source and target must differ")
     if delta < 1:
         raise ValueError("delta must be at least 1")
-    labels: dict[int, list[tuple[int, int]]] = {}
-    best = INF
-
-    def enter_value(v: int, t: int) -> int | float:
-        if v == s:
-            return 0  # departures from the source are unconstrained
-        value = INF
-        for at, hops in labels.get(v, ()):
-            if t - delta <= at <= t - 1 and hops < value:
-                value = hops
-        return value
-
-    for t, adj in _stamp_adjacency(g.time_edges):
-        value: dict[int, int | float] = {}
-        arrived: dict[int, int] = {}
-        heap: list[tuple[int | float, int]] = []
-        for v in adj:
-            ev = enter_value(v, t)
-            if ev < INF:
-                value[v] = ev
-                heapq.heappush(heap, (ev, v))
-        while heap:
-            d0, x = heapq.heappop(heap)
-            if d0 > value.get(x, INF):
-                continue
-            for y in adj[x]:
-                cand = d0 + 1
-                # every traversal is a genuine arrival at stamp t, even when
-                # an older label already lets y move earlier: that label may
-                # expire from the waiting window before this one would
-                if cand < arrived.get(y, INF):
-                    arrived[y] = cand
-                if cand < value.get(y, INF):
-                    value[y] = cand
-                    heapq.heappush(heap, (cand, y))
-        for v, hops in arrived.items():
-            bucket = labels.setdefault(v, [])
-            while bucket and bucket[-1][1] >= hops:
-                bucket.pop()
-            bucket.append((t, hops))
-            if v == z and hops < best:
-                best = hops
-    return best
+    return walk_hops(incident_index(g.time_edges), s, z, delta, 1, INF, INF)

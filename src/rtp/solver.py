@@ -43,7 +43,7 @@ from itertools import takewhile
 from .areas import (area_graph, area_spec, holds_endpoints, keep_rule, source_admission,
                     upper_admission)
 from .distances import (INF, DistanceTable, compute_distances, departure_distances,
-                        fewest_hops)
+                        walk_hops)
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           first_sieve_length, incident_index, search_index)
 from .rng import SeedStream
@@ -313,33 +313,36 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     are a prefix. The prefix and its d values come from one backward sweep
     bounded at k_eff that keeps s's values alone (``departure_distances``);
     no full-graph distance table is built. Its first value is the temporal
-    distance. When it is empty, that distance exceeds k_eff, and a forward
-    ``fewest_hops`` sweep bounded at vertex_count - 1 gives it exactly: a
-    fewest-hop temporal walk is a path. A window whose own distance
-    d(s, t0) exceeds the budget is rejected by a forward ``fewest_hops``
-    sweep over its time-edges before any graph or table is built: its solve
-    would stop there, with no probe and all-zero counters. The error budget
-    is split evenly over the departures (subcall_error_prob), one share
-    each, solved or rejected: a false no needs a false no from a window
-    that holds a solution, and at most len(departures) windows are solved,
-    so their shares sum to at most p. Each window's solve splits its share
-    again over its own chain."""
+    distance. When it is empty, that distance exceeds k_eff, and
+    ``walk_hops`` with no waiting bound, bounded at vertex_count - 1, gives
+    it exactly: a fewest-hop temporal walk is a path. One incident index of
+    g serves every such search. A window whose own distance d(s, t0)
+    exceeds the budget is rejected by ``walk_hops`` over the window's
+    stamps, with no waiting bound, before any graph or table is built: its
+    solve would stop there, with no probe and all-zero counters. The error
+    budget is split evenly over the departures (subcall_error_prob), one
+    share each, solved or rejected: a false no needs a false no from a
+    window that holds a solution, and at most len(departures) windows are
+    solved, so their shares sum to at most p. Each window's solve splits
+    its share again over its own chain."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()
     k_eff = min(k, max(1, g.vertex_count - 1))
     departures = departure_distances(g, s, z, k_eff)
+    incident = incident_index(g.time_edges)
     if departures:
         d_source = departures[0][1]
     else:
-        d_source = fewest_hops(g.time_edges, s, z, g.vertex_count - 1)
+        d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
     sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
     witness = None
     for t0, _ in departures:
-        edges = g.edges_between(t0, t0 + (k - 1) * delta + 1)
+        t_hi = t0 + (k - 1) * delta + 1
         # the window has g's vertices, so its k_eff is this one
-        if fewest_hops(edges, s, z, k_eff) > k_eff:
+        if walk_hops(incident, s, z, INF, t0, t_hi, k_eff) > k_eff:
             continue
+        edges = g.edges_between(t0, t_hi)
         window = TemporalGraph.from_time_edges(
             g.vertex_count, g.lifetime, edges, g.aliases)
         result = solve(window, s, z, delta, k, sub_p, cfg)

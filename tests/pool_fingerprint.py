@@ -4,10 +4,10 @@
     python3 tests/pool_fingerprint.py --seed 201 --head 100   # first 100 queries
     python3 tests/pool_fingerprint.py --workload corridor     # that pool alone
 
-For each of corridor, sieve and windowed (or only the pools named by
+For each of corridor, sieve, windowed and bulk (or only the pools named by
 ``--workload``, which may be repeated), every query of
 ``bench/workloads.build_pool(W, seed)`` is answered by the benchmark's own
-operation (``workloads.run_op``). Per workload, two lines:
+operation (``workloads.run_op``). Per solve workload, two lines:
 
     <name> <queries> answers <sha256> counters <sha256>
     <name> totals <counter>=<sum over the pool> ...
@@ -17,8 +17,11 @@ The answers hash covers each answer's decision, witness steps,
 every ``SolveStats`` field but ``elapsed_seconds``, and the totals line
 sums each of those fields over the pool. So a change that redefines one
 counter still shows whether the answers, and the other counters, stay the
-same. The library is imported from ``src/`` next to this directory; the
-script only reads ``bench/``. pytest does not collect it.
+same. Bulk answers with a distance table and a walk distance, so its one
+line, ``bulk <queries> answers <sha256>``, hashes each query's sorted
+table entries and walk distance. The library is imported from ``src/``
+next to this directory; the script only reads ``bench/``. pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 SOLVE_WORKLOADS = ("corridor", "sieve", "windowed")
+WORKLOADS = SOLVE_WORKLOADS + ("bulk",)
 
 
 def answer_key(result) -> tuple:
@@ -66,16 +70,29 @@ def fingerprint(name: str, seed: int, head: int | None) -> tuple[int, str, str, 
     return len(pool), answers.hexdigest(), counted.hexdigest(), totals
 
 
+def bulk_fingerprint(seed: int, head: int | None) -> tuple[int, str]:
+    pool = workloads.build_pool(workloads.WORKLOADS["bulk"], seed)[:head]
+    answers = hashlib.sha256()
+    for q in pool:
+        table, walk = workloads.run_op(workloads.WORKLOADS["bulk"], q)
+        answers.update(repr((sorted(table.entries.items()), walk)).encode() + b"\n")
+    return len(pool), answers.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=201)
     parser.add_argument("--head", type=int, default=None,
                         help="answer only the first HEAD queries of each pool")
-    parser.add_argument("--workload", action="append", choices=SOLVE_WORKLOADS,
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="fingerprint only this pool; repeat for more (default: all)")
     args = parser.parse_args(argv)
-    for name in SOLVE_WORKLOADS:
+    for name in WORKLOADS:
         if args.workload and name not in args.workload:
+            continue
+        if name == "bulk":
+            count, answers = bulk_fingerprint(args.seed, args.head)
+            print(f"bulk {count} answers {answers}", flush=True)
             continue
         count, answers, counted, totals = fingerprint(name, args.seed, args.head)
         print(f"{name} {count} answers {answers} counters {counted}")

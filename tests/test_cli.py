@@ -195,6 +195,14 @@ def test_validate_ok(fig1_file, capsys):
                                "departure": 2, "arrival": 6}
 
 
+@pytest.mark.parametrize("flags", [["-z", "z", "--delta", "0"],
+                                   ["-s", "s", "-z", "z", "--delta", "0"],
+                                   ["-z", "z", "--delta", "-1"]])
+def test_distances_rejects_delta_below_one_as_usage_error(fig1_file, capsys, flags):
+    code, out, err = run(capsys, ["distances", "-i", fig1_file, *flags])
+    assert code == 2 and out == "" and "delta must be at least 1" in err
+
+
 def test_validate_rejects(fig1_file, capsys):
     code, out, _ = run(capsys, [
         "validate", "-i", fig1_file, "-s", "s", "-z", "z", "--delta", "1",

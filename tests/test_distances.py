@@ -9,7 +9,8 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance,
                  compute_distances, random_temporal_graph,
                  restless_walk_distance)
-from rtp.distances import departure_distances, fewest_hops
+from rtp.distances import departure_distances, walk_hops
+from rtp.path_finder import incident_index
 
 
 def naive_non_isolated(g: TemporalGraph) -> set[VertexAppearance]:
@@ -112,19 +113,23 @@ def test_source_distance_of_absent_vertex():
 
 def test_fewest_hops_matches_the_window_tables():
     # every departure window solve_windowed may build, at every bound: the
-    # sweep is the window table's d(s, t0) within the bound, INF past it
+    # search over the whole graph's index, held to the window's stamps with
+    # no waiting bound, is the window table's d(s, t0) within the bound, INF
+    # past it
     windows = exact = cut = 0
     for g, s, z, delta, k in random_instances(2024, 300, max_vertices=10,
                                               max_lifetime=30):
+        incident = incident_index(g.time_edges)
         for t0 in compute_distances(g, z).appearance_times(s):
-            edges = g.edges_between(t0, t0 + (k - 1) * delta + 1)
+            t_hi = t0 + (k - 1) * delta + 1
+            edges = g.edges_between(t0, t_hi)
             window = TemporalGraph.from_time_edges(g.vertex_count, g.lifetime, edges)
             table = compute_distances(window, z)
             want = table.get(s, t0)
             assert want == table.source_distance(s)
             windows += 1
             for bound in range(1, 7):
-                got = fewest_hops(edges, s, z, bound)
+                got = walk_hops(incident, s, z, INF, t0, t_hi, bound)
                 if want <= bound:
                     assert got == want, (edges, s, z, bound, got, want)
                     exact += 1
@@ -174,16 +179,18 @@ def test_fewest_hops_follows_equal_stamp_chains():
     # z = 1 is reached only along 3-0, 0-2, 2-1, all at stamp 2, which
     # canonical order lists out of chain order; the stamp-1 edge 0-1
     # comes before 0 is reached
-    edges = TemporalGraph.from_time_edges(
-        4, 2, [(0, 1, 1), (0, 3, 2), (0, 2, 2), (1, 2, 2)]).time_edges
-    assert [fewest_hops(edges, 3, 1, bound) for bound in (1, 2, 3, 4)] == [INF, INF, 3, 3]
+    incident = incident_index(TemporalGraph.from_time_edges(
+        4, 2, [(0, 1, 1), (0, 3, 2), (0, 2, 2), (1, 2, 2)]).time_edges)
+    assert [walk_hops(incident, 3, 1, INF, 1, INF, bound)
+            for bound in (1, 2, 3, 4)] == [INF, INF, 3, 3]
 
 
 def test_fewest_hops_is_temporal_not_restless():
     # the only route waits 8 stamps at vertex 1, past any waiting bound
-    # below 9: the sweep counts it, restless_walk_distance does not
+    # below 8: the search with no waiting bound counts it,
+    # restless_walk_distance does not
     g = TemporalGraph.from_time_edges(3, 10, [(0, 1, 1), (1, 2, 9)])
-    assert fewest_hops(g.time_edges, 0, 2, 5) == 2
+    assert walk_hops(incident_index(g.time_edges), 0, 2, INF, 1, INF, 5) == 2
     assert compute_distances(g, 2).source_distance(0) == 2
     assert restless_walk_distance(g, 0, 2, 2) == INF
 
@@ -224,16 +231,32 @@ def test_restless_walk_slow_arrival_outlives_fast_label():
 
 def test_restless_walk_matches_oracle():
     rng = random.Random(31337)
+    wide = random.Random(31338)  # waiting bounds up to past the lifetime
     for _ in range(400):
         nv = rng.randint(2, 8)
         g = random_temporal_graph(nv, rng.randint(1, 7),
                                   rng.uniform(0.5, 4.0), rng.getrandbits(64))
         s, z = rng.sample(range(nv), 2)
-        delta = rng.randint(1, 4)
-        got = restless_walk_distance(g, s, z, delta)
-        want = oracles.restless_walk_min(oracles.edge_triples(g), s, z, delta,
-                                         cap=3 * nv * max(1, g.lifetime))
-        assert got == want, (s, z, delta, got, want)
+        for delta in (rng.randint(1, 4), wide.randint(1, g.lifetime + 2)):
+            got = restless_walk_distance(g, s, z, delta)
+            want = oracles.restless_walk_min(oracles.edge_triples(g), s, z, delta,
+                                             cap=3 * nv * max(1, g.lifetime))
+            assert got == want, (s, z, delta, got, want)
+
+
+def test_restless_walk_on_a_hub_with_waits_as_long_as_the_lifetime():
+    # hub 0 meets leaf 1 + t % 30 at each stamp t of 1..3000; leaf 2 alone
+    # leads on, to 31 at 3001, and 31 to z = 32 at 3002, so the fewest hops
+    # from leaf 1 are 4 (1-0, 0-2, 2-31, 31-32); 33 meets no one. With
+    # waits up to the lifetime every hub state reaches every later hub
+    # pair, so a search that scanned each state's window in full would
+    # take about 3000^2 / 2 pairs per hub level
+    leaves, stamps = 30, 3000
+    edges = [(0, 1 + t % leaves, t) for t in range(1, stamps + 1)]
+    edges += [(2, 31, stamps + 1), (31, 32, stamps + 2)]
+    g = TemporalGraph.from_time_edges(34, stamps + 2, edges)
+    assert restless_walk_distance(g, 1, 32, g.lifetime) == 4
+    assert restless_walk_distance(g, 1, 33, g.lifetime) == INF
 
 
 def test_lower_bound_chain_on_random_yes_instances():
