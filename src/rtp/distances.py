@@ -1,22 +1,21 @@
 """Temporal distances to a fixed target vertex, and shortest walks.
 
 d(v, t) is the length of a shortest temporal v-z path that departs at time
-t or later. All values for non-isolated vertex appearances (v on some
-edge at t) come from one backward sweep over the time-sorted edges: the
-later stamps are settled first, so a vertex may stand still into its next
-later appearance for free, and a small unit-weight Dijkstra per stamp
-handles chains of equal-stamp edges. ``compute_distances`` runs that sweep
-unbounded and keeps every value in a ``DistanceTable``, the entries alone
-with no derived index. ``departure_distances`` runs the same sweep bounded
-at a hop count, expanding no label at or above it, and keeps one source's
-values alone: a windowed solve takes its departures and the temporal
-distance from it without building a full-graph table.
+t or later. ``compute_distances`` fills a ``DistanceTable`` with the values
+of all non-isolated vertex appearances (v on some edge at t), the entries
+alone with no derived index, in one backward sweep over the time-sorted
+edges: the later stamps are settled first, so a vertex may stand still
+into its next later appearance for free, and a small unit-weight Dijkstra
+per stamp handles chains of equal-stamp edges.
 
 Shortest walks (vertex repeats allowed) from one source come from one
 breadth-first search over (vertex, arrival stamp) states, ``walk_hops``,
 held to a range of stamps and bounded in hops. With a waiting bound it
 gives ``restless_walk_distance``, the polynomial lower bound on restless
-path length; with none, a windowed solve's per-window distance check.
+path length. With none it is a fewest-hop temporal walk, which is a path,
+so it gives d(s, t) for one source without a table: a windowed solve takes
+its temporal distance, its departures (``departure_stamps``) and every
+per-window distance check from it.
 """
 
 from __future__ import annotations
@@ -76,24 +75,25 @@ class DistanceTable:
         return min((d for (v, _t), d in self.entries.items() if v == s), default=INF)
 
 
-def _backward_sweep(edges: tuple[TimeEdge, ...], z: int, bound: int | float
-                    ) -> Iterator[tuple[int, dict[int, int | float], int]]:
-    """Yield (t, {v: d(v, t)}, relaxations) for each stamp, latest first.
+def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
+    """Fill the full distance table in one backward sweep over the stamps,
+    from the latest down.
 
     ``later[v]`` holds d at v's next later appearance (z counts as 0 from
     the start). At each stamp every vertex on an edge at t starts from
     ``later`` (standing still costs nothing) and a unit-weight Dijkstra over
-    the stamp's edges lets it leave along a same-stamp chain. A label at
-    ``bound`` or above is not expanded, so every value up to ``bound`` is
-    exact and every other value is at least its true distance. Each stamp
+    the stamp's edges lets it leave along a same-stamp chain. Each stamp
     costs O(m_t log m_t) for its m_t edges.
     """
+    if not 0 <= z < g.vertex_count:
+        raise ValueError(f"target {z} is not a vertex of the graph")
+    entries: dict[VertexAppearance, int | float] = {}
+    work = 0
     later: dict[int, int | float] = {z: 0}
-    for t, adj in _stamp_adjacency(reversed(edges)):
+    for t, adj in _stamp_adjacency(reversed(g.time_edges)):
         value = {v: later.get(v, INF) for v in adj}
-        heap = [(d, v) for v, d in value.items() if d < bound]
+        heap = [(d, v) for v, d in value.items() if d < INF]
         heapq.heapify(heap)
-        work = 0
         while heap:
             d, x = heapq.heappop(heap)
             if d > value[x]:
@@ -103,40 +103,11 @@ def _backward_sweep(edges: tuple[TimeEdge, ...], z: int, bound: int | float
                 work += 1
                 if d < value[y]:
                     value[y] = d
-                    if d < bound:
-                        heapq.heappush(heap, (d, y))
+                    heapq.heappush(heap, (d, y))
         later.update(value)
-        yield t, value, work
-
-
-def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
-    """Fill the full distance table in one unbounded backward sweep over the
-    stamps, from the latest down."""
-    if not 0 <= z < g.vertex_count:
-        raise ValueError(f"target {z} is not a vertex of the graph")
-    entries: dict[VertexAppearance, int | float] = {}
-    work = 0
-    for t, value, relaxed in _backward_sweep(g.time_edges, z, INF):
-        work += relaxed
         for v, d in value.items():
             entries[VertexAppearance(v, t)] = d
     return DistanceTable(target=z, entries=entries, work=work)
-
-
-def departure_distances(g: TemporalGraph, s: int, z: int,
-                        bound: int) -> list[tuple[int, int]]:
-    """(t, d(s, t)) for every appearance of s with d(s, t) <= ``bound``, in
-    increasing t.
-
-    ``compute_distances``'s backward sweep, bounded at ``bound`` and keeping
-    s's values alone, with no table. d never decreases in t, so the list is
-    a prefix of s's appearances, and its first value is the temporal s-z
-    distance whenever that is at most ``bound``.
-    """
-    found = [(t, value[s]) for t, value, _ in _backward_sweep(g.time_edges, z, bound)
-             if value.get(s, INF) <= bound]
-    found.reverse()
-    return found
 
 
 def _next_unclaimed(claimed: dict[int, int], i: int) -> int:
@@ -192,6 +163,21 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
                 i = _next_unclaimed(runs, i + 1)
         frontier = reached
     return INF
+
+
+def departure_stamps(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
+                     bound: int) -> list[int]:
+    """The stamps t of s's appearances with d(s, t) <= ``bound``, in
+    increasing order; s != z.
+
+    d(s, t) is ``walk_hops`` from t on with no waiting bound, bounded at
+    ``bound``. d never decreases in t, so the list is a prefix of s's
+    distinct stamps, and bisection finds its end in O(log stamps) searches.
+    """
+    stamps = list(dict.fromkeys(t for t, _ in incident.get(s, [])))
+    end = bisect_left(stamps, True,
+                      key=lambda t: walk_hops(incident, s, z, INF, t, INF, bound) > bound)
+    return stamps[:end]
 
 
 def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int | float:

@@ -42,7 +42,7 @@ from itertools import takewhile
 
 from .areas import (area_graph, area_spec, holds_endpoints, keep_rule, source_admission,
                     upper_admission)
-from .distances import (INF, DistanceTable, compute_distances, departure_distances,
+from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
                         walk_hops)
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           first_sieve_length, incident_index, search_index)
@@ -308,18 +308,16 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
                    p: float, cfg: FinderConfig) -> SolveResult:
     """Solve once per departure time t0 of s on the stamps [t0, t0 +
     (k-1)*delta + 1] only, which holds every solution departing at t0 and
-    can shrink the slack. Departures with d(s, t0) > k_eff = min(k,
-    max(1, vertex_count - 1)) are skipped; d grows with t0, so the rest
-    are a prefix. The prefix and its d values come from one backward sweep
-    bounded at k_eff that keeps s's values alone (``departure_distances``);
-    no full-graph distance table is built. Its first value is the temporal
-    distance. When it is empty, that distance exceeds k_eff, and
-    ``walk_hops`` with no waiting bound, bounded at vertex_count - 1, gives
-    it exactly: a fewest-hop temporal walk is a path. One incident index of
-    g serves every such search. A window whose own distance d(s, t0)
-    exceeds the budget is rejected by ``walk_hops`` over the window's
-    stamps, with no waiting bound, before any graph or table is built: its
-    solve would stop there, with no probe and all-zero counters. The error
+    can shrink the slack. With n = vertex_count, every d(s, t) here comes
+    from ``walk_hops`` with no waiting bound over one incident index of g:
+    a fewest-hop temporal walk is a path, so no distance table of g is
+    built. The temporal distance is that search from stamp 1, bounded at
+    n - 1. Departures with d(s, t0) > k_eff = min(k, max(1, n - 1)) are
+    skipped; d grows with t0, so the rest are a prefix of s's stamps,
+    which ``departure_stamps`` finds by bisection. A window whose
+    own distance d(s, t0) exceeds the budget is rejected by the search held
+    to the window's stamps, before any graph or table is built: its solve
+    would stop there, with no probe and all-zero counters. The error
     budget is split evenly over the departures (subcall_error_prob), one
     share each, solved or rejected: a false no needs a false no from a
     window that holds a solution, and at most len(departures) windows are
@@ -329,15 +327,12 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     started = time.perf_counter()
     stats = SolveStats()
     k_eff = min(k, max(1, g.vertex_count - 1))
-    departures = departure_distances(g, s, z, k_eff)
     incident = incident_index(g.time_edges)
-    if departures:
-        d_source = departures[0][1]
-    else:
-        d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
+    d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
+    departures = departure_stamps(incident, s, z, k_eff) if d_source <= k_eff else []
     sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
     witness = None
-    for t0, _ in departures:
+    for t0 in departures:
         t_hi = t0 + (k - 1) * delta + 1
         # the window has g's vertices, so its k_eff is this one
         if walk_hops(incident, s, z, INF, t0, t_hi, k_eff) > k_eff:

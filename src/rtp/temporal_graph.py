@@ -46,7 +46,7 @@ class PathValidationError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeEdge:
     """An undirected edge present at one time step; endpoints are normalized u < v."""
 
@@ -71,10 +71,6 @@ class TimeEdge:
         if vertex == self.v:
             return self.u
         raise ValueError(f"vertex {vertex} is not an endpoint of {self}")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
 
 
 class VertexAppearance(NamedTuple):
@@ -101,10 +97,10 @@ def _sorted_time_edges(vertex_count: int, lifetime: int,
         if not 1 <= e.t <= lifetime:
             raise ValueError(f"time stamp out of range: {e.t}")
         if not (0 <= e.u and e.v < vertex_count):
-            raise ValueError(f"vertex id out of range: {e.pair}")
+            raise ValueError(f"vertex id out of range: {(e.u, e.v)}")
         key = (e.t, e.u, e.v)
         if key in by_key:
-            raise ValueError(f"duplicate time-edge {e.pair} at time {e.t}")
+            raise ValueError(f"duplicate time-edge {(e.u, e.v)} at time {e.t}")
         by_key[key] = e
     return tuple(by_key[key] for key in sorted(by_key))
 

@@ -9,7 +9,7 @@ from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance,
                  compute_distances, random_temporal_graph,
                  restless_walk_distance)
-from rtp.distances import departure_distances, walk_hops
+from rtp.distances import departure_stamps, walk_hops
 from rtp.path_finder import incident_index
 
 
@@ -139,9 +139,10 @@ def test_fewest_hops_matches_the_window_tables():
     assert windows >= 1000 and exact >= 1000 and cut >= 100, (windows, exact, cut)
 
 
-def test_departure_distances_match_the_table():
-    # at every bound, the bounded sweep lists the table's values at s's
-    # appearances up to the bound, in time order, and nothing past it
+def test_departure_stamps_match_the_table():
+    # at every bound, the bisected walk search lists the stamps of s's
+    # appearances whose table value is within the bound, in time order, and
+    # nothing past it
     def column(dt, s):
         return [(t, dt.get(s, t)) for t in dt.appearance_times(s)]
 
@@ -151,9 +152,10 @@ def test_departure_distances_match_the_table():
         dt = compute_distances(g, z)
         full = column(dt, s)
         absent += not full
+        incident = incident_index(g.time_edges)
         for bound in range(1, 8):
-            want = [(t, d) for t, d in full if d <= bound]
-            got = departure_distances(g, s, z, bound)
+            want = [t for t, d in full if d <= bound]
+            got = departure_stamps(incident, s, z, bound)
             assert got == want, (g.time_edges, s, z, bound, got, want)
             exact += bool(want)
             cut += 0 < len(want) < len(full)
@@ -161,18 +163,23 @@ def test_departure_distances_match_the_table():
     assert exact >= 1000 and cut >= 300 and empty >= 50 and absent >= 10, \
         (exact, cut, empty, absent)
     # dense stamps, where same-stamp chains decide the values, from every s
+    # but z, which a windowed solve never asks about
     for g, z in _sparse_and_dense_draws():
         dt = compute_distances(g, z)
+        incident = incident_index(g.time_edges)
         for s in range(g.vertex_count):
+            if s == z:
+                continue
             for bound in (1, 2, 3, g.vertex_count):
-                assert departure_distances(g, s, z, bound) == \
-                    [(t, d) for t, d in column(dt, s) if d <= bound], (s, z, bound)
+                assert departure_stamps(incident, s, z, bound) == \
+                    [t for t, d in column(dt, s) if d <= bound], (s, z, bound)
 
 
-def test_departure_distances_of_absent_source():
-    g = TemporalGraph.from_time_edges(3, 2, [TimeEdge(0, 1, 1)])
-    assert departure_distances(g, 2, 0, 5) == []
-    assert departure_distances(g, 1, 0, 1) == [(1, 1)]
+def test_departure_stamps_of_absent_source():
+    incident = incident_index(TemporalGraph.from_time_edges(
+        3, 2, [TimeEdge(0, 1, 1)]).time_edges)
+    assert departure_stamps(incident, 2, 0, 5) == []
+    assert departure_stamps(incident, 1, 0, 1) == [1]
 
 
 def test_fewest_hops_follows_equal_stamp_chains():

@@ -24,6 +24,14 @@ def test_time_edge_normalizes_endpoints():
         TimeEdge(2, 2, 1)
 
 
+def test_time_edge_has_slots_only():
+    # a graph holds one TimeEdge per time-edge; slots keep each one small
+    e = TimeEdge(0, 1, 1)
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(AttributeError):
+        e.u = 2
+
+
 def test_parse_fig1(fig1):
     assert fig1.vertex_count == 7
     assert fig1.lifetime == 6
