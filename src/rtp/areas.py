@@ -6,24 +6,27 @@ lies strictly between the two corner appearances' distances and whose time
 lies in the corners' time span. The corridor keeps the time-edges a
 restless path can cross departing only from window appearances or the
 lower corner, and ending at the upper corner within its waiting window.
-That rule is written once, as the predicate ``keep_rule(dt, spec)``.
+That rule is written once, as the predicate ``keep_rule(dt, incident,
+spec)``, over the distance table and the graph's incident index.
 
 The source-side variant has no lower corner: it admits every reachable
 appearance farther from the target than the upper corner.
 
 A corridor is a view, not a copy: ``keep`` answers for one time-edge from
 the distance table in a few lookups. A table fill skips every corridor that
-cannot hold both ends of its search in two steps. Admission comes first and
-builds no rule: ``source_admission`` rejects a source-side link whose
-source has no window appearance by the upper corner's time, and
-``upper_admission`` answers, for every lower corner of one upper corner at
-once, whether the upper corner's vertex is entered inside the corridor.
-Then ``holds_endpoints``, the exact check, asks ``keep`` about the corner
-vertices' incident pairs. A link's in-place search walks the graph's
-incident index under ``keep`` (``path_finder.search_index``), and only a
-probe that may reach the sieve gets the edge list, from ``area_graph``.
-That list also serves the dispatcher on ``auto``, which counts its
-time-edges and hands a corridor of at most 16 to brute.
+cannot hold both ends of its search, and asks each end once.
+``source_admission`` first rejects, with one bisect, a source-side link
+whose source has no window appearance by the upper corner's time.
+``upper_admission``, built once per upper corner, then decides exactly,
+for every link below it, whether the corridor enters the upper corner's
+vertex. Only a link it admits gets a spec and a ``keep``, and
+``holds_start``, the exact check of the search's start, asks ``keep``
+about that vertex's incident pairs. A link's in-place search walks the
+graph's incident index under ``keep`` (``path_finder.search_index``), and
+only a probe that may reach the sieve gets the edge list, from
+``area_graph`` under the same ``keep``. That list also serves the
+dispatcher on ``auto``, which counts its time-edges and hands a corridor
+of at most 16 to brute.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ def area_spec(dt: DistanceTable, lower: VertexAppearance | None,
     return spec
 
 
-def keep_rule(dt: DistanceTable, spec: AreaSpec) -> Callable[[int, int, int], bool]:
+def keep_rule(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
+              spec: AreaSpec) -> Callable[[int, int, int], bool]:
     """The corridor's keep rule: ``keep(x, y, t)`` is whether the time-edge
-    {x, y} at stamp t belongs to the corridor of spec.
+    {x, y} at stamp t belongs to the corridor of spec, given dt and an
+    ``incident`` index (``path_finder.incident_index``) of its graph.
 
     A time-edge is kept when a restless path can cross it inside the
     corridor: one endpoint departs at t from a window appearance (distance
@@ -88,8 +93,11 @@ def keep_rule(dt: DistanceTable, spec: AreaSpec) -> Callable[[int, int, int], bo
     with t >= upper.t - delta, or departs again from a window appearance
     within [t, t + delta]. Arrivals are matched by that later departure
     because the window bounds departure distances, and d(y, arrival) <=
-    d(y, departure) can fall below it. The rule is symmetric in x and y,
-    and costs a few distance-table lookups.
+    d(y, departure) can fall below it. y has a table entry at t2 iff it
+    has a pair at t2, so the later departures are read from y's pairs in
+    (t, min(t + delta, upper.t)], not from every stamp there: the work per
+    edge grows with y's pairs, not with stamp values or delta. The rule is
+    symmetric in x and y.
     """
     get = dt.entries.get
     b, t_up = spec.upper
@@ -100,8 +108,8 @@ def keep_rule(dt: DistanceTable, spec: AreaSpec) -> Callable[[int, int, int], bo
     def arrives(y: int, t: int) -> bool:
         if y == b:
             return t >= t_up - spec.delta
-        return any(d_up < get((y, t2), INF) < d_lo
-                   for t2 in range(t + 1, min(t + spec.delta, t_up) + 1))
+        return any(d_up < get((y, t2), INF) < d_lo for t2, _ in pairs_between(
+            incident.get(y, []), t + 1, min(t + spec.delta, t_up)))
 
     def keep(x: int, y: int, t: int) -> bool:
         if not t_lo <= t <= t_up:
@@ -129,49 +137,43 @@ class AreaGraph:
     time_edges: tuple[TimeEdge, ...]
 
 
-def area_graph(g: TemporalGraph, dt: DistanceTable, spec: AreaSpec) -> AreaGraph:
+def area_graph(g: TemporalGraph, spec: AreaSpec,
+               keep: Callable[[int, int, int], bool]) -> AreaGraph:
     """Materialize the corridor of spec: the time-edges of g that pass
-    ``keep_rule(dt, spec)``, in canonical order. Only the stamps from
-    lower.t (on the source side, the first) to upper.t are scanned, since
-    ``keep`` passes no other."""
-    keep = keep_rule(dt, spec)
+    ``keep``, the corridor's ``keep_rule`` over g, in canonical order.
+    Only the stamps from lower.t (on the source side, the first) to
+    upper.t are scanned, since ``keep`` passes no other."""
     t_lo = spec.lower.t if spec.lower else 0
     kept = tuple(e for e in g.edges_between(t_lo, spec.upper.t) if keep(e.u, e.v, e.t))
     return AreaGraph(time_edges=kept)
 
 
-def holds_endpoints(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
-                    keep: Callable[[int, int, int], bool], source: int) -> bool:
-    """Whether the corridor of spec holds both ends of its search: the
-    upper corner's vertex b and the lower corner's vertex a (on the source
-    side, ``source``). A vertex is in the corridor iff ``keep``, the
-    corridor's ``keep_rule``, passes one of its pairs in ``incident`` (a
-    ``path_finder.incident_index`` of the graph), so this equals asking
-    whether both are endpoints of ``area_graph(...).time_edges``. It is the
-    exact check after admission (``source_admission``, ``upper_admission``),
-    which a table fill asks first.
+def holds_start(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
+                keep: Callable[[int, int, int], bool], source: int) -> bool:
+    """Whether the corridor of spec holds the start of its search: the
+    lower corner's vertex a (on the source side, ``source``). A vertex is
+    in the corridor iff ``keep``, the corridor's ``keep_rule``, passes one
+    of its pairs in ``incident`` (a ``path_finder.incident_index`` of the
+    graph), so this equals asking whether that vertex is an endpoint of
+    ``area_graph(...).time_edges``. The other end, the upper corner's
+    vertex, is ``upper_admission``'s to decide, which a table fill asks
+    first.
 
-    Only a few pairs need asking. Neither corner vertex has a window
-    appearance, because d(v, .) never decreases in time: d(b, t) <=
-    d(upper) for t <= upper.t, and d(a, t) >= d(lower) for t >= lower.t.
-    So b is only entered, at a stamp in [max(lower.t, upper.t - delta),
-    upper.t], and a only left, at lower.t; the source may be anywhere up
-    to upper.t.
+    Only a few pairs need asking. The lower corner's vertex has no window
+    appearance, because d(v, .) never decreases in time: d(a, t) >=
+    d(lower) for t >= lower.t. So a is only left, at lower.t; the source
+    may be anywhere up to upper.t.
     """
-    b, t_up = spec.upper
     frm, t_lo = spec.lower or (source, 0)
-    t_frm = t_lo if spec.lower else t_up
-    return (any(keep(b, w, t) for t, w in pairs_between(
-                incident.get(b, []), max(t_lo, t_up - spec.delta), t_up))
-            and any(keep(frm, w, t) for t, w in pairs_between(
-                incident.get(frm, []), t_lo, t_frm)))
+    t_frm = t_lo if spec.lower else spec.upper.t
+    return any(keep(frm, w, t) for t, w in pairs_between(incident.get(frm, []), t_lo, t_frm))
 
 
 def source_admission(appearances: list[tuple[int, int | float]]
                      ) -> Callable[[VertexAppearance, int | float], bool]:
     """Admission for source-side corridors, from the source's appearances
     as time-sorted (t, d) pairs: ``admits(upper, d_up)`` is False only
-    where ``holds_endpoints`` is False on the source side below upper.
+    where ``holds_start`` is False on the source side below upper.
 
     The source s is never the upper corner, and the source side has no
     lower corner, so ``keep`` passes a pair (s, w, t) only if s is a window
@@ -194,29 +196,33 @@ def source_admission(appearances: list[tuple[int, int | float]]
 
 def upper_admission(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
                     upper: VertexAppearance, delta: int
-                    ) -> Callable[[VertexAppearance, int | float], bool]:
-    """``holds_endpoints``' upper clause for every lower corner of upper at
-    once: ``admits(lower, d_lo)`` is whether the corridor from lower, at
-    distance d_lo, to upper holds upper's vertex b.
+                    ) -> Callable[[VertexAppearance | None, int | float], bool]:
+    """Whether a corridor below upper holds upper's vertex b, for every
+    lower corner of upper at once: ``admits(lower, d_lo)`` answers for the
+    corridor from lower, at distance d_lo, to upper. ``lower`` None, with
+    d_lo INF, is the source side, read as lower.t = 0.
 
-    b is entered at t in [max(lower.t, upper.t - delta), upper.t], and
-    ``keep`` passes (b, w, t) there iff d_up < d(w, t) < d_lo, or w is the
-    lower corner's vertex at t = lower.t (whose d is d_lo). So over b's
-    pairs in [upper.t - delta, upper.t] with d_up < d(w, t) < INF, sorted
-    by t, a suffix minimum of d(w, t) answers each lower corner with one
-    bisect and one set lookup.
+    b has no window appearance, because d(v, .) never decreases in time:
+    d(b, t) <= d(upper) for t <= upper.t. So b is only entered, at t in
+    [max(lower.t, upper.t - delta), upper.t], and ``keep`` passes (b, w, t)
+    there iff d_up < d(w, t) < d_lo, or w is the lower corner's vertex at
+    t = lower.t (whose d is d_lo). So over b's pairs in [upper.t - delta,
+    upper.t] with d_up < d(w, t) < INF, sorted by t, a suffix minimum of
+    d(w, t) answers each lower corner with one bisect and one set lookup.
     """
     b, t_up = upper
     get = dt.entries.get
     d_up = dt.entries[upper]
-    entering = [(t, w, d) for t, w in pairs_between(incident.get(b, []), t_up - delta, t_up)
-                if d_up < (d := get((w, t), INF)) < INF]
-    stamps = [t for t, _, _ in entering]
-    suffix = [*accumulate(reversed([d for _, _, d in entering]), min)][::-1] + [INF]
-    pairs = {(t, w) for t, w, _ in entering}
+    stamps, dists, pairs = [], [], set()
+    for t, w in pairs_between(incident.get(b, []), t_up - delta, t_up):
+        if d_up < (d := get((w, t), INF)) < INF:
+            stamps.append(t)
+            dists.append(d)
+            pairs.add((t, w))
+    suffix = [*accumulate(reversed(dists), min)][::-1] + [INF]
 
-    def admits(lower: VertexAppearance, d_lo: int | float) -> bool:
-        a, t_lo = lower
+    def admits(lower: VertexAppearance | None, d_lo: int | float) -> bool:
+        a, t_lo = lower or (None, 0)  # stamps start at 1
         return suffix[bisect_left(stamps, t_lo)] < d_lo or (t_lo, a) in pairs
 
     return admits

@@ -91,10 +91,10 @@ class SolveStats:
     fill searches each link's lengths below ``first_sieve_length`` in place
     with one shortest-connector search, so areas_built counts only
     corridors with a probe that may reach the sieve and that hold both ends
-    of their search (``areas.holds_endpoints``). finder_calls counts the
-    connector searches run: each finder call counts itself, and a table
-    fill adds one per in-place search, one per link whose corridor holds
-    both ends.
+    of their search (``areas.upper_admission``, ``areas.holds_start``).
+    finder_calls counts the connector searches run: each finder call
+    counts itself, and a table fill adds one per in-place search, one per
+    link whose corridor holds both ends.
     """
 
     finder_calls: int = 0

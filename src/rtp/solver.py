@@ -13,17 +13,21 @@ appearances. Only a predecessor that already holds a finite value can
 contribute, so the fill keeps, per distance, the appearances it has
 reached, and a far entry draws its predecessors from those lists alone.
 A link whose corridor cannot hold both ends of its search is dropped,
-most of them by a few distance-table lookups before the corridor's rule
-is built (``areas.source_admission``, ``areas.upper_admission``), the
-rest by the exact check (``areas.holds_endpoints``). Each remaining link
-runs one in-place search for its shortest connector below
-``first_sieve_length``; only when that finds none does it build the
-corridor and probe the exact lengths from there up, each exact-length
-probe drawing the next seed of the fill's stream. The instance is a yes
-iff some appearance of z gets a value at most k; the witness is
-reassembled from recorded predecessor links and re-validated, so yes
-answers carry no error. No answers inherit at most the configured
-probability from the randomized exact-length subroutine.
+and each end is asked once, in one order: a source-side link first by
+``areas.source_admission``, one bisect; every link then by
+``areas.upper_admission``, built once per appearance, which decides
+exactly whether the corridor enters the appearance's vertex; only then
+does a link build its spec and one ``areas.keep_rule``, which
+``areas.holds_start`` asks whether the corridor holds the search's start.
+Each remaining link runs one in-place search for its shortest connector
+below ``first_sieve_length`` under that ``keep``; only when that finds
+none does it build the corridor from the same ``keep`` and probe the
+exact lengths from there up, each exact-length probe drawing the next
+seed of the fill's stream. The instance is a yes iff some appearance of
+z gets a value at most k; the witness is reassembled from recorded
+predecessor links and re-validated, so yes answers carry no error. No
+answers inherit at most the configured probability from the randomized
+exact-length subroutine.
 
 Entries are filled in order of decreasing distance (per level: increasing
 time, then vertex id), which makes every dependency available and, with
@@ -40,7 +44,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
-from .areas import (area_graph, area_spec, holds_endpoints, keep_rule, source_admission,
+from .areas import (area_graph, area_spec, holds_start, keep_rule, source_admission,
                     upper_admission)
 from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
                         walk_hops)
@@ -145,23 +149,22 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             probes = 2 * ell + 1
         best: int | float = INF
         best_link = None
-        admits_lower = None  # upper_admission of app, built on first use
+        admits_upper = None  # upper_admission of app, built on first use
         for pred, d_pred, base in links:
             if base + 1 >= best:
                 continue
             # a few table lookups reject most links before their corridor
-            # rule is built; holds_endpoints is the exact check after them
-            if pred is None:
-                if not admits_source(app, d):
-                    continue
-            else:
-                if admits_lower is None:
-                    admits_lower = upper_admission(dt, incident, app, delta)
-                if not admits_lower(pred, d_pred):
-                    continue
+            # rule is built; each end of the search is checked once, the
+            # upper one exactly by upper_admission, the start by holds_start
+            if pred is None and not admits_source(app, d):
+                continue
+            if admits_upper is None:
+                admits_upper = upper_admission(dt, incident, app, delta)
+            if not admits_upper(pred, d_pred):
+                continue
             spec = area_spec(dt, pred, app, delta)
-            keep = keep_rule(dt, spec)
-            if not holds_endpoints(incident, spec, keep, s):
+            keep = keep_rule(dt, incident, spec)
+            if not holds_start(incident, spec, keep, s):
                 continue
             frm, t_lo = (s, 0) if pred is None else pred
             limit = min(probes, best - base - 1)  # only improvements
@@ -172,7 +175,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
             stats.finder_calls += 1
             if found is None and limit >= first_sieve:
                 # the sieve, and the dispatcher's edge count, need the edges
-                area = area_graph(g, dt, spec)
+                area = area_graph(g, spec, keep)
                 stats.areas_built += 1
                 stats.corridor_edges += len(area.time_edges)
                 for length in range(first_sieve, limit + 1):

@@ -6,7 +6,9 @@ import random
 import pytest
 
 import rtp.path_finder
-from rtp import TemporalGraph, TimeEdge, parse_temporal_graph, random_temporal_graph
+from rtp import TemporalGraph, TimeEdge, area_graph, parse_temporal_graph, random_temporal_graph
+from rtp.areas import keep_rule
+from rtp.path_finder import incident_index
 
 FIG1_TEXT = importlib.resources.files("rtp").joinpath("data/fig1.tel").read_text()
 
@@ -43,6 +45,11 @@ def random_instances(seed: int, count: int, *, max_vertices=8, max_lifetime=6,
             continue
         out.append((g, s, z, rng.choice(deltas), rng.randint(1, max_k)))
     return out
+
+
+def corridor(g, dt, spec):
+    """The corridor of spec over g, materialized under its keep rule."""
+    return area_graph(g, spec, keep_rule(dt, incident_index(g.time_edges), spec))
 
 
 def line_with_chord(n: int) -> TemporalGraph:

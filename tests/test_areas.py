@@ -5,11 +5,11 @@ import random
 import pytest
 
 import oracles
-from conftest import S, A, B, C, D, E, Z, random_instances
+from conftest import S, A, B, C, D, E, Z, corridor, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, area_graph,
                  area_spec, compute_distances, find_exact_restless_path_brute,
                  random_temporal_graph)
-from rtp.areas import (AreaSpec, holds_endpoints, keep_rule, source_admission,
+from rtp.areas import (AreaSpec, holds_start, keep_rule, source_admission,
                        upper_admission)
 from rtp.path_finder import incident_index, search_index
 
@@ -49,9 +49,10 @@ def naive_area_edges(g, dt, lower, upper, delta):
                         for x, y in ((e.u, e.v), (e.v, e.u))))
 
 
-def _compare_random_corridors(seed, count, max_vertices, max_lifetime):
+def _compare_random_corridors(seed, count, max_vertices, max_lifetime, max_delta=3):
     """Draw corridors on random graphs; check the kept edges, in
-    canonical order, against the definitional filter."""
+    canonical order, against the definitional filter. delta is drawn from
+    1 to max_delta, or to the graph's lifetime when max_delta is None."""
     rng = random.Random(seed)
     compared = 0
     while compared < count:
@@ -63,7 +64,7 @@ def _compare_random_corridors(seed, count, max_vertices, max_lifetime):
         finite = [(app, d) for app, d in dt.entries.items() if d < INF]
         if len(finite) < 2:
             continue
-        delta = rng.randint(1, 3)
+        delta = rng.randint(1, max_delta or g.lifetime)
         upper, d_up = rng.choice(finite)
         lower = None
         if rng.random() < 0.7:
@@ -73,7 +74,7 @@ def _compare_random_corridors(seed, count, max_vertices, max_lifetime):
                 continue
             lower, _ = rng.choice(choices)
         spec = area_spec(dt, lower, upper, delta)
-        got = area_graph(g, dt, spec).time_edges
+        got = corridor(g, dt, spec).time_edges
         want = naive_area_edges(g, dt, lower, upper, delta)
         assert got == want, (lower, upper, delta)
         compared += 1
@@ -85,17 +86,21 @@ def test_area_graph_matches_definitional_filter_on_random_graphs():
 
 def test_area_graph_matches_definitional_filter_on_long_lifetimes():
     # corridor time spans here are much shorter than the lifetime, so the
-    # scan of [lower.t, upper.t] alone must still find every kept edge
+    # scan of [lower.t, upper.t] alone must still find every kept edge;
+    # with waits up to the lifetime, an arrival's later departures span
+    # many stamps, and keep reads them from the arriving vertex's pairs
     _compare_random_corridors(4711, 400, max_vertices=15, max_lifetime=30)
+    _compare_random_corridors(4712, 400, max_vertices=15, max_lifetime=30, max_delta=None)
 
 
-def test_holds_endpoints_matches_built_corridors():
+def test_holds_start_matches_built_corridors():
     # every corridor of every instance: hop corridors between any two
     # finite appearances, and the source-side corridor below each one not
-    # of the source (the table fill asks for no such corridor). The
-    # admission before it never rejects a corridor it holds: on the source
-    # side it is only necessary, and on a hop corridor it is exactly the
-    # upper corner's clause, whether upper.v is in the built corridor
+    # of the source (the table fill asks for no such corridor). Each end
+    # has one exact check: upper_admission for the upper corner's vertex,
+    # on both kinds of corridor, and holds_start for the search's start.
+    # The source filter before them never rejects a corridor that holds
+    # both ends, and each admission rejects more than half its corridors
     counts = {"hop": 0, "source": 0, "skipped": 0, "source admitted": 0,
               "upper admitted": 0}
     for g, s, z, delta, _k in random_instances(2718, 1900, max_vertices=10, max_lifetime=12):
@@ -105,7 +110,7 @@ def test_holds_endpoints_matches_built_corridors():
         admits_source = source_admission(sorted(
             (t, d) for (v, t), d in dt.entries.items() if v == s))
         for upper, d_up in finite:
-            admits_lower = upper_admission(dt, incident, upper, delta)
+            admits_upper = upper_admission(dt, incident, upper, delta)
             lowers = [(lo, d_lo) for lo, d_lo in finite
                       if d_lo > d_up and lo.t <= upper.t and lo.v != upper.v]
             if upper.v != s:
@@ -113,17 +118,21 @@ def test_holds_endpoints_matches_built_corridors():
             for lower, d_lo in lowers:
                 spec = area_spec(dt, lower, upper, delta)
                 frm = s if lower is None else lower.v
-                vertices = oracles.endpoints(area_graph(g, dt, spec).time_edges)
-                passes = holds_endpoints(incident, spec, keep_rule(dt, spec), s)
+                keep = keep_rule(dt, incident, spec)
+                vertices = oracles.endpoints(area_graph(g, spec, keep).time_edges)
+                start = holds_start(incident, spec, keep, s)
+                entered = admits_upper(lower, d_lo)
+                assert start == (frm in vertices), spec
+                assert entered == (upper.v in vertices), spec
+                passes = entered and start
                 assert passes == ({frm, upper.v} <= vertices), spec
                 if lower is None:
                     admitted = admits_source(upper, d_up)
                     assert admitted or not passes, spec
+                    counts["source admitted"] += admitted
                 else:
-                    admitted = admits_lower(lower, d_lo)
-                    assert admitted == (upper.v in vertices), spec
+                    counts["upper admitted"] += entered
                 counts["source" if lower is None else "hop"] += 1
-                counts["source admitted" if lower is None else "upper admitted"] += admitted
                 counts["skipped"] += not passes
     assert counts["hop"] + counts["source"] >= 100_000, counts
     assert counts["source"] >= 5_000 and counts["skipped"] >= 50_000, counts
@@ -150,14 +159,17 @@ def test_in_place_search_matches_materialized_corridors():
         for upper, d_up in finite:
             if upper.v == s:
                 continue
-            lowers = [lo for lo, d_lo in finite
+            admits_upper = upper_admission(dt, incident, upper, delta)
+            lowers = [(lo, d_lo) for lo, d_lo in finite
                       if d_lo > d_up and lo.t <= upper.t and lo.v != upper.v]
-            for lower in [None, *lowers]:
-                spec = area_spec(dt, lower, upper, delta)
-                keep = keep_rule(dt, spec)
-                if not holds_endpoints(incident, spec, keep, s):
+            for lower, d_lo in [(None, INF), *lowers]:
+                if not admits_upper(lower, d_lo):
                     continue
-                area = area_graph(g, dt, spec)
+                spec = area_spec(dt, lower, upper, delta)
+                keep = keep_rule(dt, incident, spec)
+                if not holds_start(incident, spec, keep, s):
+                    continue
+                area = area_graph(g, spec, keep)
                 filtered = tuple(e for e in g.time_edges if keep(e.u, e.v, e.t))
                 assert area.time_edges == filtered, spec
                 assert filtered == naive_area_edges(g, dt, lower, upper, delta), spec
@@ -186,7 +198,7 @@ def test_in_place_search_matches_materialized_corridors():
 def test_area_edges_are_subgraph_and_vertices_are_endpoints(fig1):
     dt = compute_distances(fig1, Z)
     spec = area_spec(dt, None, VertexAppearance(Z, 6), 2)
-    area = area_graph(fig1, dt, spec)
+    area = corridor(fig1, dt, spec)
     for e in area.time_edges:
         assert fig1.has_time_edge(e)
     # in canonical order, which the finders' incident index relies on
@@ -205,7 +217,7 @@ def test_source_area_never_contains_later_edges():
         if not finite:
             continue
         upper = rng.choice(finite)
-        area = area_graph(g, dt, area_spec(dt, None, upper, 2))
+        area = corridor(g, dt, area_spec(dt, None, upper, 2))
         assert all(e.t <= upper.t for e in area.time_edges)
 
 
@@ -217,7 +229,7 @@ def test_direct_corner_to_corner_edge_is_admitted():
     lower = VertexAppearance(0, 1)   # d = 2
     upper = VertexAppearance(1, 2)   # d = 1
     spec = area_spec(dt, lower, upper, 2)
-    area = area_graph(g, dt, spec)
+    area = corridor(g, dt, spec)
     assert area.time_edges == (TimeEdge(0, 1, 1),)
 
 
@@ -226,7 +238,7 @@ def test_direct_edge_outside_arrival_window_is_dropped():
     dt = compute_distances(g, 2)
     spec = area_spec(dt, VertexAppearance(0, 1), VertexAppearance(1, 5), 2)
     # the 0-1 edge sits at stamp 1 < upper.t - delta = 3
-    assert area_graph(g, dt, spec).time_edges == ()
+    assert corridor(g, dt, spec).time_edges == ()
 
 
 def test_arrivals_inside_source_area_fall_in_waiting_window():
@@ -236,7 +248,7 @@ def test_arrivals_inside_source_area_fall_in_waiting_window():
         for app, d in sorted(dt.entries.items()):
             if d == INF or app.v == s:
                 continue
-            area = area_graph(g, dt, area_spec(dt, None, app, delta))
+            area = corridor(g, dt, area_spec(dt, None, app, delta))
             if s not in oracles.endpoints(area.time_edges):
                 continue
             triples = [(e.u, e.v, e.t) for e in area.time_edges]
@@ -266,8 +278,8 @@ def test_chained_areas_share_only_the_chaining_vertex():
             continue
         lower, upper = rng.choice(pairs)
         delta = rng.randint(1, 3)
-        source_side = area_graph(g, dt, area_spec(dt, None, lower, delta))
-        hop = area_graph(g, dt, area_spec(dt, lower, upper, delta))
+        source_side = corridor(g, dt, area_spec(dt, None, lower, delta))
+        hop = corridor(g, dt, area_spec(dt, lower, upper, delta))
         shared = oracles.endpoints(source_side.time_edges) & oracles.endpoints(hop.time_edges)
         assert shared <= {lower.v}
         checked += 1
@@ -292,7 +304,7 @@ def test_spec_validation():
 
 def test_area_to_temporal_graph_round_trip(fig1):
     dt = compute_distances(fig1, Z)
-    area = area_graph(fig1, dt, area_spec(dt, None, VertexAppearance(Z, 6), 2))
+    area = corridor(fig1, dt, area_spec(dt, None, VertexAppearance(Z, 6), 2))
     sub = TemporalGraph.from_time_edges(fig1.vertex_count, fig1.lifetime,
                                        area.time_edges, fig1.aliases)
     assert set(sub.time_edges) == set(area.time_edges)

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import S, A, B, C, D, E, Z, random_instances
+from conftest import S, A, B, C, D, E, Z, corridor, random_instances
 from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
-                 VertexAppearance, area_graph, area_spec, compute_distances,
+                 VertexAppearance, area_spec, compute_distances,
                  fill_table, parse_temporal_graph, random_temporal_graph,
                  reconstruct, restless_walk_distance, solve,
                  solve_windowed, validate_restless_path)
@@ -304,8 +304,8 @@ def test_pred_links_satisfy_window_conditions():
             assert dt.entries[pred] > dt.entries[app] >= dt.entries[pred] - ell - 1
             assert 1 <= len(steps) <= 2 * ell + 1
             # chained corridors may only share the chaining vertex
-            source_side = area_graph(g, dt, area_spec(dt, None, pred, delta))
-            hop = area_graph(g, dt, area_spec(dt, pred, app, delta))
+            source_side = corridor(g, dt, area_spec(dt, None, pred, delta))
+            hop = corridor(g, dt, area_spec(dt, pred, app, delta))
             shared = (oracles.endpoints(source_side.time_edges)
                       & oracles.endpoints(hop.time_edges))
             assert shared <= {pred.v}, (pred, app)
@@ -608,32 +608,72 @@ def test_fill_table_stats_accumulate_over_calls(fig1):
 
 
 def test_corridors_are_built_only_where_both_ends_fit(monkeypatch):
-    # the table fill asks for 1033 corridors here, and most cannot hold
-    # both ends of their search: a few distance-table lookups admit only
-    # 128 links to the exact check, which holds 97. Skipping the rest
-    # leaves every probe in place, and every probe is short enough for
-    # brute, which builds no corridor. Each link that holds both ends runs
-    # one search, and counts it
+    # the table fill asks for 1033 corridors here, all on the source side,
+    # and most cannot hold both ends of their search. Each link meets one
+    # first check, the source filter, and the 128 it admits meet the upper
+    # check next, which admits 105 to the start check; that holds 97. So a
+    # few distance-table lookups reject most links before their rule is
+    # built. Skipping the rest leaves every probe in place, and every probe
+    # is short enough for brute, which builds no corridor. Each link that
+    # holds both ends runs one search, and counts it
     import rtp.solver
-    links, held = [], []
+    sources, uppers, held = [], [], []
 
-    def counted(admission):
+    def counted(admission, record):
         def build(*args):
             admits = admission(*args)
-            return lambda *link: links.append(admits(*link)) or links[-1]
+            return lambda *link: record.append((link[0], admits(*link))) or record[-1][1]
         return build
 
-    for name in ("source_admission", "upper_admission"):
-        monkeypatch.setattr(rtp.solver, name, counted(getattr(rtp.solver, name)))
-    inner = rtp.solver.holds_endpoints
-    monkeypatch.setattr(rtp.solver, "holds_endpoints",
+    monkeypatch.setattr(rtp.solver, "source_admission",
+                        counted(rtp.solver.source_admission, sources))
+    monkeypatch.setattr(rtp.solver, "upper_admission",
+                        counted(rtp.solver.upper_admission, uppers))
+    inner = rtp.solver.holds_start
+    monkeypatch.setattr(rtp.solver, "holds_start",
                         lambda *args: held.append(inner(*args)) or held[-1])
     g = random_temporal_graph(120, 120, 7.5, 120)
     res = solve(g, 65, 31, 2, 4, 0.01, FinderConfig())
-    assert len(links) == 1033
-    assert sum(links) == len(held) == 128
+    far = [pred for pred, _ in uppers if pred is not None]
+    assert len(sources) + len(far) == 1033
+    assert sum(ok for _, ok in sources) == len(uppers) - len(far) == 128
+    assert sum(ok for _, ok in uppers) == len(held) == 105
     assert res.stats.finder_calls == sum(held) == 97
     assert res.stats.areas_built == 0
+
+
+def test_keep_reads_arrivals_from_pairs_not_stamps(monkeypatch):
+    # stamps far apart with a waiting bound that spans most of them: an
+    # arrival check that looks up every stamp of its waiting window makes
+    # over a million table lookups here, one over the arriving vertex's
+    # pairs about 150
+    import rtp.solver
+    lookups = [0]
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            lookups[0] += 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            lookups[0] += 1
+            return super().__getitem__(key)
+
+    inner = rtp.solver.compute_distances
+
+    def counted(*args):
+        dt = inner(*args)
+        dt.entries = Counted(dt.entries)
+        return dt
+
+    monkeypatch.setattr(rtp.solver, "compute_distances", counted)
+    edges = [TimeEdge(1, 2, 94), TimeEdge(1, 2, 7722), TimeEdge(1, 2, 30530),
+             TimeEdge(0, 1, 30530), TimeEdge(0, 1, 54866), TimeEdge(2, 3, 159848),
+             TimeEdge(0, 3, 159848)]
+    g = TemporalGraph.from_time_edges(4, 200_000, edges)
+    res = solve(g, 1, 3, 100_000, 3, 0.01, FinderConfig(backend="brute"))
+    assert (res.decision, res.temporal_distance, res.stats.finder_calls) == (False, 2, 9)
+    assert lookups[0] <= 1_000, lookups
 
 
 def test_corridor_edges_sum_built_corridors(monkeypatch):
