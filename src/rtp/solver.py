@@ -2,7 +2,14 @@
 
 With d the unrestricted temporal s-z distance and k the length budget, the
 slack ell = k - d bounds how far any solution can stray from monotone
-progress toward z. A table over non-isolated vertex appearances is filled
+progress toward z. Every query is first bracketed by walks, over one
+``incident_index`` of the graph: d is the fewest hops of a temporal walk
+(``distances.walk_hops`` with no waiting bound; such a walk is a path),
+and when the shortest delta-restless s-z walk is longer than the budget,
+no restless path fits either, so the answer is an exact no that builds no
+table, runs no probe and spends no share of the error budget. Only the
+other queries take the table path, which fills the table below over the
+same index. A table over non-isolated vertex appearances is filled
 outward from the near zone (appearances at distance within ell of d): near
 entries get the shortest restless source path of length at most 2*ell
 inside their source-side corridor; far entries take the minimum over
@@ -108,14 +115,19 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
         raise ValueError(f"target {z} is not the distance table's target {dt.target}")
     if s == z:
         raise ValueError("source and target must differ")
+    return _fill(g, dt, incident_index(g.time_edges), s, delta, k, cfg,
+                 SolveStats() if stats is None else stats)
+
+
+def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
+          s: int, delta: int, k: int, cfg: FinderConfig, stats: SolveStats) -> DpTable:
+    """``fill_table`` over the caller's ``incident_index`` of g."""
     # s's appearances in time order, from one scan; d never decreases in
     # time, so the earliest value is the temporal distance
     source_apps = sorted((t, d) for (v, t), d in dt.entries.items() if v == s)
     d_source = source_apps[0][1] if source_apps else INF
     if d_source == INF or d_source > k:
         raise ValueError("fill_table requires a temporal s-z path within budget")
-    if stats is None:
-        stats = SolveStats()
     ell = k - d_source
     near_floor = d_source - ell
     table = DpTable(ell=ell)
@@ -123,7 +135,6 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     # distance -> the appearances filled with a finite value, in (t, v)
     # order; a level is complete before any nearer level reads it
     reached: dict[int | float, list[VertexAppearance]] = {}
-    incident = incident_index(g.time_edges)
     first_sieve = first_sieve_length(cfg)
     admits_source = source_admission(source_apps)
 
@@ -262,33 +273,62 @@ def _result(started: float, stats: SolveStats, witness: RestlessPath | None,
         error_prob=p, subcall_error_prob=sub_p)
 
 
+def _fill_share(p: float, k_eff: int, d_source: int) -> float:
+    """The share of p for each probe of a fill with budget k_eff above
+    temporal distance d_source <= k_eff.
+
+    A false no needs a false no at one relevant probe per link of a
+    solution's chain: the probe of that link's connector length. Each link
+    takes at least one step, so a chain has at most k_eff links, and the
+    2*chain*(2*ell+1) >= 2*k_eff shares of p cover them (the chain count
+    ceil(k_eff/ell) alone does not: a chain may have up to d links). Only
+    randomized sieve decisions spend their share; brute, screened-out and
+    certified probes answer exactly."""
+    ell = k_eff - d_source
+    chain = math.ceil(k_eff / max(1, ell))
+    return _share(p, 2 * chain * (2 * ell + 1), "p/(2*chain*(2*ell+1))")
+
+
+def _no_walk_within(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
+                    delta: int, k_eff: int) -> bool:
+    """The walk bracket: whether every delta-restless s-z walk over
+    ``incident`` is longer than k_eff. Every restless path is a restless
+    walk, so then the answer is an exact no."""
+    return walk_hops(incident, s, z, delta, 1, INF, k_eff) > k_eff
+
+
 def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
           p: float, cfg: FinderConfig) -> SolveResult:
     """Decide whether a delta-restless temporal s-z path of length at most
     k exists; on yes, return a validated witness."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
-    stats = SolveStats()
-    dt = compute_distances(g, z)
-    d_source = dt.source_distance(s)
+    incident = incident_index(g.time_edges)
+    # a fewest-hop temporal walk is a path, so it is never longer than n - 1
+    d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
     k_eff = min(k, max(1, g.vertex_count - 1))  # no simple path is longer
+    if d_source <= k_eff and _no_walk_within(incident, s, z, delta, k_eff):
+        # an exact no before any table, that still reports the split a
+        # fill would have used
+        return _result(started, SolveStats(), None, k, k_eff, d_source, p,
+                       _fill_share(p, k_eff, d_source))
+    return _solve_table(g, incident, s, z, delta, k, d_source, p, cfg, started)
 
-    if d_source == INF or d_source > k_eff:
+
+def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
+                 s: int, z: int, delta: int, k: int, d_source: int | float, p: float,
+                 cfg: FinderConfig, started: float) -> SolveResult:
+    """``solve`` after its walk bracket: the distance table, the fill over
+    ``incident`` (an ``incident_index`` of g) and the reconstruction, with
+    d_source the temporal s-z distance in g. A d_source above the budget
+    stops here, with all-zero counters."""
+    stats = SolveStats()
+    k_eff = min(k, max(1, g.vertex_count - 1))
+    if d_source > k_eff:
         return _result(started, stats, None, k, k_eff, d_source, p, None)
-
-    ell = k_eff - d_source
-    # a false no needs a false no at one relevant probe per link of a
-    # solution's chain: the probe of that link's connector length. Each link
-    # takes at least one step, so a chain has at most k_eff links, and the
-    # 2*chain*(2*ell+1) >= 2*k_eff shares of p cover them (the chain count
-    # ceil(k_eff/ell) alone does not: a chain may have up to d links).
-    # Only randomized sieve decisions spend their share; brute, screened-out
-    # and certified probes answer exactly
-    chain = math.ceil(k_eff / max(1, ell))
-    sub_p = _share(p, 2 * chain * (2 * ell + 1), "p/(2*chain*(2*ell+1))")
-    run_cfg = replace(cfg, error_prob=sub_p)
-
-    dp = fill_table(g, dt, s, z, delta, k_eff, run_cfg, stats=stats)
+    sub_p = _fill_share(p, k_eff, d_source)
+    dt = compute_distances(g, z)
+    dp = _fill(g, dt, incident, s, delta, k_eff, replace(cfg, error_prob=sub_p), stats)
 
     best_app = None
     best_val: int | float = INF
@@ -317,15 +357,20 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     built. The temporal distance is that search from stamp 1, bounded at
     n - 1. Departures with d(s, t0) > k_eff = min(k, max(1, n - 1)) are
     skipped; d grows with t0, so the rest are a prefix of s's stamps,
-    which ``departure_stamps`` finds by bisection. A window whose
-    own distance d(s, t0) exceeds the budget is rejected by the search held
-    to the window's stamps, before any graph or table is built: its solve
-    would stop there, with no probe and all-zero counters. The error
-    budget is split evenly over the departures (subcall_error_prob), one
-    share each, solved or rejected: a false no needs a false no from a
-    window that holds a solution, and at most len(departures) windows are
-    solved, so their shares sum to at most p. Each window's solve splits
-    its share again over its own chain."""
+    which ``departure_stamps`` finds by bisection. The error budget is
+    split evenly over the departures (subcall_error_prob), one share each,
+    solved or rejected: a false no needs a false no from a window that
+    holds a solution, and at most len(departures) windows are solved, so
+    their shares sum to at most p.
+
+    Then the query is bracketed once, as in ``solve``: when the shortest
+    delta-restless s-z walk of all of g is longer than k_eff, no window
+    holds a path, and the answer is an exact no with all-zero counters. A
+    window whose own distance d(s, t0) exceeds the budget is rejected by
+    the search held to the window's stamps, before any graph or table is
+    built. Every other window goes straight to the table path of
+    ``solve``, with no bracket of its own, and splits its share again over
+    its own chain."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()
@@ -334,16 +379,21 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
     departures = departure_stamps(incident, s, z, k_eff) if d_source <= k_eff else []
     sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
+    if departures and _no_walk_within(incident, s, z, delta, k_eff):
+        departures = []
     witness = None
     for t0 in departures:
         t_hi = t0 + (k - 1) * delta + 1
-        # the window has g's vertices, so its k_eff is this one
-        if walk_hops(incident, s, z, INF, t0, t_hi, k_eff) > k_eff:
+        # the window has g's vertices, so its k_eff is this one, and within
+        # it this is its temporal distance
+        d_window = walk_hops(incident, s, z, INF, t0, t_hi, k_eff)
+        if d_window > k_eff:
             continue
         edges = g.edges_between(t0, t_hi)
         window = TemporalGraph.from_time_edges(
             g.vertex_count, g.lifetime, edges, g.aliases)
-        result = solve(window, s, z, delta, k, sub_p, cfg)
+        result = _solve_table(window, incident_index(window.time_edges), s, z, delta, k,
+                              d_window, sub_p, cfg, started)
         for f in fields(SolveStats):  # _result resets the summed wall time
             setattr(stats, f.name, getattr(stats, f.name) + getattr(result.stats, f.name))
         if result.decision:

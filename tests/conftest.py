@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import importlib.resources
 import random
+from unittest import mock
 
 import pytest
 
 import rtp.path_finder
+import rtp.solver
 from rtp import TemporalGraph, TimeEdge, area_graph, parse_temporal_graph, random_temporal_graph
 from rtp.areas import keep_rule
 from rtp.path_finder import incident_index
@@ -16,6 +18,20 @@ FIG1_TEXT = importlib.resources.files("rtp").joinpath("data/fig1.tel").read_text
 @pytest.fixture(scope="session")
 def fig1() -> TemporalGraph:
     return parse_temporal_graph(FIG1_TEXT)
+
+
+def without_walk_bracket():
+    """A context in which ``solve`` and ``solve_windowed`` do not bracket
+    by the shortest restless walk, so every query whose temporal distance
+    is within budget reaches the distance table and the fill. Tests of the
+    fill keep their instances this way when the bracket decides them."""
+    return mock.patch.object(rtp.solver, "_no_walk_within", lambda *args: False)
+
+
+@pytest.fixture
+def no_walk_bracket():
+    with without_walk_bracket():
+        yield
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import S, A, B, C, D, E, Z, corridor, random_instances
+from conftest import (S, A, B, C, D, E, Z, corridor, random_instances,
+                      without_walk_bracket)
 from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  VertexAppearance, area_spec, compute_distances,
                  fill_table, parse_temporal_graph, random_temporal_graph,
@@ -183,16 +184,16 @@ def test_budget_covers_every_link_of_the_witness_chain():
 
 
 def test_windowed_budget_covers_its_windows(monkeypatch):
-    # one share per window solved; each window's solve splits it again
+    # one share per window solved; each window's table path splits it again
     import rtp.solver
-    inner = rtp.solver.solve
+    inner = rtp.solver._solve_table
     results = []
 
     def recorded(*args, **kwargs):
         results.append(inner(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(rtp.solver, "solve", recorded)
+    monkeypatch.setattr(rtp.solver, "_solve_table", recorded)
     p = 0.05
     many = 0
     # windows over budget are rejected before their solve, so few queries
@@ -241,9 +242,10 @@ def solve_every_window(g, s, z, delta, k, p, cfg):
 
 
 @pytest.mark.parametrize("backend", ["brute", "sieve"])
-def test_window_gate_changes_no_result(backend):
+def test_window_gate_changes_no_result(backend, no_walk_bracket):
     # a rejected window's solve stops before its first probe, so skipping
-    # it leaves the decision, witness, split and every counter as they were
+    # it leaves the decision, witness, split and every counter as they were;
+    # without the walk bracket every other window reaches the table path
     counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
     yes = stopped = 0
     # long sparse lifetimes, where a window's horizon often cuts d(s, t0)
@@ -546,14 +548,14 @@ def test_resources_independent_of_lifetime_header(monkeypatch):
 
     import rtp.solver
     text = "3 1000000\n0 1 1\n1 2 3\n"
-    inner = rtp.solver.solve
+    inner = rtp.solver._solve_table
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(rtp.solver, "solve", counted)
+    monkeypatch.setattr(rtp.solver, "_solve_table", counted)
     tracemalloc.start()
     try:
         g = parse_temporal_graph(text)
@@ -572,6 +574,67 @@ def test_solve_on_edgeless_graph():
     g = TemporalGraph(3, 2, [[], []])
     res = solve(g, 0, 2, 1, 2, 0.01, FinderConfig())
     assert not res.decision and res.temporal_distance == INF
+
+
+def test_temporal_distance_is_the_tables_source_distance():
+    # solve takes d(s) from the walk search, before and without any table
+    cfg = FinderConfig(backend="brute")
+    for g, s, z, delta, k in random_instances(20240501, 1000):
+        res = solve(g, s, z, delta, k, 0.01, cfg)
+        assert res.temporal_distance == compute_distances(g, z).source_distance(s), \
+            (g.time_edges, s, z)
+    edgeless = TemporalGraph(3, 2, [[], []])
+    # z has an appearance, but its only edge is earlier than s's
+    unreachable = TemporalGraph.from_time_edges(3, 2, [TimeEdge(0, 1, 2), TimeEdge(1, 2, 1)])
+    for g in (edgeless, unreachable):
+        res = solve(g, 0, 2, 1, 2, 0.01, cfg)
+        assert res.temporal_distance == compute_distances(g, 2).source_distance(0) == INF
+        assert not res.decision and res.ell is None
+
+
+@pytest.mark.parametrize("backend", ["brute", "sieve"])
+def test_walk_bracket_decides_only_nos_the_table_path_shares(backend):
+    # wherever the shortest restless walk is over budget, the table path
+    # answers no too, with the same split; solve answers it with no work
+    counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
+    decided = 0
+    for i, (g, s, z, delta, k) in enumerate(random_instances(20240501, 1000)):
+        cfg = FinderConfig(backend=backend, seed=i)
+        res = solve(g, s, z, delta, k, 0.01, cfg)
+        if res.ell is None or restless_walk_distance(g, s, z, delta) <= res.k_effective:
+            continue
+        with without_walk_bracket():
+            table = solve(g, s, z, delta, k, 0.01, cfg)
+        assert not res.decision and not table.decision, (g.time_edges, s, z, delta, k)
+        assert res.subcall_error_prob == table.subcall_error_prob
+        assert res.temporal_distance == table.temporal_distance and res.ell == table.ell
+        assert all(getattr(res.stats, c) == 0 for c in counters)
+        assert table.stats.table_entries > 0
+        decided += 1
+    assert decided >= 8, decided
+
+
+def test_walk_decided_no_builds_no_table(fig1, monkeypatch):
+    # fig1's shortest restless walk has length 5, so k = 4 is an exact no
+    import rtp.solver
+    assert restless_walk_distance(fig1, S, Z, 2) == 5
+
+    def refused(*args):
+        raise AssertionError("a walk-decided no built a distance table")
+
+    with without_walk_bracket():
+        table = solve(fig1, S, Z, 2, 4, 0.01, FinderConfig(backend="brute"))
+    monkeypatch.setattr(rtp.solver, "compute_distances", refused)
+    counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
+    for runner in (solve, solve_windowed):
+        for backend in ("brute", "sieve", "auto"):
+            res = runner(fig1, S, Z, 2, 4, 0.01, FinderConfig(backend=backend, seed=4))
+            assert not res.decision and res.witness is None
+            assert (res.temporal_distance, res.ell) == (2, 2)
+            assert all(getattr(res.stats, c) == 0 for c in counters), res.stats
+    assert res.subcall_error_prob == 0.01  # one departure within k = 4: stamp 1
+    assert solve(fig1, S, Z, 2, 4, 0.01, FinderConfig()).subcall_error_prob == \
+        table.subcall_error_prob == pytest.approx(0.01 / (2 * 2 * 5))
 
 
 def test_stats_are_populated(fig1):
@@ -597,6 +660,20 @@ def test_fill_table_rejects_source_equal_to_target(fig1):
         fill_table(fig1, dt, Z, Z, 2, 5, FinderConfig(backend="brute"))
 
 
+def test_one_incident_index_per_solve(fig1, monkeypatch):
+    # the walk bracket's index is the one the table fill reads
+    import rtp.solver
+    inner = rtp.solver.incident_index
+    built = []
+    monkeypatch.setattr(rtp.solver, "incident_index",
+                        lambda edges: built.append(len(edges)) or inner(edges))
+    res = solve(fig1, S, Z, 2, 5, 0.01, FinderConfig(backend="brute"))
+    assert res.decision and res.stats.table_entries == 15
+    assert built == [len(fig1.time_edges)]
+    fill_table(fig1, compute_distances(fig1, Z), S, Z, 2, 5, FinderConfig(backend="brute"))
+    assert built == [len(fig1.time_edges)] * 2
+
+
 def test_fill_table_stats_accumulate_over_calls(fig1):
     dt = compute_distances(fig1, Z)
     stats = SolveStats()
@@ -607,7 +684,7 @@ def test_fill_table_stats_accumulate_over_calls(fig1):
     assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (18, 0, 30)
 
 
-def test_corridors_are_built_only_where_both_ends_fit(monkeypatch):
+def test_corridors_are_built_only_where_both_ends_fit(monkeypatch, no_walk_bracket):
     # the table fill asks for 1033 corridors here, all on the source side,
     # and most cannot hold both ends of their search. Each link meets one
     # first check, the source filter, and the 128 it admits meet the upper
@@ -642,7 +719,7 @@ def test_corridors_are_built_only_where_both_ends_fit(monkeypatch):
     assert res.stats.areas_built == 0
 
 
-def test_keep_reads_arrivals_from_pairs_not_stamps(monkeypatch):
+def test_keep_reads_arrivals_from_pairs_not_stamps(monkeypatch, no_walk_bracket):
     # stamps far apart with a waiting bound that spans most of them: an
     # arrival check that looks up every stamp of its waiting window makes
     # over a million table lookups here, one over the arriving vertex's
@@ -731,16 +808,17 @@ def test_json_dict_shape(fig1):
     assert set(payload["stats"]) == {f.name for f in dataclasses.fields(SolveStats)}
 
 
-def test_windowed_stats_sum_inner_solves(monkeypatch):
+def test_windowed_stats_sum_inner_solves(monkeypatch, no_walk_bracket):
+    # each window that passes its gate reaches the table path
     import rtp.solver
-    inner = rtp.solver.solve
+    inner = rtp.solver._solve_table
     results = []
 
     def recorded(*args, **kwargs):
         results.append(inner(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(rtp.solver, "solve", recorded)
+    monkeypatch.setattr(rtp.solver, "_solve_table", recorded)
     summed = 0  # windowed solves with at least two inner solves that search
     for g, s, z, delta, k in random_instances(3, 100, max_lifetime=12, deltas=(1, 2)):
         results.clear()
