@@ -12,9 +12,11 @@ Shortest walks (vertex repeats allowed) from one source come from one
 breadth-first search over (vertex, arrival stamp) states, ``walk_hops``,
 held to a range of stamps and bounded in hops. With a waiting bound it
 gives ``restless_walk_distance``, the polynomial lower bound on restless
-path length. With none it is a fewest-hop temporal walk, which is a path,
-so it gives d(s, t) for one source without a table: a windowed solve takes
-its temporal distance, its departures (``departure_stamps``) and every
+path length; given a record, it also keeps the fewest hops of every state
+within its bound, which bounds a table fill from the source side. With no
+waiting bound it is a fewest-hop temporal walk, which is a path, so it
+gives d(s, t) for one source without a table: a windowed solve takes its
+temporal distance, its departures (``departure_stamps``) and every
 per-window distance check from it.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -123,7 +125,8 @@ def _next_unclaimed(claimed: dict[int, int], i: int) -> int:
 
 def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
               delta: int | float, t_lo: int, t_hi: int | float,
-              bound: int | float) -> int | float:
+              bound: int | float,
+              record: dict[tuple[int, int], int] | None = None) -> int | float:
     """Fewest hops of a delta-restless s-z walk with every step in
     [t_lo, t_hi] when that is at most ``bound`` (at least 1); INF otherwise.
 
@@ -132,18 +135,30 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
     from a state (v, t) the next hop takes any pair of v in
     [t, min(t + delta, t_hi)]. A step back into s is dropped: hop 1
     already departs at every stamp. No state is expanded at ``bound``
-    hops. A pair is claimed by the first state that scans it, which holds
-    the fewest hops that can take it, and a later scan of v jumps over v's
-    claimed runs, so each pair is taken once however much the windows
-    overlap. With ``delta`` INF this is the fewest hops of a temporal walk,
-    which waits for free.
+    hops, nor at z. A pair is claimed by the first state that scans it,
+    which holds the fewest hops that can take it, and a later scan of v
+    jumps over v's claimed runs, so each pair is taken once however much
+    the windows overlap. With ``delta`` INF this is the fewest hops of a
+    temporal walk, which waits for free.
+
+    With a ``record`` dict the search does not stop at z: it runs to
+    ``bound`` and stores in ``record`` the fewest hops of every state it
+    reaches, z's included, each state expanded once, at its first level.
     """
     claimed: dict[int, dict[int, int]] = {}
+    found: int | float = INF
     frontier = []
     for t, w in pairs_between(incident.get(s, []), t_lo, t_hi):
         if w == z:
-            return 1
-        frontier.append((w, t))
+            if record is None:
+                return 1
+            found = 1
+            record[w, t] = 1
+        elif record is None:
+            frontier.append((w, t))
+        elif (w, t) not in record:
+            record[w, t] = 1
+            frontier.append((w, t))
     hops = 1
     while frontier and hops < bound:
         hops += 1
@@ -151,18 +166,28 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
         for v, t in frontier:
             pairs = incident[v]
             runs = claimed.setdefault(v, {})
-            hi = min(t + delta, t_hi)
-            i = _next_unclaimed(runs, bisect_left(pairs, (t,)))
-            while i < len(pairs) and pairs[i][0] <= hi:
+            i = bisect_left(pairs, (t,))
+            end = bisect_right(pairs, (min(t + delta, t_hi), INF), i)
+            while i < end:
+                if i in runs:
+                    i = _next_unclaimed(runs, i)
+                    continue
                 t_next, w = pairs[i]
                 if w == z:
-                    return hops
-                if w != s:
-                    reached.append((w, t_next))
+                    if record is None:
+                        return hops
+                    found = min(found, hops)
+                    record.setdefault((w, t_next), hops)
+                elif w != s:
+                    if record is None:
+                        reached.append((w, t_next))
+                    elif (w, t_next) not in record:
+                        record[w, t_next] = hops
+                        reached.append((w, t_next))
                 runs[i] = i + 1
-                i = _next_unclaimed(runs, i + 1)
+                i += 1
         frontier = reached
-    return INF
+    return found
 
 
 def departure_stamps(incident: dict[int, list[tuple[int, int]]], s: int, z: int,

@@ -94,7 +94,10 @@ class SolveStats:
     of their search (``areas.upper_admission``, ``areas.holds_start``).
     finder_calls counts the connector searches run: each finder call
     counts itself, and a table fill adds one per in-place search, one per
-    link whose corridor holds both ends.
+    link whose corridor holds both ends. On ``solve``'s table path, an
+    entry that the walk search's forward bound puts out of budget runs no
+    link, so finder_calls and areas_built count only the links of the
+    entries it fills; table_entries counts every entry.
     """
 
     finder_calls: int = 0

@@ -7,10 +7,16 @@ progress toward z. Every query is first bracketed by walks, over one
 (``distances.walk_hops`` with no waiting bound; such a walk is a path),
 and when the shortest delta-restless s-z walk is longer than the budget,
 no restless path fits either, so the answer is an exact no that builds no
-table, runs no probe and spends no share of the error budget. Only the
-other queries take the table path, which fills the table below over the
-same index. A table over non-isolated vertex appearances is filled
-outward from the near zone (appearances at distance within ell of d): near
+table, runs no probe and spends no share of the error budget. That walk
+search records, on the way, the fewest restless-walk hops f from s to
+every (vertex, arrival stamp) state within the budget. Only the other
+queries take the table path, which fills the table below over the same
+index, and skips the entries no chain within the budget can pass: a
+chain through appearance (u, t) enters u within [t - delta, t], after at
+least f hops, and needs d(u, t) more, so an entry whose least f there
+plus d(u, t) exceeds the budget is INF and runs no link. A table over
+non-isolated vertex appearances is filled outward from the near zone
+(appearances at distance within ell of d): near
 entries get the shortest restless source path of length at most 2*ell
 inside their source-side corridor; far entries take the minimum over
 admissible predecessor appearances - at most ell+1 distance levels above,
@@ -26,6 +32,7 @@ and each end is asked once, in one order: a source-side link first by
 exactly whether the corridor enters the appearance's vertex; only then
 does a link build its spec and one ``areas.keep_rule``, which
 ``areas.holds_start`` asks whether the corridor holds the search's start.
+An entry checks the forward bound just before its first upper check.
 Each remaining link runs one in-place search for its shortest connector
 below ``first_sieve_length`` under that ``keep``; only when that finds
 none does it build the corridor from the same ``keep`` and probe the
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
@@ -68,8 +76,11 @@ class DpTable:
 
     entries maps each non-isolated appearance to the best known length of
     a restless source path honoring the corridor discipline (INF if
-    none). preds maps appearances with finite entries to (predecessor
-    appearance or None for near-zone entries, connector steps).
+    none). ``fill_table`` fills every entry; ``solve``'s table path leaves
+    INF, unfilled, the entries its walk search puts out of budget, and
+    fills the rest as ``fill_table`` does. preds maps appearances with
+    finite entries to (predecessor appearance or None for near-zone
+    entries, connector steps).
     """
 
     ell: int
@@ -120,11 +131,24 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
 
 
 def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
-          s: int, delta: int, k: int, cfg: FinderConfig, stats: SolveStats) -> DpTable:
-    """``fill_table`` over the caller's ``incident_index`` of g."""
-    # s's appearances in time order, from one scan; d never decreases in
-    # time, so the earliest value is the temporal distance
-    source_apps = sorted((t, d) for (v, t), d in dt.entries.items() if v == s)
+          s: int, delta: int, k: int, cfg: FinderConfig, stats: SolveStats,
+          arrivals: dict[int, tuple[list[int], list[int]]] | None = None) -> DpTable:
+    """``fill_table`` over the caller's ``incident_index`` of g.
+
+    With ``arrivals`` (``_arrivals`` of a restless-walk hop record from s
+    whose walks include every restless path of g from s), a non-source
+    entry (u, t) is INF, with no link run, when no chain within k can pass
+    it: a chain enters u within [t - delta, t] after at least f(u, t)
+    steps, the fewest recorded hops into u there, and needs d(u, t) more.
+    A chain through a skipped entry is longer than k, and a skipped
+    predecessor offers any entry on a chain within k more than that
+    entry's best, so no entry on such a chain changes its value or link.
+    """
+    # s's appearances in time order are the distinct stamps of its pairs;
+    # d never decreases in time, so the earliest value is the temporal
+    # distance
+    source_apps = [(t, dt.entries[VertexAppearance(s, t)])
+                   for t in dict.fromkeys(t for t, _ in incident.get(s, []))]
     d_source = source_apps[0][1] if source_apps else INF
     if d_source == INF or d_source > k:
         raise ValueError("fill_table requires a temporal s-z path within budget")
@@ -170,6 +194,11 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
             if pred is None and not admits_source(app, d):
                 continue
             if admits_upper is None:
+                if arrivals is not None:  # the forward bound, asked once
+                    stamps, hops = arrivals.get(u, ((), ()))
+                    lo = bisect_left(stamps, t_up - delta)
+                    if min(hops[lo:bisect_right(stamps, t_up, lo)], default=INF) + d > k:
+                        break
                 admits_upper = upper_admission(dt, incident, app, delta)
             if not admits_upper(pred, d_pred):
                 continue
@@ -290,11 +319,25 @@ def _fill_share(p: float, k_eff: int, d_source: int) -> float:
 
 
 def _no_walk_within(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
-                    delta: int, k_eff: int) -> bool:
+                    delta: int, k_eff: int,
+                    record: dict[tuple[int, int], int] | None = None) -> bool:
     """The walk bracket: whether every delta-restless s-z walk over
     ``incident`` is longer than k_eff. Every restless path is a restless
-    walk, so then the answer is an exact no."""
-    return walk_hops(incident, s, z, delta, 1, INF, k_eff) > k_eff
+    walk, so then the answer is an exact no. A ``record`` gets the fewest
+    hops of every walk state within k_eff, as ``walk_hops`` stores them."""
+    return walk_hops(incident, s, z, delta, 1, INF, k_eff, record) > k_eff
+
+
+def _arrivals(hops: dict[tuple[int, int], int]) -> dict[int, tuple[list[int], list[int]]]:
+    """The forward bound of a fill, from a ``walk_hops`` record: per
+    vertex, its recorded arrival stamps in increasing order, and the
+    fewest hops of each."""
+    arrivals: dict[int, tuple[list[int], list[int]]] = {}
+    for (v, t), h in sorted(hops.items()):
+        stamps, counts = arrivals.setdefault(v, ([], []))
+        stamps.append(t)
+        counts.append(h)
+    return arrivals
 
 
 def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
@@ -307,32 +350,39 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     # a fewest-hop temporal walk is a path, so it is never longer than n - 1
     d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
     k_eff = min(k, max(1, g.vertex_count - 1))  # no simple path is longer
-    if d_source <= k_eff and _no_walk_within(incident, s, z, delta, k_eff):
+    hops: dict[tuple[int, int], int] = {}
+    if d_source <= k_eff and _no_walk_within(incident, s, z, delta, k_eff, hops):
         # an exact no before any table, that still reports the split a
         # fill would have used
         return _result(started, SolveStats(), None, k, k_eff, d_source, p,
                        _fill_share(p, k_eff, d_source))
-    return _solve_table(g, incident, s, z, delta, k, d_source, p, cfg, started)
+    return _solve_table(g, incident, s, z, delta, k, d_source, p, cfg, started,
+                        _arrivals(hops))
 
 
 def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
                  s: int, z: int, delta: int, k: int, d_source: int | float, p: float,
-                 cfg: FinderConfig, started: float) -> SolveResult:
+                 cfg: FinderConfig, started: float,
+                 arrivals: dict[int, tuple[list[int], list[int]]] | None = None
+                 ) -> SolveResult:
     """``solve`` after its walk bracket: the distance table, the fill over
     ``incident`` (an ``incident_index`` of g) and the reconstruction, with
-    d_source the temporal s-z distance in g. A d_source above the budget
-    stops here, with all-zero counters."""
+    d_source the temporal s-z distance in g. The fill skips the entries
+    that ``arrivals``, the bracket's hop record, puts out of budget (None
+    skips none). A d_source above the budget stops here, with all-zero
+    counters."""
     stats = SolveStats()
     k_eff = min(k, max(1, g.vertex_count - 1))
     if d_source > k_eff:
         return _result(started, stats, None, k, k_eff, d_source, p, None)
     sub_p = _fill_share(p, k_eff, d_source)
     dt = compute_distances(g, z)
-    dp = _fill(g, dt, incident, s, delta, k_eff, replace(cfg, error_prob=sub_p), stats)
+    dp = _fill(g, dt, incident, s, delta, k_eff, replace(cfg, error_prob=sub_p), stats,
+               arrivals)
 
     best_app = None
     best_val: int | float = INF
-    for t in dt.appearance_times(z):
+    for t in dict.fromkeys(t for t, _ in incident.get(z, [])):  # z's stamps, in order
         app = VertexAppearance(z, t)
         val = dp.entries.get(app, INF)
         if val < best_val:
@@ -370,7 +420,9 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     the search held to the window's stamps, before any graph or table is
     built. Every other window goes straight to the table path of
     ``solve``, with no bracket of its own, and splits its share again over
-    its own chain."""
+    its own chain. Its fill skips no entry: the bracket here records no
+    walk states, since on windowed queries that search cost more than the
+    entries it would skip."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()

@@ -23,14 +23,36 @@ def fig1() -> TemporalGraph:
 def without_walk_bracket():
     """A context in which ``solve`` and ``solve_windowed`` do not bracket
     by the shortest restless walk, so every query whose temporal distance
-    is within budget reaches the distance table and the fill. Tests of the
-    fill keep their instances this way when the bracket decides them."""
-    return mock.patch.object(rtp.solver, "_no_walk_within", lambda *args: False)
+    is within budget reaches the distance table and the fill. The bracket's
+    search still runs, and records the walk states the fill's prune reads.
+    Tests of the fill keep their instances this way when the bracket
+    decides them."""
+    inner = rtp.solver._no_walk_within
+
+    def recorded_only(*args):
+        inner(*args)
+        return False
+
+    return mock.patch.object(rtp.solver, "_no_walk_within", recorded_only)
 
 
 @pytest.fixture
 def no_walk_bracket():
     with without_walk_bracket():
+        yield
+
+
+def unpruned_fill():
+    """A context in which the table path of ``solve`` fills every table
+    entry, as ``fill_table`` and a windowed solve's windows do, with no
+    entry skipped by the walk search's forward hop bound. Tests of the
+    fill's own counters keep their instances this way."""
+    return mock.patch.object(rtp.solver, "_arrivals", lambda hops: None)
+
+
+@pytest.fixture
+def no_prune():
+    with unpruned_fill():
         yield
 
 

@@ -178,6 +178,33 @@ def restless_walk_min(triples, s, z, delta, cap):
     return INF
 
 
+def walk_state_hops(triples, s, z, delta, t_lo, t_hi, bound):
+    """Fewest hops of a delta-restless walk from s, every step in
+    [t_lo, t_hi], to each (vertex, arrival stamp) state within ``bound``
+    hops, by breadth-first search over states. The walk never steps back
+    into s and never leaves z; other vertices may repeat."""
+    hops = {}
+    frontier = {(s, None)}
+    level = 0
+    while frontier and level < bound:
+        level += 1
+        nxt = set()
+        for cur, last_t in frontier:
+            for u, v, t in triples:
+                if cur not in (u, v) or not t_lo <= t <= t_hi:
+                    continue
+                if last_t is not None and not last_t <= t <= last_t + delta:
+                    continue
+                other = v if cur == u else u
+                if other == s or (other, t) in hops:
+                    continue
+                hops[other, t] = level
+                if other != z:
+                    nxt.add((other, t))
+        frontier = nxt
+    return hops
+
+
 def static_min(triples, s, z):
     """Hop distance in the flattened graph by breadth-first search."""
     if s == z:

@@ -15,7 +15,9 @@ operation (``workloads.run_op``). Per solve workload, two lines:
 The answers hash covers each answer's decision, witness steps,
 ``subcall_error_prob`` and ``temporal_distance``; the counters hash covers
 every ``SolveStats`` field but ``elapsed_seconds``, and the totals line
-sums each of those fields over the pool. So a change that redefines one
+sums each of those fields over the pool, then gives ``table_path``, the
+number of queries with nonzero ``table_entries``: those that reached a
+table fill. So a change that redefines one
 counter still shows whether the answers, and the other counters, stay the
 same. Bulk answers with a distance table and a walk distance, so its one
 line, ``bulk <queries> answers <sha256>``, hashes each query's sorted
@@ -66,7 +68,7 @@ def fingerprint(name: str, seed: int, head: int | None) -> tuple[int, str, str, 
         stats = counters(result)
         answers.update(repr(answer_key(result)).encode() + b"\n")
         counted.update(repr(sorted(stats.items())).encode() + b"\n")
-        totals.update(stats)
+        totals.update(stats, table_path=stats["table_entries"] > 0)
     return len(pool), answers.hexdigest(), counted.hexdigest(), totals
 
 
@@ -96,8 +98,9 @@ def main(argv: list[str] | None = None) -> None:
             continue
         count, answers, counted, totals = fingerprint(name, args.seed, args.head)
         print(f"{name} {count} answers {answers} counters {counted}")
-        print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals)),
-              flush=True)
+        table_path = totals.pop("table_path")
+        print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals))
+              + f" table_path={table_path}", flush=True)
 
 
 if __name__ == "__main__":

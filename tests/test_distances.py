@@ -202,6 +202,27 @@ def test_fewest_hops_is_temporal_not_restless():
     assert restless_walk_distance(g, 0, 2, 2) == INF
 
 
+def test_walk_record_matches_a_per_state_search():
+    # a record holds the fewest hops of every state within the bound, and
+    # recording changes no answer: the fewest hops to z are its least
+    # recorded state, with or without a record
+    states = found = 0
+    for g, s, z, delta, k in random_instances(515, 300, max_vertices=10, max_lifetime=20):
+        triples = oracles.edge_triples(g)
+        incident = incident_index(g.time_edges)
+        for wait, t_lo, t_hi, bound in ((delta, 1, INF, k), (INF, 1, INF, k),
+                                        (delta, 3, 9, k + 2)):
+            record = {}
+            got = walk_hops(incident, s, z, wait, t_lo, t_hi, bound, record)
+            assert record == oracles.walk_state_hops(triples, s, z, wait, t_lo, t_hi, bound), \
+                (triples, s, z, wait, t_lo, t_hi, bound)
+            assert got == walk_hops(incident, s, z, wait, t_lo, t_hi, bound)
+            assert got == min((h for (v, _t), h in record.items() if v == z), default=INF)
+            states += len(record)
+            found += got < INF
+    assert states >= 5000 and found >= 300, (states, found)
+
+
 def test_restless_walk_fig1(fig1):
     assert restless_walk_distance(fig1, S, Z, 2) == 5
     assert restless_walk_distance(fig1, S, Z, 5) == 2

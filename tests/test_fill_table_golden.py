@@ -7,7 +7,8 @@ alters which corridors are built, which probes run or which witness wins
 shows up here. Only the named fields are recorded, so new stats keys do
 not disturb it. Both files are recorded without ``solve``'s walk bracket
 (``conftest.without_walk_bracket``), so the instances it decides still
-fill their tables.
+fill their tables, and with every entry filled
+(``conftest.unpruned_fill``), so they count the work of the whole fill.
 
 ``golden/fill_table_auto_seeds.json`` holds the same for solves on backend
 auto with its sieve crossover (``path_finder._AUTO_FIRST_SIEVE``) patched
@@ -29,7 +30,7 @@ from unittest import mock
 
 import rtp.path_finder
 import rtp.solver
-from conftest import random_instances, without_walk_bracket
+from conftest import random_instances, unpruned_fill, without_walk_bracket
 from rtp import FinderConfig, solve
 
 GOLDEN = pathlib.Path(__file__).with_name("golden").joinpath("fill_table_fingerprints.json")
@@ -39,7 +40,7 @@ FIELDS = ("areas_built", "finder_calls", "table_entries")
 
 def fingerprints() -> list[dict]:
     out = []
-    with without_walk_bracket():
+    with without_walk_bracket(), unpruned_fill():
         for i, (g, s, z, delta, k) in enumerate(random_instances(
                 4040, 40, max_vertices=14, max_lifetime=30, max_k=7)):
             res = solve(g, s, z, delta, k, 0.01, FinderConfig(backend="sieve", seed=1000 + i))
@@ -62,7 +63,8 @@ def auto_seed_fingerprints() -> list[dict]:
 
     out = []
     with mock.patch.object(rtp.solver, "find_exact_restless_path", recorded), \
-            mock.patch.object(rtp.path_finder, "_AUTO_FIRST_SIEVE", 3), without_walk_bracket():
+            mock.patch.object(rtp.path_finder, "_AUTO_FIRST_SIEVE", 3), without_walk_bracket(), \
+            unpruned_fill():
         for i, (g, s, z, delta, k) in enumerate(random_instances(
                 4141, 60, max_vertices=14, max_lifetime=30, max_k=7)):
             seeds.clear()

@@ -8,13 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (S, A, B, C, D, E, Z, corridor, random_instances,
+from conftest import (S, A, B, C, D, E, Z, corridor, random_instances, unpruned_fill,
                       without_walk_bracket)
 from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  VertexAppearance, area_spec, compute_distances,
                  fill_table, parse_temporal_graph, random_temporal_graph,
                  reconstruct, restless_walk_distance, solve,
                  solve_windowed, validate_restless_path)
+from rtp.distances import walk_hops
+from rtp.path_finder import incident_index
 
 FIG1_STEPS = ((0, 1, 2), (1, 3, 4), (2, 3, 4), (2, 5, 4), (5, 6, 6))
 
@@ -242,10 +244,12 @@ def solve_every_window(g, s, z, delta, k, p, cfg):
 
 
 @pytest.mark.parametrize("backend", ["brute", "sieve"])
-def test_window_gate_changes_no_result(backend, no_walk_bracket):
+def test_window_gate_changes_no_result(backend, no_walk_bracket, no_prune):
     # a rejected window's solve stops before its first probe, so skipping
     # it leaves the decision, witness, split and every counter as they were;
-    # without the walk bracket every other window reaches the table path
+    # without the walk bracket every other window reaches the table path;
+    # and unpruned, a window solved alone fills every entry, as the
+    # windowed solve's own windows do
     counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
     yes = stopped = 0
     # long sparse lifetimes, where a window's horizon often cuts d(s, t0)
@@ -637,6 +641,68 @@ def test_walk_decided_no_builds_no_table(fig1, monkeypatch):
         table.subcall_error_prob == pytest.approx(0.01 / (2 * 2 * 5))
 
 
+def test_pruned_table_path_keeps_decisions_and_brute_witnesses():
+    # the forward hop bound skips only entries that no chain within budget
+    # uses: with every query sent to the table path, the pruned and the
+    # unpruned fill answer alike, on the acceptance corpus and on larger
+    # graphs, and the pruned one runs fewer searches
+    cfg = FinderConfig(backend="brute")
+    queries = random_instances(20240501, 1000) + random_instances(
+        2626, 300, max_vertices=12, max_lifetime=30)
+    yes = pruned_calls = full_calls = 0
+    for g, s, z, delta, k in queries:
+        with without_walk_bracket():
+            pruned = solve(g, s, z, delta, k, 0.01, cfg)
+            with unpruned_fill():
+                full = solve(g, s, z, delta, k, 0.01, cfg)
+        assert pruned.decision == full.decision, (g.time_edges, s, z, delta, k)
+        if full.decision:
+            assert pruned.witness.steps == full.witness.steps
+        assert pruned.subcall_error_prob == full.subcall_error_prob
+        assert pruned.stats.table_entries == full.stats.table_entries
+        yes += full.decision
+        pruned_calls += pruned.stats.finder_calls
+        full_calls += full.stats.finder_calls
+    assert yes >= 300 and pruned_calls < full_calls, (yes, pruned_calls, full_calls)
+
+
+def test_prune_skips_only_entries_out_of_budget():
+    # an entry whose fewest walk hops in, plus its distance, exceed the
+    # budget is INF in the pruned fill and, unpruned, INF or out of budget
+    # too; every entry within budget keeps its value and its link
+    import rtp.solver
+    cfg = FinderConfig(backend="brute")
+    ruled_out = reached = kept = 0
+    for g, s, z, delta, k in random_instances(2626, 300, max_vertices=12, max_lifetime=30):
+        dt = compute_distances(g, z)
+        k_eff = min(k, g.vertex_count - 1)
+        if dt.source_distance(s) > k_eff:
+            continue
+        full = fill_table(g, dt, s, z, delta, k_eff, cfg)
+        incident = incident_index(g.time_edges)
+        record = {}
+        walk_hops(incident, s, z, delta, 1, INF, k_eff, record)
+        pruned = rtp.solver._fill(g, dt, incident, s, delta, k_eff, cfg, SolveStats(),
+                                  rtp.solver._arrivals(record))
+        hops = oracles.walk_state_hops(oracles.edge_triples(g), s, z, delta, 1, INF, k_eff)
+        for app, d in dt.entries.items():
+            if app.v == s:
+                continue
+            value = full.entries[app]
+            f = min((h for (v, t), h in hops.items()
+                     if v == app.v and app.t - delta <= t <= app.t), default=INF)
+            if f + d > k_eff:
+                assert value == INF or value + d > k_eff, (g.time_edges, s, z, delta, k, app)
+                assert pruned.entries[app] == INF
+                ruled_out += d < INF
+                reached += value < INF
+            if value + d <= k_eff:
+                assert pruned.entries[app] == value, (g.time_edges, s, z, delta, k, app)
+                assert pruned.preds[app] == full.preds[app]
+                kept += 1
+    assert ruled_out >= 2000 and reached >= 20 and kept >= 1000, (ruled_out, reached, kept)
+
+
 def test_stats_are_populated(fig1):
     res = solve(fig1, S, Z, 2, 5, 0.01, FinderConfig(backend="sieve", seed=1))
     assert res.stats.areas_built > 0
@@ -684,8 +750,9 @@ def test_fill_table_stats_accumulate_over_calls(fig1):
     assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (18, 0, 30)
 
 
-def test_corridors_are_built_only_where_both_ends_fit(monkeypatch, no_walk_bracket):
-    # the table fill asks for 1033 corridors here, all on the source side,
+def test_corridors_are_built_only_where_both_ends_fit(monkeypatch, no_walk_bracket,
+                                                     no_prune):
+    # the unpruned table fill asks for 1033 corridors here, all on the source side,
     # and most cannot hold both ends of their search. Each link meets one
     # first check, the source filter, and the 128 it admits meet the upper
     # check next, which admits 105 to the start check; that holds 97. So a
@@ -719,7 +786,7 @@ def test_corridors_are_built_only_where_both_ends_fit(monkeypatch, no_walk_brack
     assert res.stats.areas_built == 0
 
 
-def test_keep_reads_arrivals_from_pairs_not_stamps(monkeypatch, no_walk_bracket):
+def test_keep_reads_arrivals_from_pairs_not_stamps(monkeypatch, no_walk_bracket, no_prune):
     # stamps far apart with a waiting bound that spans most of them: an
     # arrival check that looks up every stamp of its waiting window makes
     # over a million table lookups here, one over the arriving vertex's
