@@ -94,10 +94,12 @@ class SolveStats:
     of their search (``areas.upper_admission``, ``areas.holds_start``).
     finder_calls counts the connector searches run: each finder call
     counts itself, and a table fill adds one per in-place search, one per
-    link whose corridor holds both ends. On ``solve``'s table path, an
-    entry that the walk search's forward bound puts out of budget runs no
-    link, so finder_calls and areas_built count only the links of the
-    entries it fills; table_entries counts every entry.
+    link whose corridor holds both ends. table_entries counts every entry
+    of the table, and entries_visited the entries the fill ran its link
+    loop for: all of them, except on ``solve``'s table path, where the walk
+    search's forward bound picks, before the fill runs, the source's
+    appearances and the entries a chain within the budget can pass; only
+    their links are counted in finder_calls and areas_built.
     """
 
     finder_calls: int = 0
@@ -109,6 +111,7 @@ class SolveStats:
     areas_built: int = 0
     corridor_edges: int = 0
     table_entries: int = 0
+    entries_visited: int = 0
     elapsed_seconds: float = 0.0
 
 

@@ -11,10 +11,12 @@ table, runs no probe and spends no share of the error budget. That walk
 search records, on the way, the fewest restless-walk hops f from s to
 every (vertex, arrival stamp) state within the budget. Only the other
 queries take the table path, which fills the table below over the same
-index, and skips the entries no chain within the budget can pass: a
-chain through appearance (u, t) enters u within [t - delta, t], after at
-least f hops, and needs d(u, t) more, so an entry whose least f there
-plus d(u, t) exceeds the budget is INF and runs no link. A table over
+index, and visits only the entries a chain within the budget can pass:
+a chain through appearance (u, t) enters u within [t - delta, t], after
+at least f hops, and needs d(u, t) more. Before the fill runs, that
+forward bound picks, from the walk record alone, s's appearances and the
+entries whose least f there plus d(u, t) is within the budget; every
+other entry is INF and runs no link. A table over
 non-isolated vertex appearances is filled outward from the near zone
 (appearances at distance within ell of d): near
 entries get the shortest restless source path of length at most 2*ell
@@ -32,7 +34,6 @@ and each end is asked once, in one order: a source-side link first by
 exactly whether the corridor enters the appearance's vertex; only then
 does a link build its spec and one ``areas.keep_rule``, which
 ``areas.holds_start`` asks whether the corridor holds the search's start.
-An entry checks the forward bound just before its first upper check.
 Each remaining link runs one in-place search for its shortest connector
 below ``first_sieve_length`` under that ``keep``; only when that finds
 none does it build the corridor from the same ``keep`` and probe the
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import takewhile
 
@@ -64,7 +64,7 @@ from .areas import (area_graph, area_spec, holds_start, keep_rule, source_admiss
 from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
                         walk_hops)
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
-                          first_sieve_length, incident_index, search_index)
+                          first_sieve_length, incident_index, pairs_between, search_index)
 from .rng import SeedStream
 from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge,
                              VertexAppearance, validate_restless_path)
@@ -76,9 +76,10 @@ class DpTable:
 
     entries maps each non-isolated appearance to the best known length of
     a restless source path honoring the corridor discipline (INF if
-    none). ``fill_table`` fills every entry; ``solve``'s table path leaves
-    INF, unfilled, the entries its walk search puts out of budget, and
-    fills the rest as ``fill_table`` does. preds maps appearances with
+    none). ``fill_table`` fills every entry; on ``solve``'s table path the
+    walk search's forward bound picks, before the fill runs, the entries
+    it visits, fills them as ``fill_table`` does and leaves every other
+    entry INF, with no link. preds maps appearances with
     finite entries to (predecessor appearance or None for near-zone
     entries, connector steps).
     """
@@ -132,17 +133,18 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
 
 def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
           s: int, delta: int, k: int, cfg: FinderConfig, stats: SolveStats,
-          arrivals: dict[int, tuple[list[int], list[int]]] | None = None) -> DpTable:
+          arrivals: dict[tuple[int, int], int] | None = None) -> DpTable:
     """``fill_table`` over the caller's ``incident_index`` of g.
 
-    With ``arrivals`` (``_arrivals`` of a restless-walk hop record from s
-    whose walks include every restless path of g from s), a non-source
-    entry (u, t) is INF, with no link run, when no chain within k can pass
-    it: a chain enters u within [t - delta, t] after at least f(u, t)
-    steps, the fewest recorded hops into u there, and needs d(u, t) more.
-    A chain through a skipped entry is longer than k, and a skipped
-    predecessor offers any entry on a chain within k more than that
-    entry's best, so no entry on such a chain changes its value or link.
+    Without ``arrivals`` the link loop runs for every entry. With them
+    (``_arrivals`` of a restless-walk hop record from s whose walks
+    include every restless path of g from s), it runs only for s's
+    appearances and the entries ``_within_budget`` picks before the fill
+    starts; every other entry is INF with no link. A chain through a
+    skipped entry is longer than k, and a skipped predecessor offers any
+    entry on a chain within k more than that entry's best, so no entry on
+    such a chain changes its value or link. table_entries counts every
+    entry, entries_visited those the link loop ran for.
     """
     # s's appearances in time order are the distinct stamps of its pairs;
     # d never decreases in time, so the earliest value is the temporal
@@ -154,7 +156,7 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
         raise ValueError("fill_table requires a temporal s-z path within budget")
     ell = k - d_source
     near_floor = d_source - ell
-    table = DpTable(ell=ell)
+    table = DpTable(ell=ell, entries=dict.fromkeys(dt.entries, INF))
     seeds = SeedStream(cfg.seed)
     # distance -> the appearances filled with a finite value, in (t, v)
     # order; a level is complete before any nearer level reads it
@@ -162,7 +164,11 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
     first_sieve = first_sieve_length(cfg)
     admits_source = source_admission(source_apps)
 
-    order = sorted(dt.entries.items(), key=lambda item: (-item[1], item[0].t, item[0].v))
+    visits = dt.entries.items() if arrivals is None else (
+        [(VertexAppearance(s, t), d) for t, d in source_apps]
+        + _within_budget(dt, incident, delta, k, arrivals))
+    order = sorted(visits, key=lambda item: (-item[1], item[0].t, item[0].v))
+    stats.entries_visited += len(order)
     for app, d in order:
         u, t_up = app
         if u == s:
@@ -194,11 +200,6 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
             if pred is None and not admits_source(app, d):
                 continue
             if admits_upper is None:
-                if arrivals is not None:  # the forward bound, asked once
-                    stamps, hops = arrivals.get(u, ((), ()))
-                    lo = bisect_left(stamps, t_up - delta)
-                    if min(hops[lo:bisect_right(stamps, t_up, lo)], default=INF) + d > k:
-                        break
                 admits_upper = upper_admission(dt, incident, app, delta)
             if not admits_upper(pred, d_pred):
                 continue
@@ -234,6 +235,26 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
 
     stats.table_entries += len(table.entries)
     return table
+
+
+def _within_budget(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
+                   delta: int, k: int, arrivals: dict[tuple[int, int], int]
+                   ) -> list[tuple[VertexAppearance, int]]:
+    """The forward bound of a fill with budget k: every entry (u, t), with
+    its distance, that a chain within k can pass. A chain through (u, t)
+    enters u within [t - delta, t], at some recorded arrival (u, t_in)
+    after at least its h hops, and needs d(u, t) more, so the entry is
+    kept iff some arrival with t_in <= t <= t_in + delta has
+    h + d(u, t) <= k."""
+    entries = dt.entries
+    kept: dict[tuple[int, int], int] = {}
+    for (u, t_in), h in arrivals.items():
+        for t, _ in pairs_between(incident[u], t_in, t_in + delta):
+            d = entries[u, t]
+            if h + d > k:
+                break  # d never decreases in time, so no later stamp fits
+            kept[u, t] = d
+    return [(VertexAppearance(u, t), d) for (u, t), d in kept.items()]
 
 
 def reconstruct(dp: DpTable, end: VertexAppearance) -> tuple[TimeEdge, ...]:
@@ -328,16 +349,12 @@ def _no_walk_within(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
     return walk_hops(incident, s, z, delta, 1, INF, k_eff, record) > k_eff
 
 
-def _arrivals(hops: dict[tuple[int, int], int]) -> dict[int, tuple[list[int], list[int]]]:
-    """The forward bound of a fill, from a ``walk_hops`` record: per
-    vertex, its recorded arrival stamps in increasing order, and the
-    fewest hops of each."""
-    arrivals: dict[int, tuple[list[int], list[int]]] = {}
-    for (v, t), h in sorted(hops.items()):
-        stamps, counts = arrivals.setdefault(v, ([], []))
-        stamps.append(t)
-        counts.append(h)
-    return arrivals
+def _arrivals(hops: dict[tuple[int, int], int], z: int,
+              k: int) -> dict[tuple[int, int], int]:
+    """The states of a ``walk_hops`` record to z within k hops that a
+    fill's forward bound can use, with their hops: a state off z at k hops
+    is left out, since d >= 1 off z, so no entry it reaches fits k."""
+    return {state: h for state, h in hops.items() if h < k or state[0] == z}
 
 
 def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
@@ -357,19 +374,19 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         return _result(started, SolveStats(), None, k, k_eff, d_source, p,
                        _fill_share(p, k_eff, d_source))
     return _solve_table(g, incident, s, z, delta, k, d_source, p, cfg, started,
-                        _arrivals(hops))
+                        _arrivals(hops, z, k_eff))
 
 
 def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
                  s: int, z: int, delta: int, k: int, d_source: int | float, p: float,
                  cfg: FinderConfig, started: float,
-                 arrivals: dict[int, tuple[list[int], list[int]]] | None = None
+                 arrivals: dict[tuple[int, int], int] | None = None
                  ) -> SolveResult:
     """``solve`` after its walk bracket: the distance table, the fill over
     ``incident`` (an ``incident_index`` of g) and the reconstruction, with
-    d_source the temporal s-z distance in g. The fill skips the entries
-    that ``arrivals``, the bracket's hop record, puts out of budget (None
-    skips none). A d_source above the budget stops here, with all-zero
+    d_source the temporal s-z distance in g. The fill visits only the
+    entries that ``arrivals``, from the bracket's hop record, picks (None:
+    every entry). A d_source above the budget stops here, with all-zero
     counters."""
     stats = SolveStats()
     k_eff = min(k, max(1, g.vertex_count - 1))

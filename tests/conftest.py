@@ -47,7 +47,7 @@ def unpruned_fill():
     entry, as ``fill_table`` and a windowed solve's windows do, with no
     entry skipped by the walk search's forward hop bound. Tests of the
     fill's own counters keep their instances this way."""
-    return mock.patch.object(rtp.solver, "_arrivals", lambda hops: None)
+    return mock.patch.object(rtp.solver, "_arrivals", lambda hops, z, k: None)
 
 
 @pytest.fixture

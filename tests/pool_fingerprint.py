@@ -3,6 +3,7 @@
     python3 tests/pool_fingerprint.py --seed 201
     python3 tests/pool_fingerprint.py --seed 201 --head 100   # first 100 queries
     python3 tests/pool_fingerprint.py --workload corridor     # that pool alone
+    python3 tests/pool_fingerprint.py --skip-counter entries_visited
 
 For each of corridor, sieve, windowed and bulk (or only the pools named by
 ``--workload``, which may be repeated), every query of
@@ -17,11 +18,13 @@ The answers hash covers each answer's decision, witness steps,
 every ``SolveStats`` field but ``elapsed_seconds``, and the totals line
 sums each of those fields over the pool, then gives ``table_path``, the
 number of queries with nonzero ``table_entries``: those that reached a
-table fill. So a change that redefines one
-counter still shows whether the answers, and the other counters, stay the
-same. Bulk answers with a distance table and a walk distance, so its one
-line, ``bulk <queries> answers <sha256>``, hashes each query's sorted
-table entries and walk distance. The library is imported from ``src/``
+table fill. So a change that redefines one counter still shows whether
+the answers, and the other counters, stay the same. ``--skip-counter
+NAME``, which may be repeated, leaves that field out of the counters hash
+and the totals, so the hashes of a commit that adds a counter can be
+compared with those of one without it. Bulk answers with a distance table
+and a walk distance, so its one line, ``bulk <queries> answers
+<sha256>``, hashes each query's sorted table entries and walk distance. The library is imported from ``src/``
 next to this directory; the script only reads ``bench/``. pytest does not
 collect it.
 """
@@ -33,12 +36,13 @@ import hashlib
 import pathlib
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from rtp import SolveStats  # noqa: E402
 
 SOLVE_WORKLOADS = ("corridor", "sieve", "windowed")
 WORKLOADS = SOLVE_WORKLOADS + ("bulk",)
@@ -52,23 +56,25 @@ def answer_key(result) -> tuple:
     return (result.decision, steps, result.subcall_error_prob, result.temporal_distance)
 
 
-def counters(result) -> dict[str, int]:
-    """Every ``SolveStats`` field but its wall time."""
+def counters(result, skip: tuple[str, ...] = ()) -> dict[str, int]:
+    """Every ``SolveStats`` field but its wall time and those in ``skip``."""
     stats = asdict(result.stats)
-    del stats["elapsed_seconds"]
+    for name in ("elapsed_seconds", *skip):
+        del stats[name]
     return stats
 
 
-def fingerprint(name: str, seed: int, head: int | None) -> tuple[int, str, str, Counter]:
+def fingerprint(name: str, seed: int, head: int | None,
+                skip: tuple[str, ...] = ()) -> tuple[int, str, str, Counter]:
     w = workloads.WORKLOADS[name]
     pool = workloads.build_pool(w, seed)[:head]
     answers, counted, totals = hashlib.sha256(), hashlib.sha256(), Counter()
     for q in pool:
         result = workloads.run_op(w, q)
-        stats = counters(result)
+        stats = counters(result, skip)
         answers.update(repr(answer_key(result)).encode() + b"\n")
         counted.update(repr(sorted(stats.items())).encode() + b"\n")
-        totals.update(stats, table_path=stats["table_entries"] > 0)
+        totals.update(stats, table_path=result.stats.table_entries > 0)
     return len(pool), answers.hexdigest(), counted.hexdigest(), totals
 
 
@@ -88,6 +94,11 @@ def main(argv: list[str] | None = None) -> None:
                         help="answer only the first HEAD queries of each pool")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="fingerprint only this pool; repeat for more (default: all)")
+    counter_names = [f.name for f in fields(SolveStats) if f.name != "elapsed_seconds"]
+    parser.add_argument("--skip-counter", action="append", default=[], metavar="NAME",
+                        choices=counter_names,
+                        help="leave this SolveStats field out of the counters hash and "
+                             "totals; repeat for more")
     args = parser.parse_args(argv)
     for name in WORKLOADS:
         if args.workload and name not in args.workload:
@@ -96,7 +107,8 @@ def main(argv: list[str] | None = None) -> None:
             count, answers = bulk_fingerprint(args.seed, args.head)
             print(f"bulk {count} answers {answers}", flush=True)
             continue
-        count, answers, counted, totals = fingerprint(name, args.seed, args.head)
+        count, answers, counted, totals = fingerprint(name, args.seed, args.head,
+                                                      tuple(args.skip_counter))
         print(f"{name} {count} answers {answers} counters {counted}")
         table_path = totals.pop("table_path")
         print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals))

@@ -683,7 +683,7 @@ def test_prune_skips_only_entries_out_of_budget():
         record = {}
         walk_hops(incident, s, z, delta, 1, INF, k_eff, record)
         pruned = rtp.solver._fill(g, dt, incident, s, delta, k_eff, cfg, SolveStats(),
-                                  rtp.solver._arrivals(record))
+                                  rtp.solver._arrivals(record, z, k_eff))
         hops = oracles.walk_state_hops(oracles.edge_triples(g), s, z, delta, 1, INF, k_eff)
         for app, d in dt.entries.items():
             if app.v == s:
@@ -701,6 +701,61 @@ def test_prune_skips_only_entries_out_of_budget():
                 assert pruned.preds[app] == full.preds[app]
                 kept += 1
     assert ruled_out >= 2000 and reached >= 20 and kept >= 1000, (ruled_out, reached, kept)
+
+
+def test_pruned_fill_visits_exactly_the_entries_within_budget(monkeypatch, no_walk_bracket):
+    # with every query sent to the table path, the pruned fill runs its
+    # link loop for the source's appearances and for exactly the entries a
+    # scan of the whole distance table finds under the forward bound (the
+    # fewest walk hops into u within [t - delta, t], by the per-state
+    # search, plus d(u, t), at most k_eff); every other entry is INF with
+    # no link, and table_entries still counts every entry
+    import rtp.solver
+    fill, within = rtp.solver._fill, rtp.solver._within_budget
+    calls = []
+
+    def recorded_fill(*args):
+        calls.append({})
+        calls[-1]["table"] = fill(*args)
+        return calls[-1]["table"]
+
+    monkeypatch.setattr(rtp.solver, "_fill", recorded_fill)
+    monkeypatch.setattr(rtp.solver, "_within_budget",
+                        lambda *args: calls[-1].setdefault("kept", within(*args)))
+    cfg = FinderConfig(backend="brute")
+    visited = total = 0
+    for g, s, z, delta, k in random_instances(20240501, 1000) + random_instances(
+            515, 300, max_vertices=10, max_lifetime=20):
+        calls.clear()
+        stats = solve(g, s, z, delta, k, 0.01, cfg).stats
+        if not calls:  # temporal distance over the budget: no table
+            continue
+        (call,) = calls
+        k_eff = min(k, g.vertex_count - 1)
+        dt = compute_distances(g, z)
+        hops = {}
+        for (v, t), h in oracles.walk_state_hops(oracles.edge_triples(g), s, z, delta,
+                                                 1, INF, k_eff).items():
+            hops.setdefault(v, []).append((t, h))
+        source = {app for app in dt.entries if app.v == s}
+        within_budget = {app for app, d in dt.entries.items() if app.v != s and min(
+            (h for t, h in hops.get(app.v, ()) if app.t - delta <= t <= app.t),
+            default=INF) + d <= k_eff}
+        kept = [app for app, _ in call["kept"]]
+        assert len(kept) == len(set(kept)) and set(kept) == within_budget, \
+            (g.time_edges, s, z, delta, k)
+        assert all(d == dt.entries[app] for app, d in call["kept"])
+        table = call["table"]
+        assert table.entries.keys() == dt.entries.keys()
+        assert stats.table_entries == len(dt.entries)
+        assert stats.entries_visited == len(source) + len(within_budget)
+        for app in source:
+            assert table.entries[app] == 0 and table.preds[app] == (None, ())
+        for app in dt.entries.keys() - source - within_budget:
+            assert table.entries[app] == INF and app not in table.preds, app
+        visited += stats.entries_visited
+        total += stats.table_entries
+    assert total >= 10000 and total - visited >= 4000, (visited, total)
 
 
 def test_stats_are_populated(fig1):
@@ -747,7 +802,9 @@ def test_fill_table_stats_accumulate_over_calls(fig1):
         fill_table(fig1, dt, S, Z, 2, 5, FinderConfig(backend="brute"), stats=stats)
     # brute probes search their corridors in place, so none is built, and
     # each link that holds both ends counts its one search
-    assert (stats.finder_calls, stats.areas_built, stats.table_entries) == (18, 0, 30)
+    # an unpruned fill visits every entry
+    assert (stats.finder_calls, stats.areas_built, stats.table_entries,
+            stats.entries_visited) == (18, 0, 30, 30)
 
 
 def test_corridors_are_built_only_where_both_ends_fit(monkeypatch, no_walk_bracket,
