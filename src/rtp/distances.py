@@ -3,10 +3,11 @@
 d(v, t) is the length of a shortest temporal v-z path that departs at time
 t or later. ``compute_distances`` fills a ``DistanceTable`` with the values
 of all non-isolated vertex appearances (v on some edge at t), the entries
-alone with no derived index, in one backward sweep over the time-sorted
-edges: the later stamps are settled first, so a vertex may stand still
-into its next later appearance for free, and a small unit-weight Dijkstra
-per stamp handles chains of equal-stamp edges.
+alone with no derived index, in one level search outward from z over the
+graph's ``path_finder.incident_index``: d never decreases in time, so each
+vertex's appearances at distance h are the stamps its latest departure
+toward z gains once h hops are allowed, and the next level scans only the
+pairs at those stamps, each pair once.
 
 Shortest walks (vertex repeats allowed) from one source come from one
 breadth-first search over (vertex, arrival stamp) states, ``walk_hops``,
@@ -22,29 +23,14 @@ per-window distance check from it.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Iterator
 
 from .path_finder import incident_index, pairs_between
-from .temporal_graph import TemporalGraph, TimeEdge, VertexAppearance
+from .temporal_graph import TemporalGraph, VertexAppearance
 
 INF = math.inf
-
-
-def _stamp_adjacency(
-        edges: Iterable[TimeEdge]) -> Iterator[tuple[int, dict[int, list[int]]]]:
-    """Group stamp-ordered time-edges by stamp; yield (t, {v: neighbours})."""
-    for t, group in groupby(edges, key=attrgetter("t")):
-        adj: dict[int, list[int]] = {}
-        for edge in group:
-            adj.setdefault(edge.u, []).append(edge.v)
-            adj.setdefault(edge.v, []).append(edge.u)
-        yield t, adj
 
 
 @dataclass
@@ -52,9 +38,9 @@ class DistanceTable:
     """d(v, t) for every non-isolated appearance, with INF for unreachable.
 
     The table is its entries alone, with no derived index: a reader that
-    wants another order builds it. work counts the edge relaxations of the
-    computing sweep (each edge is relaxed at most once from each endpoint,
-    so work <= 2 * |E|), as a linearity diagnostic.
+    wants another order builds it. work counts the incident-index pairs
+    the level search scanned (each pair at most once, so work <= 2 * |E|),
+    as a linearity diagnostic.
     """
 
     target: int
@@ -78,37 +64,48 @@ class DistanceTable:
 
 
 def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
-    """Fill the full distance table in one backward sweep over the stamps,
-    from the latest down.
+    """Fill the full distance table in one level search over the graph's
+    ``incident_index``, outward from z.
 
-    ``later[v]`` holds d at v's next later appearance (z counts as 0 from
-    the start). At each stamp every vertex on an edge at t starts from
-    ``later`` (standing still costs nothing) and a unit-weight Dijkstra over
-    the stamp's edges lets it leave along a same-stamp chain. Each stamp
-    costs O(m_t log m_t) for its m_t edges.
+    ``latest[v]`` is the latest stamp at which v can depart and still reach
+    z within the hops counted so far (INF for z). Level d scans, for each
+    vertex whose ``latest`` grew at level d - 1 (z at level 0), its pairs
+    with before < t <= after: d never decreases in time, so those stamps
+    are exactly its appearances at distance d. Each scanned pair (t, v)
+    lets v depart at t into one of them, so it offers ``latest[v] = t`` for
+    level d + 1. The bound is inclusive, so an equal-stamp chain takes one
+    hop per level. Each pair is scanned once, at most 2 * |E| in all, and
+    the stamps never scanned are INF.
     """
     if not 0 <= z < g.vertex_count:
         raise ValueError(f"target {z} is not a vertex of the graph")
+    incident = incident_index(g.time_edges)
     entries: dict[VertexAppearance, int | float] = {}
     work = 0
-    later: dict[int, int | float] = {z: 0}
-    for t, adj in _stamp_adjacency(reversed(g.time_edges)):
-        value = {v: later.get(v, INF) for v in adj}
-        heap = [(d, v) for v, d in value.items() if d < INF]
-        heapq.heapify(heap)
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > value[x]:
-                continue
-            d += 1
-            for y in adj[x]:
-                work += 1
-                if d < value[y]:
-                    value[y] = d
-                    heapq.heappush(heap, (d, y))
-        later.update(value)
-        for v, d in value.items():
-            entries[VertexAppearance(v, t)] = d
+    latest: dict[int, int | float] = {z: INF}
+    grown: dict[int, int | float] = {z: -INF}  # vertex -> its latest before it grew
+    level = 0
+    while grown:
+        offers: dict[int, int] = {}
+        for w, before in grown.items():
+            pairs = incident.get(w, [])
+            lo = bisect_right(pairs, (before, INF))
+            hi = bisect_right(pairs, (latest[w], INF), lo)
+            work += hi - lo
+            for t, v in pairs[lo:hi]:
+                entries[VertexAppearance(w, t)] = level
+                if t > offers.get(v, -INF):
+                    offers[v] = t
+        grown = {}
+        for v, t in offers.items():
+            old = latest.get(v, -INF)
+            if t > old:
+                latest[v] = t
+                grown[v] = old
+        level += 1
+    for w, pairs in incident.items():
+        for t, _ in pairs[bisect_right(pairs, (latest.get(w, -INF), INF)):]:
+            entries[VertexAppearance(w, t)] = INF
     return DistanceTable(target=z, entries=entries, work=work)
 
 

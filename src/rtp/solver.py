@@ -367,31 +367,29 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     # a fewest-hop temporal walk is a path, so it is never longer than n - 1
     d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
     k_eff = min(k, max(1, g.vertex_count - 1))  # no simple path is longer
+    if d_source > k_eff:  # no temporal path within budget: all-zero counters
+        return _result(started, SolveStats(), None, k, k_eff, d_source, p, None)
     hops: dict[tuple[int, int], int] = {}
-    if d_source <= k_eff and _no_walk_within(incident, s, z, delta, k_eff, hops):
+    if _no_walk_within(incident, s, z, delta, k_eff, hops):
         # an exact no before any table, that still reports the split a
         # fill would have used
         return _result(started, SolveStats(), None, k, k_eff, d_source, p,
                        _fill_share(p, k_eff, d_source))
-    return _solve_table(g, incident, s, z, delta, k, d_source, p, cfg, started,
+    return _solve_table(g, incident, s, z, delta, k, k_eff, d_source, p, cfg, started,
                         _arrivals(hops, z, k_eff))
 
 
 def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
-                 s: int, z: int, delta: int, k: int, d_source: int | float, p: float,
-                 cfg: FinderConfig, started: float,
+                 s: int, z: int, delta: int, k: int, k_eff: int, d_source: int,
+                 p: float, cfg: FinderConfig, started: float,
                  arrivals: dict[tuple[int, int], int] | None = None
                  ) -> SolveResult:
     """``solve`` after its walk bracket: the distance table, the fill over
     ``incident`` (an ``incident_index`` of g) and the reconstruction, with
-    d_source the temporal s-z distance in g. The fill visits only the
-    entries that ``arrivals``, from the bracket's hop record, picks (None:
-    every entry). A d_source above the budget stops here, with all-zero
-    counters."""
+    d_source <= k_eff the temporal s-z distance in g. The fill visits only
+    the entries that ``arrivals``, from the bracket's hop record, picks
+    (None: every entry)."""
     stats = SolveStats()
-    k_eff = min(k, max(1, g.vertex_count - 1))
-    if d_source > k_eff:
-        return _result(started, stats, None, k, k_eff, d_source, p, None)
     sub_p = _fill_share(p, k_eff, d_source)
     dt = compute_distances(g, z)
     dp = _fill(g, dt, incident, s, delta, k_eff, replace(cfg, error_prob=sub_p), stats,
@@ -458,11 +456,11 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         d_window = walk_hops(incident, s, z, INF, t0, t_hi, k_eff)
         if d_window > k_eff:
             continue
-        edges = g.edges_between(t0, t_hi)
+        # no part of the table path reads labels, so the window has none
         window = TemporalGraph.from_time_edges(
-            g.vertex_count, g.lifetime, edges, g.aliases)
+            g.vertex_count, g.lifetime, g.edges_between(t0, t_hi))
         result = _solve_table(window, incident_index(window.time_edges), s, z, delta, k,
-                              d_window, sub_p, cfg, started)
+                              k_eff, d_window, sub_p, cfg, started)
         for f in fields(SolveStats):  # _result resets the summed wall time
             setattr(stats, f.name, getattr(stats, f.name) + getattr(result.stats, f.name))
         if result.decision:

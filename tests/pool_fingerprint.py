@@ -23,10 +23,12 @@ the answers, and the other counters, stay the same. ``--skip-counter
 NAME``, which may be repeated, leaves that field out of the counters hash
 and the totals, so the hashes of a commit that adds a counter can be
 compared with those of one without it. Bulk answers with a distance table
-and a walk distance, so its one line, ``bulk <queries> answers
-<sha256>``, hashes each query's sorted table entries and walk distance. The library is imported from ``src/``
-next to this directory; the script only reads ``bench/``. pytest does not
-collect it.
+and a walk distance, so its one line, ``bulk <queries> answers <sha256>
+work=<sum>``, hashes each query's sorted table entries and walk distance,
+and sums the tables' ``work``, the pairs their level searches scanned,
+which the hash leaves out. The library is imported from ``src/`` next to
+this directory; the script only reads ``bench/``. pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -78,13 +80,14 @@ def fingerprint(name: str, seed: int, head: int | None,
     return len(pool), answers.hexdigest(), counted.hexdigest(), totals
 
 
-def bulk_fingerprint(seed: int, head: int | None) -> tuple[int, str]:
+def bulk_fingerprint(seed: int, head: int | None) -> tuple[int, str, int]:
     pool = workloads.build_pool(workloads.WORKLOADS["bulk"], seed)[:head]
-    answers = hashlib.sha256()
+    answers, work = hashlib.sha256(), 0
     for q in pool:
         table, walk = workloads.run_op(workloads.WORKLOADS["bulk"], q)
         answers.update(repr((sorted(table.entries.items()), walk)).encode() + b"\n")
-    return len(pool), answers.hexdigest()
+        work += table.work
+    return len(pool), answers.hexdigest(), work
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -104,8 +107,8 @@ def main(argv: list[str] | None = None) -> None:
         if args.workload and name not in args.workload:
             continue
         if name == "bulk":
-            count, answers = bulk_fingerprint(args.seed, args.head)
-            print(f"bulk {count} answers {answers}", flush=True)
+            count, answers, work = bulk_fingerprint(args.seed, args.head)
+            print(f"bulk {count} answers {answers} work={work}", flush=True)
             continue
         count, answers, counted, totals = fingerprint(name, args.seed, args.head,
                                                       tuple(args.skip_counter))

@@ -41,6 +41,18 @@ def test_solve_yes_golden(fig1_file, capsys):
     assert payload["witness"][-1]["v_label"] == "z"
 
 
+def test_solve_windowed_labels_come_from_the_query_graph(fig1_file, capsys):
+    # the window graphs carry no aliases; the witness is labelled from the
+    # query graph, as without windows
+    code, out, _ = run(capsys, [
+        "solve", "-i", fig1_file, "-s", "s", "-z", "z",
+        "--delta", "2", "--k", "5", "--backend", "brute", "--time-window"])
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert [(w["u_label"], w["v_label"]) for w in witness] == [
+        ("s", "a"), ("a", "c"), ("b", "c"), ("b", "e"), ("e", "z")]
+
+
 def test_solve_no_exit_code(fig1_file, capsys):
     code, out, _ = run(capsys, [
         "solve", "-i", fig1_file, "-s", "s", "-z", "z",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -91,6 +92,37 @@ def test_distances_match_oracle_on_random_graphs():
         for (v, t), d in dt.entries.items():
             want = oracles.temporal_distance(triples, v, t, z, nv - 1)
             assert d == want, (v, t, z, d, want)
+
+
+def test_level_search_reads_stamps_only_by_order():
+    # shifting every stamp by 10^9 moves each entry to its shifted stamp
+    # with the same value, scans the same pairs, and still matches the
+    # oracle; an equal-stamp chain takes one hop per vertex along it
+    shift = 10 ** 9
+    draws = 0
+    for g, z in itertools.islice(_sparse_and_dense_draws(), 0, None, 4):
+        dt = compute_distances(g, z)
+        moved_graph = TemporalGraph.from_time_edges(
+            g.vertex_count, g.lifetime + shift,
+            [(e.u, e.v, e.t + shift) for e in g.time_edges])
+        moved = compute_distances(moved_graph, z)
+        assert moved.entries == {VertexAppearance(v, t + shift): d
+                                 for (v, t), d in dt.entries.items()}
+        assert moved.work == dt.work
+        triples = oracles.edge_triples(moved_graph)
+        for (v, t), d in moved.entries.items():
+            assert d == oracles.temporal_distance(triples, v, t, z, g.vertex_count - 1)
+        draws += 1
+    assert draws == 60
+    # the chain 3-0-5-1-4-2-6, all at stamp 7, which canonical order lists
+    # out of chain order; vertex 3 also meets 6 at stamp 6, a hop that a
+    # departure at 7 has missed
+    chain = [3, 0, 5, 1, 4, 2, 6]
+    edges = [(u, v, 7) for u, v in zip(chain, chain[1:])] + [(3, 6, 6)]
+    g = TemporalGraph.from_time_edges(7, 7, edges)
+    dt = compute_distances(g, 6)
+    assert [dt.get(v, 7) for v in chain] == [6, 5, 4, 3, 2, 1, 0]
+    assert dt.get(3, 6) == 1 and dt.work == 2 * len(edges)
 
 
 def test_distances_monotone_in_time():
