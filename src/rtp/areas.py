@@ -59,14 +59,18 @@ class AreaSpec:
                 raise ValueError("lower corner must not be later than upper corner")
 
 
-def area_spec(dt: DistanceTable, lower: VertexAppearance | None,
-              upper: VertexAppearance, delta: int) -> AreaSpec:
+def area_spec(dt: DistanceTable, lower: tuple[int, int] | None,
+              upper: tuple[int, int], delta: int) -> AreaSpec:
     """Build an AreaSpec, checking the corner distances against dt.
 
     Both corners must be non-isolated appearances, and the lower corner
-    must be strictly farther from the target than the upper corner.
+    must be strictly farther from the target than the upper corner. A
+    corner may be a plain ``(v, t)`` tuple, such as a table key; the spec
+    holds it as a ``VertexAppearance``.
     """
-    spec = AreaSpec(upper=upper, lower=lower, delta=delta)
+    spec = AreaSpec(upper=VertexAppearance._make(upper),
+                    lower=None if lower is None else VertexAppearance._make(lower),
+                    delta=delta)
     d_upper = dt.entries.get(upper)
     if d_upper is None:
         raise ValueError("corner appearances must be non-isolated")

@@ -113,8 +113,8 @@ def cmd_distances(args) -> int:
     z = _vertex(g, args.target)
     dt = compute_distances(g, z)
     entries = [
-        {"v": app.v, "t": app.t, "d": None if d == INF else d}
-        for app, d in sorted(dt.entries.items())
+        {"v": v, "t": t, "d": None if d == INF else d}
+        for (v, t), d in sorted(dt.entries.items())
     ]
     payload: dict = {"target": z, "entries": entries}
     if args.source is not None:

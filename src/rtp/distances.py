@@ -7,7 +7,9 @@ alone with no derived index, in one level search outward from z over the
 graph's ``path_finder.incident_index``: d never decreases in time, so each
 vertex's appearances at distance h are the stamps its latest departure
 toward z gains once h hops are allowed, and the next level scans only the
-pairs at those stamps, each pair once.
+pairs at those stamps, each pair once. The table is keyed by plain
+``(v, t)`` tuples; a ``VertexAppearance(v, t)`` hashes and compares equal
+to its tuple, so it looks up the same entry.
 
 Shortest walks (vertex repeats allowed) from one source come from one
 breadth-first search over (vertex, arrival stamp) states, ``walk_hops``,
@@ -28,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .path_finder import incident_index, pairs_between
-from .temporal_graph import TemporalGraph, VertexAppearance
+from .temporal_graph import TemporalGraph
 
 INF = math.inf
 
@@ -37,18 +39,19 @@ INF = math.inf
 class DistanceTable:
     """d(v, t) for every non-isolated appearance, with INF for unreachable.
 
-    The table is its entries alone, with no derived index: a reader that
-    wants another order builds it. work counts the incident-index pairs
-    the level search scanned (each pair at most once, so work <= 2 * |E|),
-    as a linearity diagnostic.
+    The table is its entries alone, keyed by plain ``(v, t)`` tuples, with
+    no derived index: a reader that wants another order builds it. A
+    ``VertexAppearance(v, t)`` looks up the same entry as ``(v, t)``. work
+    counts the incident-index pairs the level search scanned (each pair at
+    most once, so work <= 2 * |E|), as a linearity diagnostic.
     """
 
     target: int
-    entries: dict[VertexAppearance, int | float] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int | float] = field(default_factory=dict)
     work: int = 0
 
     def get(self, v: int, t: int, default=None):
-        return self.entries.get(VertexAppearance(v, t), default)
+        return self.entries.get((v, t), default)
 
     def appearance_times(self, v: int) -> list[int]:
         """The sorted stamps of v's non-isolated appearances, as a new list."""
@@ -80,7 +83,7 @@ def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
     if not 0 <= z < g.vertex_count:
         raise ValueError(f"target {z} is not a vertex of the graph")
     incident = incident_index(g.time_edges)
-    entries: dict[VertexAppearance, int | float] = {}
+    entries: dict[tuple[int, int], int | float] = {}
     work = 0
     latest: dict[int, int | float] = {z: INF}
     grown: dict[int, int | float] = {z: -INF}  # vertex -> its latest before it grew
@@ -93,7 +96,7 @@ def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
             hi = bisect_right(pairs, (latest[w], INF), lo)
             work += hi - lo
             for t, v in pairs[lo:hi]:
-                entries[VertexAppearance(w, t)] = level
+                entries[w, t] = level
                 if t > offers.get(v, -INF):
                     offers[v] = t
         grown = {}
@@ -105,7 +108,7 @@ def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
         level += 1
     for w, pairs in incident.items():
         for t, _ in pairs[bisect_right(pairs, (latest.get(w, -INF), INF)):]:
-            entries[VertexAppearance(w, t)] = INF
+            entries[w, t] = INF
     return DistanceTable(target=z, entries=entries, work=work)
 
 

@@ -95,9 +95,10 @@ class SolveStats:
     finder_calls counts the connector searches run: each finder call
     counts itself, and a table fill adds one per in-place search, one per
     link whose corridor holds both ends. table_entries counts every entry
-    of the table, and entries_visited the entries the fill ran its link
-    loop for: all of them, except on ``solve``'s table path, where the walk
-    search's forward bound picks, before the fill runs, the source's
+    of the table, and entries_visited the entries the fill visited: all of
+    them (those off the source with INF distance keep INF with no link
+    loop), except on ``solve``'s table path, where the walk search's
+    forward bound picks, before the fill runs, the source's
     appearances and the entries a chain within the budget can pass; only
     their links are counted in finder_calls and areas_built.
     """

@@ -74,18 +74,19 @@ from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge,
 class DpTable:
     """Filled table plus reconstruction links.
 
-    entries maps each non-isolated appearance to the best known length of
-    a restless source path honoring the corridor discipline (INF if
-    none). ``fill_table`` fills every entry; on ``solve``'s table path the
-    walk search's forward bound picks, before the fill runs, the entries
-    it visits, fills them as ``fill_table`` does and leaves every other
-    entry INF, with no link. preds maps appearances with
-    finite entries to (predecessor appearance or None for near-zone
-    entries, connector steps).
+    entries maps each non-isolated appearance, keyed by a plain ``(v, t)``
+    tuple as in the ``DistanceTable``, to the best known length of a
+    restless source path honoring the corridor discipline (INF if none);
+    a ``VertexAppearance(v, t)`` looks up the same entry. ``fill_table``
+    fills every entry; on ``solve``'s table path the walk search's forward
+    bound picks, before the fill runs, the entries it visits, fills them
+    as ``fill_table`` does and leaves every other entry INF, with no link.
+    preds maps appearances with finite entries to (predecessor appearance
+    or None for near-zone entries, connector steps).
     """
 
     ell: int
-    entries: dict[VertexAppearance, int | float] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int | float] = field(default_factory=dict)
     preds: dict[VertexAppearance, tuple[VertexAppearance | None, tuple[TimeEdge, ...]]] = \
         field(default_factory=dict)
 
@@ -136,20 +137,22 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
           arrivals: dict[tuple[int, int], int] | None = None) -> DpTable:
     """``fill_table`` over the caller's ``incident_index`` of g.
 
-    Without ``arrivals`` the link loop runs for every entry. With them
-    (``_arrivals`` of a restless-walk hop record from s whose walks
-    include every restless path of g from s), it runs only for s's
-    appearances and the entries ``_within_budget`` picks before the fill
-    starts; every other entry is INF with no link. A chain through a
+    Without ``arrivals`` the link loop runs for s's appearances and every
+    entry with a finite d: an INF entry off s has no link, so it keeps
+    INF. With them (``_arrivals`` of a restless-walk hop record from s
+    whose walks include every restless path of g from s), it runs only for
+    s's appearances and the entries ``_within_budget`` picks before the
+    fill starts; every other entry is INF with no link. A chain through a
     skipped entry is longer than k, and a skipped predecessor offers any
     entry on a chain within k more than that entry's best, so no entry on
     such a chain changes its value or link. table_entries counts every
-    entry, entries_visited those the link loop ran for.
+    entry; entries_visited counts every entry without ``arrivals``, and
+    those the link loop ran for with them.
     """
     # s's appearances in time order are the distinct stamps of its pairs;
     # d never decreases in time, so the earliest value is the temporal
     # distance
-    source_apps = [(t, dt.entries[VertexAppearance(s, t)])
+    source_apps = [(t, dt.entries[s, t])
                    for t in dict.fromkeys(t for t, _ in incident.get(s, []))]
     d_source = source_apps[0][1] if source_apps else INF
     if d_source == INF or d_source > k:
@@ -164,11 +167,17 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
     first_sieve = first_sieve_length(cfg)
     admits_source = source_admission(source_apps)
 
-    visits = dt.entries.items() if arrivals is None else (
-        [(VertexAppearance(s, t), d) for t, d in source_apps]
-        + _within_budget(dt, incident, delta, k, arrivals))
-    order = sorted(visits, key=lambda item: (-item[1], item[0].t, item[0].v))
-    stats.entries_visited += len(order)
+    # table keys are plain (v, t) tuples; only the entries the link loop
+    # runs for become VertexAppearances, the corners of their corridors
+    if arrivals is None:
+        visits = [(VertexAppearance(v, t), d) for (v, t), d in dt.entries.items()
+                  if d != INF or v == s]
+        stats.entries_visited += len(dt.entries)
+    else:
+        visits = [(VertexAppearance(s, t), d) for t, d in source_apps]
+        visits += _within_budget(dt, incident, delta, k, arrivals)
+        stats.entries_visited += len(visits)
+    order = sorted(visits, key=lambda item: (-item[1], item[0][1], item[0][0]))
     for app, d in order:
         u, t_up = app
         if u == s:
@@ -185,7 +194,7 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
         else:  # far zone: a strictly farther, no-later, reached appearance
             links = ((pred, d_pred, table.entries[pred])
                      for d_pred in range(d + 1, d + ell + 2)
-                     for pred in takewhile(lambda a: a.t <= t_up,
+                     for pred in takewhile(lambda a: a[1] <= t_up,
                                            reached.get(d_pred, ())))
             probes = 2 * ell + 1
         best: int | float = INF
@@ -395,18 +404,17 @@ def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
     dp = _fill(g, dt, incident, s, delta, k_eff, replace(cfg, error_prob=sub_p), stats,
                arrivals)
 
-    best_app = None
+    best_t = None
     best_val: int | float = INF
     for t in dict.fromkeys(t for t, _ in incident.get(z, [])):  # z's stamps, in order
-        app = VertexAppearance(z, t)
-        val = dp.entries.get(app, INF)
+        val = dp.entries.get((z, t), INF)
         if val < best_val:
             best_val = val
-            best_app = app
-    if best_app is None or best_val > k_eff:
+            best_t = t
+    if best_t is None or best_val > k_eff:
         return _result(started, stats, None, k, k_eff, d_source, p, sub_p)
 
-    steps = reconstruct(dp, best_app)
+    steps = reconstruct(dp, VertexAppearance(z, best_t))
     witness = validate_restless_path(g, steps, s, z, delta)
     assert witness.length <= k_eff
     return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)
@@ -435,9 +443,9 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     the search held to the window's stamps, before any graph or table is
     built. Every other window goes straight to the table path of
     ``solve``, with no bracket of its own, and splits its share again over
-    its own chain. Its fill skips no entry: the bracket here records no
-    walk states, since on windowed queries that search cost more than the
-    entries it would skip."""
+    its own chain. Its fill has no forward bound: the bracket here records
+    no walk states, since on windowed queries that search cost more than
+    the entries it would skip."""
     _check_query(g, s, z, delta, k, p)
     started = time.perf_counter()
     stats = SolveStats()

@@ -24,11 +24,12 @@ NAME``, which may be repeated, leaves that field out of the counters hash
 and the totals, so the hashes of a commit that adds a counter can be
 compared with those of one without it. Bulk answers with a distance table
 and a walk distance, so its one line, ``bulk <queries> answers <sha256>
-work=<sum>``, hashes each query's sorted table entries and walk distance,
-and sums the tables' ``work``, the pairs their level searches scanned,
-which the hash leaves out. The library is imported from ``src/`` next to
-this directory; the script only reads ``bench/``. pytest does not collect
-it.
+work=<sum>``, hashes each query's table entries, as sorted ``(v, t, d)``
+triples so that the hash does not depend on the key type, and its walk
+distance, and sums the tables' ``work``, the pairs their level searches
+scanned, which the hash leaves out. The library is imported from
+``src/`` next to this directory; the script only reads ``bench/``.
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def bulk_fingerprint(seed: int, head: int | None) -> tuple[int, str, int]:
     answers, work = hashlib.sha256(), 0
     for q in pool:
         table, walk = workloads.run_op(workloads.WORKLOADS["bulk"], q)
-        answers.update(repr((sorted(table.entries.items()), walk)).encode() + b"\n")
+        entries = sorted((v, t, d) for (v, t), d in table.entries.items())
+        answers.update(repr((entries, walk)).encode() + b"\n")
         work += table.work
     return len(pool), answers.hexdigest(), work
 

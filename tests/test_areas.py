@@ -17,14 +17,16 @@ from rtp.path_finder import incident_index, search_index
 def naive_a_set(dt, lower, upper, tau):
     """Straight-from-definition filter over the whole appearance table."""
     d_up = dt.entries[upper]
+    _, t_up = upper
     out = set()
-    for app, d in dt.entries.items():
+    for (v, t), d in dt.entries.items():
         if lower is None:
-            if d_up < d < INF and app.t <= upper.t:
-                out.add(app)
+            if d_up < d < INF and t <= t_up:
+                out.add((v, t))
         else:
-            if d_up < d < dt.entries[lower] and lower.t <= app.t <= upper.t:
-                out.add(app)
+            _, t_lo = lower
+            if d_up < d < dt.entries[lower] and t_lo <= t <= t_up:
+                out.add((v, t))
     return out
 
 
@@ -39,9 +41,11 @@ def naive_area_edges(g, dt, lower, upper, delta):
     def departs(x, t):
         return VertexAppearance(x, t) in inside or VertexAppearance(x, t) == lower
 
+    b, t_up = upper
+
     def arrives(y, t):
-        if y == upper.v:
-            return upper.t - delta <= t <= upper.t
+        if y == b:
+            return t_up - delta <= t <= t_up
         return any(VertexAppearance(y, t2) in inside for t2 in range(t, t + delta + 1))
 
     return tuple(e for e in g.time_edges
@@ -66,10 +70,11 @@ def _compare_random_corridors(seed, count, max_vertices, max_lifetime, max_delta
             continue
         delta = rng.randint(1, max_delta or g.lifetime)
         upper, d_up = rng.choice(finite)
+        b, t_up = upper
         lower = None
         if rng.random() < 0.7:
-            choices = [(app, d) for app, d in finite
-                       if d > d_up and app.t <= upper.t and app.v != upper.v]
+            choices = [((v, t), d) for (v, t), d in finite
+                       if d > d_up and t <= t_up and v != b]
             if not choices:
                 continue
             lower, _ = rng.choice(choices)
@@ -110,24 +115,25 @@ def test_holds_start_matches_built_corridors():
         admits_source = source_admission(sorted(
             (t, d) for (v, t), d in dt.entries.items() if v == s))
         for upper, d_up in finite:
+            b, t_up = upper
             admits_upper = upper_admission(dt, incident, upper, delta)
-            lowers = [(lo, d_lo) for lo, d_lo in finite
-                      if d_lo > d_up and lo.t <= upper.t and lo.v != upper.v]
-            if upper.v != s:
+            lowers = [((a, t_lo), d_lo) for (a, t_lo), d_lo in finite
+                      if d_lo > d_up and t_lo <= t_up and a != b]
+            if b != s:
                 lowers.append((None, INF))
             for lower, d_lo in lowers:
                 spec = area_spec(dt, lower, upper, delta)
-                frm = s if lower is None else lower.v
+                frm = s if lower is None else lower[0]
                 keep = keep_rule(dt, incident, spec)
                 vertices = oracles.endpoints(area_graph(g, spec, keep).time_edges)
                 start = holds_start(incident, spec, keep, s)
                 entered = admits_upper(lower, d_lo)
                 assert start == (frm in vertices), spec
-                assert entered == (upper.v in vertices), spec
+                assert entered == (b in vertices), spec
                 passes = entered and start
-                assert passes == ({frm, upper.v} <= vertices), spec
+                assert passes == ({frm, b} <= vertices), spec
                 if lower is None:
-                    admitted = admits_source(upper, d_up)
+                    admitted = admits_source(spec.upper, d_up)
                     assert admitted or not passes, spec
                     counts["source admitted"] += admitted
                 else:
@@ -157,11 +163,12 @@ def test_in_place_search_matches_materialized_corridors():
         incident = incident_index(g.time_edges)
         finite = [(app, d) for app, d in dt.entries.items() if d < INF]
         for upper, d_up in finite:
-            if upper.v == s:
+            b, t_up = upper
+            if b == s:
                 continue
             admits_upper = upper_admission(dt, incident, upper, delta)
-            lowers = [(lo, d_lo) for lo, d_lo in finite
-                      if d_lo > d_up and lo.t <= upper.t and lo.v != upper.v]
+            lowers = [((a, t_lo), d_lo) for (a, t_lo), d_lo in finite
+                      if d_lo > d_up and t_lo <= t_up and a != b]
             for lower, d_lo in [(None, INF), *lowers]:
                 if not admits_upper(lower, d_lo):
                     continue
@@ -177,18 +184,18 @@ def test_in_place_search_matches_materialized_corridors():
                 hi = 2 * ell + 1
                 shortest = None  # the first exact probe that finds a path
                 for length in range(1, hi + 1):
-                    got = search_index(incident, frm, upper.v, delta, length, length,
-                                       keep=keep, t_lo=t_lo, t_hi=upper.t)
+                    got = search_index(incident, frm, b, delta, length, length,
+                                       keep=keep, t_lo=t_lo, t_hi=t_up)
                     want = find_exact_restless_path_brute(
-                        area.time_edges, frm, upper.v, delta, length)
+                        area.time_edges, frm, b, delta, length)
                     assert (got and got.steps) == (want and want.steps), (spec, length)
                     shortest = shortest or got
                     counts["probes"] += 1
                     counts["found"] += want is not None
                     counts["multi-step"] += want is not None and length > 1
                 # one range search returns that path, and None iff every probe does
-                ranged = search_index(incident, frm, upper.v, delta, 1, hi,
-                                      keep=keep, t_lo=t_lo, t_hi=upper.t)
+                ranged = search_index(incident, frm, b, delta, 1, hi,
+                                      keep=keep, t_lo=t_lo, t_hi=t_up)
                 assert (ranged and ranged.steps) == (shortest and shortest.steps), spec
                 counts["corridors"] += 1
     assert counts["corridors"] >= 5_000 and counts["probes"] >= 30_000, counts
@@ -217,8 +224,9 @@ def test_source_area_never_contains_later_edges():
         if not finite:
             continue
         upper = rng.choice(finite)
+        _, t_up = upper
         area = corridor(g, dt, area_spec(dt, None, upper, 2))
-        assert all(e.t <= upper.t for e in area.time_edges)
+        assert all(e.t <= t_up for e in area.time_edges)
 
 
 def test_direct_corner_to_corner_edge_is_admitted():
@@ -246,16 +254,17 @@ def test_arrivals_inside_source_area_fall_in_waiting_window():
     for g, s, z, delta, _k in random_instances(606, 200):
         dt = compute_distances(g, z)
         for app, d in sorted(dt.entries.items()):
-            if d == INF or app.v == s:
+            v, t = app
+            if d == INF or v == s:
                 continue
             area = corridor(g, dt, area_spec(dt, None, app, delta))
             if s not in oracles.endpoints(area.time_edges):
                 continue
             triples = [(e.u, e.v, e.t) for e in area.time_edges]
             for path in oracles.enumerate_restless_paths(
-                    triples, s, app.v, delta, 4):
+                    triples, s, v, delta, 4):
                 arrival = path[-1][2]
-                assert app.t - delta <= arrival <= app.t, (app, path)
+                assert t - delta <= arrival <= t, (app, path)
                 checked += 1
         if checked > 300:
             break
@@ -272,8 +281,8 @@ def test_chained_areas_share_only_the_chaining_vertex():
         z = rng.randrange(nv)
         dt = compute_distances(g, z)
         finite = [(app, d) for app, d in dt.entries.items() if d < INF]
-        pairs = [(lo, up) for up, du in finite for lo, dl in finite
-                 if dl > du and lo.t <= up.t and lo.v != up.v]
+        pairs = [((a, t_lo), (b, t_up)) for (b, t_up), du in finite
+                 for (a, t_lo), dl in finite if dl > du and t_lo <= t_up and a != b]
         if not pairs:
             continue
         lower, upper = rng.choice(pairs)
@@ -281,7 +290,7 @@ def test_chained_areas_share_only_the_chaining_vertex():
         source_side = corridor(g, dt, area_spec(dt, None, lower, delta))
         hop = corridor(g, dt, area_spec(dt, lower, upper, delta))
         shared = oracles.endpoints(source_side.time_edges) & oracles.endpoints(hop.time_edges)
-        assert shared <= {lower.v}
+        assert shared <= {lower[0]}
         checked += 1
 
 

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
-from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance,
-                 compute_distances, random_temporal_graph,
+from rtp import (INF, FinderConfig, TemporalGraph, TimeEdge, VertexAppearance,
+                 area_spec, compute_distances, fill_table, random_temporal_graph,
                  restless_walk_distance)
 from rtp.distances import departure_stamps, walk_hops
 from rtp.path_finder import incident_index
@@ -26,7 +26,7 @@ def test_non_isolated_fig1(fig1):
     apps = set(compute_distances(fig1, Z).entries)
     for expected in [(S, 1), (S, 2), (S, 5), (E, 1), (E, 2), (E, 4), (E, 6), (Z, 6)]:
         assert VertexAppearance(*expected) in apps
-    assert all(app.v != D for app in apps)  # d never touches an edge
+    assert all(v != D for v, _t in apps)  # d never touches an edge
     assert len(apps) <= 2 * oracles.graph_size(fig1)
     assert apps == naive_non_isolated(fig1)
 
@@ -61,9 +61,28 @@ def test_distances_fig1_values(fig1):
 
 def test_distances_target_rows_are_zero(fig1):
     dt = compute_distances(fig1, Z)
-    for app, d in dt.entries.items():
-        if app.v == Z:
+    for (v, _t), d in dt.entries.items():
+        if v == Z:
             assert d == 0
+
+
+def test_table_keys_are_plain_tuples_that_appearances_look_up(fig1):
+    # both tables are keyed by (v, t) tuples; a VertexAppearance hashes and
+    # compares equal to its tuple, so it reads the same entry, and area_spec
+    # turns tuple corners back into VertexAppearances
+    dt = compute_distances(fig1, Z)
+    assert dt.entries and all(type(key) is tuple for key in dt.entries)
+    for v, t in dt.entries:
+        assert dt.entries[VertexAppearance(v, t)] == dt.entries[v, t] == dt.get(v, t)
+    dp = fill_table(fig1, dt, S, Z, 2, 5, FinderConfig(backend="brute"))
+    assert all(type(key) is tuple for key in dp.entries)
+    for v, t in dt.entries:
+        assert dp.entries[VertexAppearance(v, t)] == dp.entries[v, t]
+    assert dp.entries[VertexAppearance(Z, 6)] == dp.entries[Z, 6] == 5
+    spec = area_spec(dt, (S, 1), (E, 6), 2)
+    assert type(spec.upper) is VertexAppearance and type(spec.lower) is VertexAppearance
+    assert (spec.lower, spec.upper) == (VertexAppearance(S, 1), VertexAppearance(E, 6))
+    assert type(area_spec(dt, None, (Z, 6), 2).upper) is VertexAppearance
 
 
 def _sparse_and_dense_draws():

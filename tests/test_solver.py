@@ -46,7 +46,8 @@ def test_fig1_table_value(fig1):
     assert dp.entries[VertexAppearance(Z, 6)] == 5
     # source rows are the only zero entries
     for app, value in dp.entries.items():
-        assert (value == 0) == (app.v == S), app
+        v, _t = app
+        assert (value == 0) == (v == S), app
 
 
 def test_table_minimum_matches_oracle_shortest():
@@ -287,11 +288,12 @@ def test_reconstruct_matches_table_values():
         for app, value in dp.entries.items():
             if value == INF or value == 0:
                 continue
+            v, t = app
             steps = reconstruct(dp, app)
             assert len(steps) == value
-            path = validate_restless_path(g, steps, s, app.v, delta)
-            assert path.arrival <= app.t
-            assert path.arrival >= app.t - delta or app.v == z
+            path = validate_restless_path(g, steps, s, v, delta)
+            assert path.arrival <= t
+            assert path.arrival >= t - delta or v == z
 
 
 def test_pred_links_satisfy_window_conditions():
@@ -331,7 +333,8 @@ def test_zone_structure_of_table_values():
             if value == INF:
                 continue
             pred, steps = dp.preds[app]
-            if app.v == s:
+            v, _t = app
+            if v == s:
                 assert value == 0 and pred is None and steps == ()
             elif dt.entries[app] >= near_floor:
                 # near zone: a direct source connector of bounded length
@@ -686,11 +689,12 @@ def test_prune_skips_only_entries_out_of_budget():
                                   rtp.solver._arrivals(record, z, k_eff))
         hops = oracles.walk_state_hops(oracles.edge_triples(g), s, z, delta, 1, INF, k_eff)
         for app, d in dt.entries.items():
-            if app.v == s:
+            u, t_up = app
+            if u == s:
                 continue
             value = full.entries[app]
             f = min((h for (v, t), h in hops.items()
-                     if v == app.v and app.t - delta <= t <= app.t), default=INF)
+                     if v == u and t_up - delta <= t <= t_up), default=INF)
             if f + d > k_eff:
                 assert value == INF or value + d > k_eff, (g.time_edges, s, z, delta, k, app)
                 assert pruned.entries[app] == INF
@@ -737,9 +741,9 @@ def test_pruned_fill_visits_exactly_the_entries_within_budget(monkeypatch, no_wa
         for (v, t), h in oracles.walk_state_hops(oracles.edge_triples(g), s, z, delta,
                                                  1, INF, k_eff).items():
             hops.setdefault(v, []).append((t, h))
-        source = {app for app in dt.entries if app.v == s}
-        within_budget = {app for app, d in dt.entries.items() if app.v != s and min(
-            (h for t, h in hops.get(app.v, ()) if app.t - delta <= t <= app.t),
+        source = {(v, t) for v, t in dt.entries if v == s}
+        within_budget = {(u, t_up) for (u, t_up), d in dt.entries.items() if u != s and min(
+            (h for t, h in hops.get(u, ()) if t_up - delta <= t <= t_up),
             default=INF) + d <= k_eff}
         kept = [app for app, _ in call["kept"]]
         assert len(kept) == len(set(kept)) and set(kept) == within_budget, \
