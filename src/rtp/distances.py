@@ -16,11 +16,11 @@ breadth-first search over (vertex, arrival stamp) states, ``walk_hops``,
 held to a range of stamps and bounded in hops. With a waiting bound it
 gives ``restless_walk_distance``, the polynomial lower bound on restless
 path length; given a record, it also keeps the fewest hops of every state
-within its bound, which bounds a table fill from the source side. With no
-waiting bound it is a fewest-hop temporal walk, which is a path, so it
-gives d(s, t) for one source without a table: a windowed solve takes its
-temporal distance, its departures (``departure_stamps``) and every
-per-window distance check from it.
+reached in fewer hops than its bound, plus z's, which bounds a table fill
+from the source side. With no waiting bound it is a fewest-hop temporal
+walk, which is a path, so it gives d(s, t) for one source without a
+table: a windowed solve takes its temporal distance, its departures
+(``departure_stamps``) and every per-window distance check from it.
 """
 
 from __future__ import annotations
@@ -134,16 +134,18 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
     ``path_finder.incident_index``. Hop 1 takes every pair of s in range;
     from a state (v, t) the next hop takes any pair of v in
     [t, min(t + delta, t_hi)]. A step back into s is dropped: hop 1
-    already departs at every stamp. No state is expanded at ``bound``
-    hops, nor at z. A pair is claimed by the first state that scans it,
-    which holds the fewest hops that can take it, and a later scan of v
-    jumps over v's claimed runs, so each pair is taken once however much
-    the windows overlap. With ``delta`` INF this is the fewest hops of a
-    temporal walk, which waits for free.
+    already departs at every stamp. z's states are never expanded, and a
+    state off z reached at ``bound`` hops is dropped, since it would never
+    be expanded either. A pair is claimed by the first state that scans
+    it, which holds the fewest hops that can take it, and a later scan of
+    v jumps over v's claimed runs, so each pair is taken once however
+    much the windows overlap. With ``delta`` INF this is the fewest hops
+    of a temporal walk, which waits for free.
 
     With a ``record`` dict the search does not stop at z: it runs to
     ``bound`` and stores in ``record`` the fewest hops of every state it
-    reaches, z's included, each state expanded once, at its first level.
+    reaches in fewer than ``bound`` hops, plus z's states within
+    ``bound``, each state expanded once, at its first level.
     """
     claimed: dict[int, dict[int, int]] = {}
     found: int | float = INF
@@ -154,6 +156,8 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
                 return 1
             found = 1
             record[w, t] = 1
+        elif bound <= 1:
+            continue
         elif record is None:
             frontier.append((w, t))
         elif (w, t) not in record:
@@ -162,6 +166,7 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
     hops = 1
     while frontier and hops < bound:
         hops += 1
+        deeper = hops < bound  # whether the states reached now are expanded
         reached = []
         for v, t in frontier:
             pairs = incident[v]
@@ -178,7 +183,7 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
                         return hops
                     found = min(found, hops)
                     record.setdefault((w, t_next), hops)
-                elif w != s:
+                elif deeper and w != s:
                     if record is None:
                         reached.append((w, t_next))
                     elif (w, t_next) not in record:

@@ -139,10 +139,10 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
 
     Without ``arrivals`` the link loop runs for s's appearances and every
     entry with a finite d: an INF entry off s has no link, so it keeps
-    INF. With them (``_arrivals`` of a restless-walk hop record from s
-    whose walks include every restless path of g from s), it runs only for
-    s's appearances and the entries ``_within_budget`` picks before the
-    fill starts; every other entry is INF with no link. A chain through a
+    INF. With them (a ``walk_hops`` record from s bounded at k, whose
+    walks include every restless path of g from s), it runs only for s's
+    appearances and the entries ``_within_budget`` picks before the fill
+    starts; every other entry is INF with no link. A chain through a
     skipped entry is longer than k, and a skipped predecessor offers any
     entry on a chain within k more than that entry's best, so no entry on
     such a chain changes its value or link. table_entries counts every
@@ -186,10 +186,9 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
             reached.setdefault(d, []).append(app)
             continue
         # links are (predecessor appearance, its distance, its value); the
-        # near zone, INF distances included, chains once from the source
-        # side at value 0
+        # near zone chains once from the source side at value 0
         if d >= near_floor:
-            links = [(None, INF, 0)] if d != INF and ell > 0 else []
+            links = [(None, INF, 0)] if ell > 0 else []
             probes = 2 * ell
         else:  # far zone: a strictly farther, no-later, reached appearance
             links = ((pred, d_pred, table.entries[pred])
@@ -237,8 +236,8 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
             if found is not None:
                 best = base + found.length
                 best_link = (pred, found.steps)
-        table.entries[app] = best
         if best_link is not None:
+            table.entries[app] = best
             table.preds[app] = best_link
             reached.setdefault(d, []).append(app)
 
@@ -293,8 +292,11 @@ def reconstruct(dp: DpTable, end: VertexAppearance) -> tuple[TimeEdge, ...]:
     return tuple(steps_out)
 
 
-def _check_query(g: TemporalGraph, s: int, z: int, delta: int, k: int,
-                 p: float) -> None:
+def _start_query(g: TemporalGraph, s: int, z: int, delta: int, k: int, p: float
+                 ) -> tuple[float, dict[int, list[tuple[int, int]]], int | float, int]:
+    """Check a query and start it: its clock, the ``incident_index`` of g
+    that every search of the query reads, the temporal s-z distance and
+    k_eff, the budget that no simple path of g exceeds."""
     if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
         raise ValueError("source or target is not a vertex of the graph")
     if s == z:
@@ -305,6 +307,11 @@ def _check_query(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         raise ValueError("k must be at least 1")
     if not 0.0 < p < 1.0:
         raise ValueError("error probability must be in (0, 1)")
+    started = time.perf_counter()
+    incident = incident_index(g.time_edges)
+    # a fewest-hop temporal walk is a path, so it is never longer than n - 1
+    d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
+    return started, incident, d_source, min(k, max(1, g.vertex_count - 1))
 
 
 def _share(p: float, parts: int, split: str) -> float:
@@ -354,28 +361,17 @@ def _no_walk_within(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
     """The walk bracket: whether every delta-restless s-z walk over
     ``incident`` is longer than k_eff. Every restless path is a restless
     walk, so then the answer is an exact no. A ``record`` gets the fewest
-    hops of every walk state within k_eff, as ``walk_hops`` stores them."""
+    hops of every walk state reached in fewer than k_eff hops, plus z's,
+    as ``walk_hops`` stores them, which is the fill's input as is: a state
+    off z at k_eff hops reaches no entry within k_eff, since d >= 1 off z."""
     return walk_hops(incident, s, z, delta, 1, INF, k_eff, record) > k_eff
-
-
-def _arrivals(hops: dict[tuple[int, int], int], z: int,
-              k: int) -> dict[tuple[int, int], int]:
-    """The states of a ``walk_hops`` record to z within k hops that a
-    fill's forward bound can use, with their hops: a state off z at k hops
-    is left out, since d >= 1 off z, so no entry it reaches fits k."""
-    return {state: h for state, h in hops.items() if h < k or state[0] == z}
 
 
 def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
           p: float, cfg: FinderConfig) -> SolveResult:
     """Decide whether a delta-restless temporal s-z path of length at most
     k exists; on yes, return a validated witness."""
-    _check_query(g, s, z, delta, k, p)
-    started = time.perf_counter()
-    incident = incident_index(g.time_edges)
-    # a fewest-hop temporal walk is a path, so it is never longer than n - 1
-    d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
-    k_eff = min(k, max(1, g.vertex_count - 1))  # no simple path is longer
+    started, incident, d_source, k_eff = _start_query(g, s, z, delta, k, p)
     if d_source > k_eff:  # no temporal path within budget: all-zero counters
         return _result(started, SolveStats(), None, k, k_eff, d_source, p, None)
     hops: dict[tuple[int, int], int] = {}
@@ -384,8 +380,7 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         # fill would have used
         return _result(started, SolveStats(), None, k, k_eff, d_source, p,
                        _fill_share(p, k_eff, d_source))
-    return _solve_table(g, incident, s, z, delta, k, k_eff, d_source, p, cfg, started,
-                        _arrivals(hops, z, k_eff))
+    return _solve_table(g, incident, s, z, delta, k, k_eff, d_source, p, cfg, started, hops)
 
 
 def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
@@ -396,8 +391,8 @@ def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
     """``solve`` after its walk bracket: the distance table, the fill over
     ``incident`` (an ``incident_index`` of g) and the reconstruction, with
     d_source <= k_eff the temporal s-z distance in g. The fill visits only
-    the entries that ``arrivals``, from the bracket's hop record, picks
-    (None: every entry)."""
+    the entries that ``arrivals``, the bracket's hop record, picks (None:
+    every entry)."""
     stats = SolveStats()
     sub_p = _fill_share(p, k_eff, d_source)
     dt = compute_distances(g, z)
@@ -446,12 +441,8 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     its own chain. Its fill has no forward bound: the bracket here records
     no walk states, since on windowed queries that search cost more than
     the entries it would skip."""
-    _check_query(g, s, z, delta, k, p)
-    started = time.perf_counter()
+    started, incident, d_source, k_eff = _start_query(g, s, z, delta, k, p)
     stats = SolveStats()
-    k_eff = min(k, max(1, g.vertex_count - 1))
-    incident = incident_index(g.time_edges)
-    d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
     departures = departure_stamps(incident, s, z, k_eff) if d_source <= k_eff else []
     sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
     if departures and _no_walk_within(incident, s, z, delta, k_eff):

@@ -47,7 +47,12 @@ def unpruned_fill():
     entry, as ``fill_table`` and a windowed solve's windows do, with no
     entry skipped by the walk search's forward hop bound. Tests of the
     fill's own counters keep their instances this way."""
-    return mock.patch.object(rtp.solver, "_arrivals", lambda hops, z, k: None)
+    inner = rtp.solver._fill
+
+    def without_arrivals(g, dt, incident, s, delta, k, cfg, stats, arrivals=None):
+        return inner(g, dt, incident, s, delta, k, cfg, stats)
+
+    return mock.patch.object(rtp.solver, "_fill", without_arrivals)
 
 
 @pytest.fixture

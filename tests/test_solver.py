@@ -117,18 +117,19 @@ def test_k_clamped_to_simple_path_bound(fig1):
     assert res.decision and res.witness.length == 5
 
 
-def test_parameter_validation(fig1):
+@pytest.mark.parametrize("entry", [solve, solve_windowed])
+def test_parameter_validation(fig1, entry):
     cfg = FinderConfig()
     with pytest.raises(ValueError):
-        solve(fig1, S, S, 2, 5, 0.01, cfg)
+        entry(fig1, S, S, 2, 5, 0.01, cfg)
     with pytest.raises(ValueError):
-        solve(fig1, S, 99, 2, 5, 0.01, cfg)
+        entry(fig1, S, 99, 2, 5, 0.01, cfg)
     with pytest.raises(ValueError):
-        solve(fig1, S, Z, 0, 5, 0.01, cfg)
+        entry(fig1, S, Z, 0, 5, 0.01, cfg)
     with pytest.raises(ValueError):
-        solve(fig1, S, Z, 2, 0, 0.01, cfg)
+        entry(fig1, S, Z, 2, 0, 0.01, cfg)
     with pytest.raises(ValueError):
-        solve(fig1, S, Z, 2, 5, 0.0, cfg)
+        entry(fig1, S, Z, 2, 5, 0.0, cfg)
 
 
 def test_subcall_budget_formula(fig1):
@@ -685,8 +686,7 @@ def test_prune_skips_only_entries_out_of_budget():
         incident = incident_index(g.time_edges)
         record = {}
         walk_hops(incident, s, z, delta, 1, INF, k_eff, record)
-        pruned = rtp.solver._fill(g, dt, incident, s, delta, k_eff, cfg, SolveStats(),
-                                  rtp.solver._arrivals(record, z, k_eff))
+        pruned = rtp.solver._fill(g, dt, incident, s, delta, k_eff, cfg, SolveStats(), record)
         hops = oracles.walk_state_hops(oracles.edge_triples(g), s, z, delta, 1, INF, k_eff)
         for app, d in dt.entries.items():
             u, t_up = app
