@@ -3,13 +3,15 @@
 d(v, t) is the length of a shortest temporal v-z path that departs at time
 t or later. ``compute_distances`` fills a ``DistanceTable`` with the values
 of all non-isolated vertex appearances (v on some edge at t), the entries
-alone with no derived index, in one level search outward from z over the
-graph's ``path_finder.incident_index``: d never decreases in time, so each
-vertex's appearances at distance h are the stamps its latest departure
-toward z gains once h hops are allowed, and the next level scans only the
-pairs at those stamps, each pair once. The table is keyed by plain
-``(v, t)`` tuples; a ``VertexAppearance(v, t)`` hashes and compares equal
-to its tuple, so it looks up the same entry.
+alone with no derived index, by ``level_search``: one level search outward
+from z over the graph's ``path_finder.incident_index``. d never decreases
+in time, so each vertex's appearances at distance h are the stamps its
+latest departure toward z gains once h hops are allowed, and the next
+level scans only the pairs at those stamps, each pair once. The table is
+keyed by plain ``(v, t)`` tuples; a ``VertexAppearance(v, t)`` hashes and
+compares equal to its tuple, so it looks up the same entry. A windowed
+solve builds no graph for a window: the window's table is ``level_search``
+over the window's own index, which its table fill reads too.
 
 Shortest walks (vertex repeats allowed) from one source come from one
 breadth-first search over (vertex, arrival stamp) states, ``walk_hops``,
@@ -53,10 +55,6 @@ class DistanceTable:
     def get(self, v: int, t: int, default=None):
         return self.entries.get((v, t), default)
 
-    def appearance_times(self, v: int) -> list[int]:
-        """The sorted stamps of v's non-isolated appearances, as a new list."""
-        return sorted(t for w, t in self.entries if w == v)
-
     def source_distance(self, s: int) -> int | float:
         """The least d over s's non-isolated appearances (INF if none).
 
@@ -67,8 +65,17 @@ class DistanceTable:
 
 
 def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
-    """Fill the full distance table in one level search over the graph's
-    ``incident_index``, outward from z.
+    """Fill the full distance table: ``level_search`` over the graph's
+    ``incident_index``, outward from z."""
+    if not 0 <= z < g.vertex_count:
+        raise ValueError(f"target {z} is not a vertex of the graph")
+    return level_search(incident_index(g.time_edges), z)
+
+
+def level_search(incident: dict[int, list[tuple[int, int]]], z: int) -> DistanceTable:
+    """The distance table to z of the time-edges that ``incident`` (a
+    ``path_finder.incident_index``) holds, in one level search outward
+    from z.
 
     ``latest[v]`` is the latest stamp at which v can depart and still reach
     z within the hops counted so far (INF for z). Level d scans, for each
@@ -80,9 +87,6 @@ def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
     hop per level. Each pair is scanned once, at most 2 * |E| in all, and
     the stamps never scanned are INF.
     """
-    if not 0 <= z < g.vertex_count:
-        raise ValueError(f"target {z} is not a vertex of the graph")
-    incident = incident_index(g.time_edges)
     entries: dict[tuple[int, int], int | float] = {}
     work = 0
     latest: dict[int, int | float] = {z: INF}

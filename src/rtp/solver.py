@@ -56,18 +56,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import takewhile
 
 from .areas import (area_graph, area_spec, holds_start, keep_rule, source_admission,
                     upper_admission)
 from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
-                        walk_hops)
+                        level_search, walk_hops)
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
                           first_sieve_length, incident_index, pairs_between, search_index)
 from .rng import SeedStream
-from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge,
-                             VertexAppearance, validate_restless_path)
+from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge, VertexAppearance,
+                             validate_restless_path)
 
 
 @dataclass
@@ -135,7 +135,11 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
 def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
           s: int, delta: int, k: int, cfg: FinderConfig, stats: SolveStats,
           arrivals: dict[tuple[int, int], int] | None = None) -> DpTable:
-    """``fill_table`` over the caller's ``incident_index`` of g.
+    """``fill_table`` over the caller's ``incident_index``, of g's
+    time-edges or of those in one stamp range (a windowed solve's window),
+    with dt the distance table of the same time-edges. g serves only
+    ``area_graph``: every corner comes from dt, so a corridor's ``keep``
+    passes no time-edge of g outside the index.
 
     Without ``arrivals`` the link loop runs for s's appearances and every
     entry with a finite d: an INF entry off s has no link, so it keeps
@@ -372,47 +376,42 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     """Decide whether a delta-restless temporal s-z path of length at most
     k exists; on yes, return a validated witness."""
     started, incident, d_source, k_eff = _start_query(g, s, z, delta, k, p)
-    if d_source > k_eff:  # no temporal path within budget: all-zero counters
-        return _result(started, SolveStats(), None, k, k_eff, d_source, p, None)
-    hops: dict[tuple[int, int], int] = {}
-    if _no_walk_within(incident, s, z, delta, k_eff, hops):
-        # an exact no before any table, that still reports the split a
-        # fill would have used
-        return _result(started, SolveStats(), None, k, k_eff, d_source, p,
-                       _fill_share(p, k_eff, d_source))
-    return _solve_table(g, incident, s, z, delta, k, k_eff, d_source, p, cfg, started, hops)
-
-
-def _solve_table(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
-                 s: int, z: int, delta: int, k: int, k_eff: int, d_source: int,
-                 p: float, cfg: FinderConfig, started: float,
-                 arrivals: dict[tuple[int, int], int] | None = None
-                 ) -> SolveResult:
-    """``solve`` after its walk bracket: the distance table, the fill over
-    ``incident`` (an ``incident_index`` of g) and the reconstruction, with
-    d_source <= k_eff the temporal s-z distance in g. The fill visits only
-    the entries that ``arrivals``, the bracket's hop record, picks (None:
-    every entry)."""
     stats = SolveStats()
-    sub_p = _fill_share(p, k_eff, d_source)
-    dt = compute_distances(g, z)
-    dp = _fill(g, dt, incident, s, delta, k_eff, replace(cfg, error_prob=sub_p), stats,
-               arrivals)
+    witness = sub_p = None
+    # with no temporal path within budget, the counters stay all zero
+    if d_source <= k_eff:
+        # a no of the walk bracket builds no table, and still reports the
+        # split a fill would have used
+        sub_p = _fill_share(p, k_eff, d_source)
+        hops: dict[tuple[int, int], int] = {}
+        if not _no_walk_within(incident, s, z, delta, k_eff, hops):
+            witness = _table_witness(g, incident, compute_distances(g, z), s, z, delta, k_eff,
+                                     replace(cfg, error_prob=sub_p), stats, hops)
+    return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)
 
-    best_t = None
-    best_val: int | float = INF
-    for t in dict.fromkeys(t for t, _ in incident.get(z, [])):  # z's stamps, in order
-        val = dp.entries.get((z, t), INF)
-        if val < best_val:
-            best_val = val
-            best_t = t
-    if best_t is None or best_val > k_eff:
-        return _result(started, stats, None, k, k_eff, d_source, p, sub_p)
 
+def _table_witness(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
+                   dt: DistanceTable, s: int, z: int, delta: int, k_eff: int,
+                   cfg: FinderConfig, stats: SolveStats,
+                   arrivals: dict[tuple[int, int], int] | None = None
+                   ) -> RestlessPath | None:
+    """The table path: the fill of ``dt`` over ``incident``, an
+    ``incident_index`` whose time-edges are g's or a stamp range of them
+    and whose distance table to z is dt, with d(s) <= k_eff there, and the
+    witness of z's best entry within k_eff, reconstructed and validated
+    against g (None if no entry is within k_eff). cfg carries the fill's
+    share of p. The fill visits only the entries that ``arrivals``, the
+    bracket's hop record, picks (None: every entry)."""
+    dp = _fill(g, dt, incident, s, delta, k_eff, cfg, stats, arrivals)
+    # z's stamps in time order; of equal values, the earliest stamp wins
+    best_val, best_t = min(((dp.entries[z, t], t) for t, _ in incident.get(z, [])),
+                           default=(INF, None))
+    if best_val > k_eff:
+        return None
     steps = reconstruct(dp, VertexAppearance(z, best_t))
     witness = validate_restless_path(g, steps, s, z, delta)
     assert witness.length <= k_eff
-    return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)
+    return witness
 
 
 def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
@@ -435,12 +434,18 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     delta-restless s-z walk of all of g is longer than k_eff, no window
     holds a path, and the answer is an exact no with all-zero counters. A
     window whose own distance d(s, t0) exceeds the budget is rejected by
-    the search held to the window's stamps, before any graph or table is
-    built. Every other window goes straight to the table path of
-    ``solve``, with no bracket of its own, and splits its share again over
-    its own chain. Its fill has no forward bound: the bracket here records
-    no walk states, since on windowed queries that search cost more than
-    the entries it would skip."""
+    the search held to the window's stamps, before its index is built.
+    Every other window is no graph but one ``incident_index`` of g's
+    time-edges in its stamps; its distance table is ``level_search`` over
+    that index, and its fill reads the same index, with no bracket of its
+    own, and splits the window's share again over its own chain. The fill
+    materializes corridors from g and the witness is validated against g:
+    every corner comes from the window's table, so a corridor's ``keep``
+    passes no edge outside the window, and a window's path is one of g.
+    The fill has no forward bound: the bracket here records no walk
+    states, since on windowed queries that search cost more than the
+    entries it would skip. Every window adds its counters to the query's
+    one ``SolveStats``."""
     started, incident, d_source, k_eff = _start_query(g, s, z, delta, k, p)
     stats = SolveStats()
     departures = departure_stamps(incident, s, z, k_eff) if d_source <= k_eff else []
@@ -455,14 +460,10 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         d_window = walk_hops(incident, s, z, INF, t0, t_hi, k_eff)
         if d_window > k_eff:
             continue
-        # no part of the table path reads labels, so the window has none
-        window = TemporalGraph.from_time_edges(
-            g.vertex_count, g.lifetime, g.edges_between(t0, t_hi))
-        result = _solve_table(window, incident_index(window.time_edges), s, z, delta, k,
-                              k_eff, d_window, sub_p, cfg, started)
-        for f in fields(SolveStats):  # _result resets the summed wall time
-            setattr(stats, f.name, getattr(stats, f.name) + getattr(result.stats, f.name))
-        if result.decision:
-            witness = result.witness
+        window = incident_index(g.edges_between(t0, t_hi))
+        witness = _table_witness(
+            g, window, level_search(window, z), s, z, delta, k_eff,
+            replace(cfg, error_prob=_fill_share(sub_p, k_eff, d_window)), stats)
+        if witness is not None:
             break
     return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)

@@ -16,6 +16,11 @@ def edge_triples(g) -> list[tuple[int, int, int]]:
     return [(e.u, e.v, e.t) for e in g.time_edges]
 
 
+def appearance_times(dt, v) -> list[int]:
+    """The sorted stamps of v's non-isolated appearances in distance table dt."""
+    return sorted(t for w, t in dt.entries if w == v)
+
+
 def edges_at(g, t) -> frozenset[tuple[int, int]]:
     """The (u, v) pairs of the time-edges at stamp t."""
     return frozenset((u, v) for u, v, s in edge_triples(g) if s == t)

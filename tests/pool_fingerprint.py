@@ -4,11 +4,16 @@
     python3 tests/pool_fingerprint.py --seed 201 --head 100   # first 100 queries
     python3 tests/pool_fingerprint.py --workload corridor     # that pool alone
     python3 tests/pool_fingerprint.py --skip-counter entries_visited
+    python3 tests/pool_fingerprint.py --backend sieve     # every solve pool on sieve
 
 For each of corridor, sieve, windowed and bulk (or only the pools named by
 ``--workload``, which may be repeated), every query of
 ``bench/workloads.build_pool(W, seed)`` is answered by the benchmark's own
-operation (``workloads.run_op``). Per solve workload, two lines:
+operation (``workloads.run_op``), or, with ``--backend``, by the same
+solve with that finder backend in place of the pool's own (brute on
+windowed, auto on corridor, sieve on sieve), so that a change to a path
+only one backend reaches, such as a windowed corridor, which brute never
+builds, still shows in the hashes. Per solve workload, two lines:
 
     <name> <queries> answers <sha256> counters <sha256>
     <name> totals <counter>=<sum over the pool> ...
@@ -45,7 +50,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from rtp import SolveStats  # noqa: E402
+import rtp  # noqa: E402
+from rtp import FinderConfig, SolveStats  # noqa: E402
 
 SOLVE_WORKLOADS = ("corridor", "sieve", "windowed")
 WORKLOADS = SOLVE_WORKLOADS + ("bulk",)
@@ -67,13 +73,23 @@ def counters(result, skip: tuple[str, ...] = ()) -> dict[str, int]:
     return stats
 
 
-def fingerprint(name: str, seed: int, head: int | None,
-                skip: tuple[str, ...] = ()) -> tuple[int, str, str, Counter]:
+def answer(w, q, backend: str | None):
+    """One query's answer: the benchmark's own operation, or, with a
+    ``backend``, its solve with that backend."""
+    if backend is None:
+        return workloads.run_op(w, q)
+    solver = rtp.solve_windowed if w.name == "windowed" else rtp.solve
+    return solver(q.graph, q.s, q.z, q.delta, q.k, workloads.ERROR_PROB,
+                  FinderConfig(backend=backend, seed=q.finder_seed))
+
+
+def fingerprint(name: str, seed: int, head: int | None, skip: tuple[str, ...] = (),
+                backend: str | None = None) -> tuple[int, str, str, Counter]:
     w = workloads.WORKLOADS[name]
     pool = workloads.build_pool(w, seed)[:head]
     answers, counted, totals = hashlib.sha256(), hashlib.sha256(), Counter()
     for q in pool:
-        result = workloads.run_op(w, q)
+        result = answer(w, q, backend)
         stats = counters(result, skip)
         answers.update(repr(answer_key(result)).encode() + b"\n")
         counted.update(repr(sorted(stats.items())).encode() + b"\n")
@@ -104,6 +120,9 @@ def main(argv: list[str] | None = None) -> None:
                         choices=counter_names,
                         help="leave this SolveStats field out of the counters hash and "
                              "totals; repeat for more")
+    parser.add_argument("--backend", choices=("brute", "sieve", "auto"),
+                        help="solve every query of each solve pool with this finder "
+                             "backend (default: the pool's own); bulk has none")
     args = parser.parse_args(argv)
     for name in WORKLOADS:
         if args.workload and name not in args.workload:
@@ -113,7 +132,7 @@ def main(argv: list[str] | None = None) -> None:
             print(f"bulk {count} answers {answers} work={work}", flush=True)
             continue
         count, answers, counted, totals = fingerprint(name, args.seed, args.head,
-                                                      tuple(args.skip_counter))
+                                                      tuple(args.skip_counter), args.backend)
         print(f"{name} {count} answers {answers} counters {counted}")
         table_path = totals.pop("table_path")
         print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals))

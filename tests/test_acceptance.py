@@ -136,7 +136,7 @@ def test_criterion_5_distance_table():
         for (v, t), d in dt.entries.items():
             assert d == oracles.temporal_distance(triples, v, t, z, nv - 1)
         for v in range(nv):
-            times = dt.appearance_times(v)
+            times = oracles.appearance_times(dt, v)
             values = [dt.get(v, t) for t in times]
             assert values == sorted(values)
         instances += 1

@@ -58,7 +58,7 @@ def test_table_minimum_matches_oracle_shortest():
             continue
         dp = fill_table(g, dt, s, z, delta, k, FinderConfig(backend="brute"))
         got = min((dp.entries.get(VertexAppearance(z, t), INF)
-                   for t in dt.appearance_times(z)), default=INF)
+                   for t in oracles.appearance_times(dt, z)), default=INF)
         want = oracles.shortest_restless_path(
             oracles.edge_triples(g), s, z, delta, g.vertex_count - 1)
         if want is None or want > k:
@@ -172,7 +172,7 @@ def test_budget_covers_every_link_of_the_witness_chain():
         dt = compute_distances(g, z)
         dp = fill_table(g, dt, s, z, delta, res.k_effective,
                         dataclasses.replace(cfg, error_prob=res.subcall_error_prob))
-        end = min((VertexAppearance(z, t) for t in dt.appearance_times(z)),
+        end = min((VertexAppearance(z, t) for t in oracles.appearance_times(dt, z)),
                   key=lambda app: dp.entries.get(app, INF))
         assert reconstruct(dp, end) == res.witness.steps
         links = 0
@@ -190,14 +190,14 @@ def test_budget_covers_every_link_of_the_witness_chain():
 def test_windowed_budget_covers_its_windows(monkeypatch):
     # one share per window solved; each window's table path splits it again
     import rtp.solver
-    inner = rtp.solver._solve_table
-    results = []
+    inner = rtp.solver._fill_share
+    results = []  # (window's share, its split over its chain), per window solved
 
-    def recorded(*args, **kwargs):
-        results.append(inner(*args, **kwargs))
-        return results[-1]
+    def recorded(share, k_eff, d_window):
+        results.append((share, inner(share, k_eff, d_window)))
+        return results[-1][1]
 
-    monkeypatch.setattr(rtp.solver, "_solve_table", recorded)
+    monkeypatch.setattr(rtp.solver, "_fill_share", recorded)
     p = 0.05
     many = 0
     # windows over budget are rejected before their solve, so few queries
@@ -205,13 +205,13 @@ def test_windowed_budget_covers_its_windows(monkeypatch):
     for g, s, z, delta, k in random_instances(5, 1000, max_lifetime=12, deltas=(1, 2)):
         results.clear()
         res = solve_windowed(g, s, z, delta, k, p, FinderConfig(backend="brute"))
-        for r in results:
-            assert r.error_prob == res.subcall_error_prob
-            assert r.subcall_error_prob is None or r.subcall_error_prob <= r.error_prob
-        assert sum(r.error_prob for r in results) <= p * (1 + 1e-12)
+        for share, split in results:
+            assert share == res.subcall_error_prob
+            assert split <= share
+        assert sum(share for share, _ in results) <= p * (1 + 1e-12)
         # one share per departure, solved or rejected
         dt = compute_distances(g, z)
-        departures = [t0 for t0 in dt.appearance_times(s)
+        departures = [t0 for t0 in oracles.appearance_times(dt, s)
                       if dt.get(s, t0) <= res.k_effective]
         assert len(results) <= len(departures)
         if departures:
@@ -226,7 +226,7 @@ def solve_every_window(g, s, z, delta, k, p, cfg):
     summed stats, windows whose solve stopped at d_source > k_eff)."""
     dt = compute_distances(g, z)
     k_eff = min(k, max(1, g.vertex_count - 1))
-    departures = [t0 for t0 in dt.appearance_times(s) if dt.get(s, t0) <= k_eff]
+    departures = [t0 for t0 in oracles.appearance_times(dt, s) if dt.get(s, t0) <= k_eff]
     sub_p = p / len(departures) if departures else None
     stats = SolveStats()
     witness = None
@@ -556,14 +556,14 @@ def test_resources_independent_of_lifetime_header(monkeypatch):
 
     import rtp.solver
     text = "3 1000000\n0 1 1\n1 2 3\n"
-    inner = rtp.solver._solve_table
+    inner = rtp.solver._table_witness
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(rtp.solver, "_solve_table", counted)
+    monkeypatch.setattr(rtp.solver, "_table_witness", counted)
     tracemalloc.start()
     try:
         g = parse_temporal_graph(text)
@@ -575,7 +575,7 @@ def test_resources_independent_of_lifetime_header(monkeypatch):
         tracemalloc.stop()
     assert res.decision and res.witness.length == 2
     assert peak < 1_000_000, peak
-    assert 1 <= len(calls) <= len(compute_distances(g, 0).appearance_times(0))
+    assert 1 <= len(calls) <= len(oracles.appearance_times(compute_distances(g, 0), 0))
 
 
 def test_solve_on_edgeless_graph():
@@ -937,24 +937,75 @@ def test_json_dict_shape(fig1):
 
 
 def test_windowed_stats_sum_inner_solves(monkeypatch, no_walk_bracket):
-    # each window that passes its gate reaches the table path
+    # each window that passes its gate reaches the table path, which adds
+    # its counters to the query's one SolveStats
     import rtp.solver
-    inner = rtp.solver._solve_table
-    results = []
+    inner = rtp.solver._table_witness
+    counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
+    added = []  # per window solved, what its table path added to each counter
 
-    def recorded(*args, **kwargs):
-        results.append(inner(*args, **kwargs))
-        return results[-1]
+    def recorded(g, incident, dt, s, z, delta, k_eff, cfg, stats, arrivals=None):
+        before = {c: getattr(stats, c) for c in counters}
+        witness = inner(g, incident, dt, s, z, delta, k_eff, cfg, stats, arrivals)
+        added.append({c: getattr(stats, c) - before[c] for c in counters})
+        return witness
 
-    monkeypatch.setattr(rtp.solver, "_solve_table", recorded)
+    monkeypatch.setattr(rtp.solver, "_table_witness", recorded)
     summed = 0  # windowed solves with at least two inner solves that search
     for g, s, z, delta, k in random_instances(3, 100, max_lifetime=12, deltas=(1, 2)):
-        results.clear()
+        added.clear()
         res = solve_windowed(g, s, z, delta, k, 0.01,
                              FinderConfig(backend="sieve", seed=3))
-        for f in dataclasses.fields(SolveStats):
-            if f.name != "elapsed_seconds":
-                want = sum(getattr(r.stats, f.name) for r in results)
-                assert getattr(res.stats, f.name) == want, f.name
-        summed += sum(r.stats.finder_calls > 0 for r in results) >= 2
+        for c in counters:
+            assert getattr(res.stats, c) == sum(a[c] for a in added), c
+        summed += sum(a["finder_calls"] > 0 for a in added) >= 2
     assert summed >= 2
+
+
+def test_windowed_solve_builds_no_graph_and_one_index_per_window(monkeypatch):
+    # a window is one incident index of the query graph's time-edges in its
+    # stamps: no graph is built for it, its table and fill read that index,
+    # and its witness is checked against the query graph
+    import rtp.distances
+    import rtp.path_finder
+    import rtp.solver
+    # long sparse lifetimes, where some queries solve two windows or more
+    instances = random_instances(6060, 300, max_vertices=12, max_lifetime=60,
+                                 deltas=(1, 2))
+    graphs, indexes, windows = [], [], []
+    assign, build, inner = (TemporalGraph._assign, rtp.path_finder.incident_index,
+                            rtp.solver._table_witness)
+
+    def counted_assign(self, *args):  # every graph, from layers or time-edges
+        graphs.append(self)
+        assign(self, *args)
+
+    def counted_build(edges):
+        indexes.append(build(edges))
+        return indexes[-1]
+
+    def recorded(graph, incident, *args):
+        windows.append((graph, incident))
+        return inner(graph, incident, *args)
+
+    monkeypatch.setattr(TemporalGraph, "_assign", counted_assign)
+    for module in (rtp.solver, rtp.distances, rtp.path_finder):
+        monkeypatch.setattr(module, "incident_index", counted_build)
+    monkeypatch.setattr(rtp.solver, "_table_witness", recorded)
+    solved = many = yes = 0
+    for g, s, z, delta, k in instances:
+        graphs.clear()
+        indexes.clear()
+        windows.clear()
+        res = solve_windowed(g, s, z, delta, k, 0.01, FinderConfig(backend="brute"))
+        assert not graphs
+        assert len(indexes) == 1 + len(windows)
+        for (graph, incident), index in zip(windows, indexes[1:]):
+            assert graph is g and incident is index
+        if res.decision:
+            path = validate_restless_path(g, res.witness.steps, s, z, delta)
+            assert path.length <= res.k_effective
+            yes += 1
+        solved += len(windows)
+        many += len(windows) >= 2
+    assert solved >= 200 and many >= 10 and yes >= 200, (solved, many, yes)
