@@ -37,12 +37,13 @@ does a link build its spec and one ``areas.keep_rule``, which
 Each remaining link runs one in-place search for its shortest connector
 below ``first_sieve_length`` under that ``keep``; only when that finds
 none does it build the corridor from the same ``keep`` and probe the
-exact lengths from there up, each exact-length probe drawing the next
-seed of the fill's stream. The instance is a yes iff some appearance of
-z gets a value at most k; the witness is reassembled from recorded
-predecessor links and re-validated, so yes answers carry no error. No
-answers inherit at most the configured probability from the randomized
-exact-length subroutine.
+exact lengths from there up, to at most the corridor's vertex count
+minus one, so the header's vertex count, which sets ell, does not set
+the probes; each exact-length probe draws the next seed of the fill's
+stream. The instance is a yes iff some appearance of z gets a value at
+most k; the witness is reassembled from recorded predecessor links and
+re-validated, so yes answers carry no error. No answers inherit at most
+the configured probability from the randomized exact-length subroutine.
 
 Entries are filled in order of decreasing distance (per level: increasing
 time, then vertex id), which makes every dependency available and, with
@@ -231,7 +232,10 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
                 area = area_graph(g, spec, keep)
                 stats.areas_built += 1
                 stats.corridor_edges += len(area.time_edges)
-                for length in range(first_sieve, limit + 1):
+                # no path in the corridor is longer than its vertex count
+                # minus one, however large the header's n makes ell
+                cap = len({x for e in area.time_edges for x in (e.u, e.v)}) - 1
+                for length in range(first_sieve, min(limit, cap) + 1):
                     found = find_exact_restless_path(
                         area.time_edges, frm, u, delta, length, cfg,
                         seed=seeds.next(), stats=stats)

@@ -46,7 +46,7 @@ class PathValidationError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TimeEdge:
     """An undirected edge present at one time step; endpoints are normalized u < v."""
 
@@ -54,13 +54,18 @@ class TimeEdge:
     v: int
     t: int
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError(f"self-loop at vertex {self.u}")
-        if self.u > self.v:
-            lo, hi = self.v, self.u
-            object.__setattr__(self, "u", lo)
-            object.__setattr__(self, "v", hi)
+    def __init__(self, u: int, v: int, t: int):
+        # a graph builds one per time-edge: the slots' own setters skip the
+        # frozen __setattr__ that a generated __init__ would go through
+        if u < v:
+            _set_u(self, u)
+            _set_v(self, v)
+        elif u > v:
+            _set_u(self, v)
+            _set_v(self, u)
+        else:
+            raise ValueError(f"self-loop at vertex {u}")
+        _set_t(self, t)
 
     def touches(self, vertex: int) -> bool:
         return vertex == self.u or vertex == self.v
@@ -71,6 +76,9 @@ class TimeEdge:
         if vertex == self.v:
             return self.u
         raise ValueError(f"vertex {vertex} is not an endpoint of {self}")
+
+
+_set_u, _set_v, _set_t = TimeEdge.u.__set__, TimeEdge.v.__set__, TimeEdge.t.__set__
 
 
 class VertexAppearance(NamedTuple):
@@ -248,16 +256,14 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
                                 f"not UTF-8: byte {text[err.start]:#04x}") from None
     lines = _tel_lines(text)
 
-    header_idx = None
-    for i, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        header_idx = i
-        break
-    if header_idx is None:
+    # each line is split once and classified by its fields: none is a blank
+    # line, a first field starting with % a comment, with # an alias line
+    for header_idx, raw in enumerate(lines):
+        parts = raw.split()
+        if parts and parts[0][0] != "%":
+            break
+    else:
         raise TelParseError(1, "missing header line")
-    parts = lines[header_idx].split()
     if len(parts) != 2:
         raise TelParseError(header_idx + 1, "header must be '<vertex_count> <lifetime>'")
     try:
@@ -271,14 +277,16 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
 
     g = TemporalGraph.__new__(TemporalGraph)
     g._assign(vertex_count, lifetime, (), None)  # the time-edges are set once all are read
-    keys: set[tuple[int, int, int]] = set()
-    for i in range(header_idx + 1, len(lines)):
-        lineno = i + 1
-        line = lines[i].strip()
-        if not line or line.startswith("%"):
+    # file order, which a canonical file already sorts
+    keys: dict[tuple[int, int, int], None] = {}
+    for lineno in range(header_idx + 2, len(lines) + 1):
+        fields = lines[lineno - 1].split()
+        if not fields:
             continue
-        if line.startswith("#"):
-            fields = line.split()
+        mark = fields[0][0]
+        if mark == "%":
+            continue
+        if mark == "#":
             if len(fields) != 4 or fields[0] != "#" or fields[1] != "name":
                 raise TelParseError(lineno, "alias line must be '# name <id> <label>'")
             try:
@@ -290,11 +298,11 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
             except ValueError as err:
                 raise TelParseError(lineno, str(err)) from None
             continue
-        fields = line.split()
         if len(fields) != 3:
             raise TelParseError(lineno, "time-edge line must be '<u> <v> <t>'")
+        u, v, t = fields
         try:
-            u, v, t = int(fields[0]), int(fields[1]), int(fields[2])
+            u, v, t = int(u), int(v), int(t)
         except ValueError:
             raise TelParseError(lineno, "time-edge fields must be integers") from None
         if u == v:
@@ -306,8 +314,8 @@ def parse_temporal_graph(text: str | bytes | IO) -> TemporalGraph:
         key = (t, u, v) if u < v else (t, v, u)
         if key in keys:
             raise TelParseError(lineno, f"duplicate time-edge {key[1:]} at time {t}")
-        keys.add(key)
-    g.time_edges = tuple(TimeEdge(u, v, t) for t, u, v in sorted(keys))
+        keys[key] = None
+    g.time_edges = tuple([TimeEdge(u, v, t) for t, u, v in sorted(keys)])
     return g
 
 

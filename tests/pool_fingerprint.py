@@ -29,12 +29,14 @@ NAME``, which may be repeated, leaves that field out of the counters hash
 and the totals, so the hashes of a commit that adds a counter can be
 compared with those of one without it. Bulk answers with a distance table
 and a walk distance, so its one line, ``bulk <queries> answers <sha256>
-work=<sum>``, hashes each query's table entries, as sorted ``(v, t, d)``
-triples so that the hash does not depend on the key type, and its walk
-distance, and sums the tables' ``work``, the pairs their level searches
-scanned, which the hash leaves out. The library is imported from
-``src/`` next to this directory; the script only reads ``bench/``.
-pytest does not collect it.
+graphs <sha256> work=<sum>``, hashes each query's table entries, as
+sorted ``(v, t, d)`` triples so that the hash does not depend on the key
+type, and its walk distance; hashes the canonical TEL serialization of
+each query's text parsed again, which is the text itself on a correct
+parse, so a change to the parser shows there; and sums the tables'
+``work``, the pairs their level searches scanned, which the hashes leave
+out. The library is imported from ``src/`` next to this directory; the
+script only reads ``bench/``. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -97,15 +99,16 @@ def fingerprint(name: str, seed: int, head: int | None, skip: tuple[str, ...] = 
     return len(pool), answers.hexdigest(), counted.hexdigest(), totals
 
 
-def bulk_fingerprint(seed: int, head: int | None) -> tuple[int, str, int]:
+def bulk_fingerprint(seed: int, head: int | None) -> tuple[int, str, str, int]:
     pool = workloads.build_pool(workloads.WORKLOADS["bulk"], seed)[:head]
-    answers, work = hashlib.sha256(), 0
+    answers, graphs, work = hashlib.sha256(), hashlib.sha256(), 0
     for q in pool:
         table, walk = workloads.run_op(workloads.WORKLOADS["bulk"], q)
         entries = sorted((v, t, d) for (v, t), d in table.entries.items())
         answers.update(repr((entries, walk)).encode() + b"\n")
+        graphs.update(rtp.serialize_temporal_graph(rtp.parse_temporal_graph(q.text)).encode())
         work += table.work
-    return len(pool), answers.hexdigest(), work
+    return len(pool), answers.hexdigest(), graphs.hexdigest(), work
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -128,8 +131,8 @@ def main(argv: list[str] | None = None) -> None:
         if args.workload and name not in args.workload:
             continue
         if name == "bulk":
-            count, answers, work = bulk_fingerprint(args.seed, args.head)
-            print(f"bulk {count} answers {answers} work={work}", flush=True)
+            count, answers, graphs, work = bulk_fingerprint(args.seed, args.head)
+            print(f"bulk {count} answers {answers} graphs {graphs} work={work}", flush=True)
             continue
         count, answers, counted, totals = fingerprint(name, args.seed, args.head,
                                                       tuple(args.skip_counter), args.backend)

@@ -578,6 +578,22 @@ def test_resources_independent_of_lifetime_header(monkeypatch):
     assert 1 <= len(calls) <= len(oracles.appearance_times(compute_distances(g, 0), 0))
 
 
+@pytest.mark.parametrize("backend", ["brute", "sieve", "auto"])
+@pytest.mark.parametrize("entry", [solve, solve_windowed])
+def test_finder_calls_independent_of_vertex_count_header(entry, backend):
+    # four vertices carry edges, and the shortest restless walk s-a-b-a-z
+    # revisits a, so the table path runs with ell = n - 3: each link probes
+    # at most its corridor's vertex count minus one, not 2*ell, lengths
+    counted = []
+    for n in (100, 1000):
+        g = parse_temporal_graph(f"{n} 4\n0 1 1\n1 2 2\n1 2 3\n1 3 4\n")
+        res = entry(g, 0, 3, 1, n, 0.01, FinderConfig(backend=backend, seed=1))
+        assert not res.decision and res.ell == n - 3
+        assert 1 <= res.stats.finder_calls <= 5
+        counted.append(dataclasses.replace(res.stats, elapsed_seconds=0.0))
+    assert counted[0] == counted[1]
+
+
 def test_solve_on_edgeless_graph():
     g = TemporalGraph(3, 2, [[], []])
     res = solve(g, 0, 2, 1, 2, 0.01, FinderConfig())

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -20,16 +23,30 @@ def test_time_edge_normalizes_endpoints():
     e = TimeEdge(3, 1, 2)
     assert (e.u, e.v, e.t) == (1, 3, 2)
     assert e.other(1) == 3 and e.other(3) == 1
-    with pytest.raises(ValueError):
+    assert TimeEdge(u=3, v=1, t=2) == e
+    assert hash(TimeEdge(3, 1, 2)) == hash(TimeEdge(1, 3, 2))
+    # replace builds through the constructor, so it normalizes again
+    assert dataclasses.astuple(dataclasses.replace(e, u=9)) == (3, 9, 2)
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
         TimeEdge(2, 2, 1)
+    with pytest.raises(ValueError, match="self-loop"):
+        dataclasses.replace(e, u=3)
 
 
 def test_time_edge_has_slots_only():
     # a graph holds one TimeEdge per time-edge; slots keep each one small
     e = TimeEdge(0, 1, 1)
     assert not hasattr(e, "__dict__")
-    with pytest.raises(AttributeError):
-        e.u = 2
+    assert TimeEdge.__slots__ == ("u", "v", "t")
+    for field in ("u", "v", "t"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, field, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del e.u
+    assert repr(TimeEdge(4, 2, 7)) == "TimeEdge(u=2, v=4, t=7)"
+    for again in (pickle.loads(pickle.dumps(TimeEdge(3, 1, 2))), copy.copy(TimeEdge(3, 1, 2)),
+                  copy.deepcopy(TimeEdge(3, 1, 2))):
+        assert again == TimeEdge(1, 3, 2)
 
 
 def test_parse_fig1(fig1):
@@ -73,6 +90,30 @@ def test_parse_error_carries_line_number():
     with pytest.raises(TelParseError) as err:
         parse_temporal_graph("3 2\n0 1 1\n1 1 2\n")
     assert err.value.line == 3
+
+
+def test_parse_classifies_lines_by_their_first_field():
+    # leading whitespace does not change a line's kind; a # glued to its
+    # word is still an alias line, and a malformed one
+    g = parse_temporal_graph("   % c\n3 2\n   % c\n  # name 0 a\n0\t1\t1\n\t1 2  2 \n")
+    assert g.aliases == {0: "a"}
+    assert g.time_edges == (TimeEdge(0, 1, 1), TimeEdge(1, 2, 2))
+    assert parse_temporal_graph(" \t\n\t3\t2\n").vertex_count == 3
+    with pytest.raises(TelParseError, match="alias line must be") as err:
+        parse_temporal_graph("3 2\n#name 0 a\n")
+    assert err.value.line == 2
+    with pytest.raises(TelParseError, match="time-edge fields must be integers"):
+        parse_temporal_graph("3 2\n0 1 %1\n")
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("3 2\n0 0 1\n# name 9 q\n", "self-loop"),
+    ("3 2\n# name 9 q\n0 0 1\n", "alias id out of range"),
+])
+def test_parse_reports_the_earlier_of_two_bad_lines(text, fragment):
+    with pytest.raises(TelParseError, match=fragment) as err:
+        parse_temporal_graph(text)
+    assert err.value.line == 2
 
 
 def test_parse_rejects_a_label_that_reads_as_a_vertex_id():
