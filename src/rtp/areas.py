@@ -14,26 +14,22 @@ appearance farther from the target than the upper corner.
 
 A corridor is a view, not a copy: ``keep`` answers for one time-edge from
 the distance table in a few lookups. A table fill skips every corridor that
-cannot hold both ends of its search, and asks each end once.
-``source_admission`` first rejects, with one bisect, a source-side link
-whose source has no window appearance by the upper corner's time.
-``upper_admission``, built once per upper corner, then decides exactly,
-for every link below it, whether the corridor enters the upper corner's
-vertex. Only a link it admits gets a spec and a ``keep``, and
-``holds_start``, the exact check of the search's start, asks ``keep``
-about that vertex's incident pairs. A link's in-place search walks the
-graph's incident index under ``keep`` (``path_finder.search_index``), and
-only a probe that may reach the sieve gets the edge list, from
-``area_graph`` under the same ``keep``. That list also serves the
-dispatcher on ``auto``, which counts its time-edges and hands a corridor
-of at most 16 to brute.
+cannot hold both ends of its search. ``source_admission`` first rejects,
+with one bisect, a source-side link whose source has no window appearance
+by the upper corner's time. Every other link builds its spec and one
+``keep``, and ``holds_ends`` asks that ``keep`` about a few incident pairs
+of each end: the upper corner's vertex first, then the search's start.
+A link's in-place search walks the graph's incident index under ``keep``
+(``path_finder.search_index``), and only a probe that may reach the sieve
+gets the edge list, from ``area_graph`` under the same ``keep``. That list
+also serves the dispatcher on ``auto``, which counts its time-edges and
+hands a corridor of at most 16 to brute.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
 from .distances import INF, DistanceTable
@@ -152,32 +148,38 @@ def area_graph(g: TemporalGraph, spec: AreaSpec,
     return AreaGraph(time_edges=kept)
 
 
-def holds_start(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
-                keep: Callable[[int, int, int], bool], source: int) -> bool:
-    """Whether the corridor of spec holds the start of its search: the
-    lower corner's vertex a (on the source side, ``source``). A vertex is
-    in the corridor iff ``keep``, the corridor's ``keep_rule``, passes one
-    of its pairs in ``incident`` (a ``path_finder.incident_index`` of the
-    graph), so this equals asking whether that vertex is an endpoint of
-    ``area_graph(...).time_edges``. The other end, the upper corner's
-    vertex, is ``upper_admission``'s to decide, which a table fill asks
-    first.
+def holds_ends(incident: dict[int, list[tuple[int, int]]], spec: AreaSpec,
+               keep: Callable[[int, int, int], bool], source: int) -> bool:
+    """Whether the corridor of spec holds both ends of its search: the
+    upper corner's vertex b, asked first, and the start, the lower
+    corner's vertex a (on the source side, ``source``). A vertex is in the
+    corridor iff ``keep``, the corridor's ``keep_rule``, passes one of its
+    pairs in ``incident`` (a ``path_finder.incident_index`` of the graph),
+    so this equals asking whether both are endpoints of
+    ``area_graph(...).time_edges``.
 
-    Only a few pairs need asking. The lower corner's vertex has no window
-    appearance, because d(v, .) never decreases in time: d(a, t) >=
-    d(lower) for t >= lower.t. So a is only left, at lower.t; the source
-    may be anywhere up to upper.t.
+    Only a few pairs need asking, because d(v, .) never decreases in time.
+    b has no window appearance, since d(b, t) <= d(upper) for t <=
+    upper.t, and is not the lower corner's vertex, so b is only entered,
+    at t in [upper.t - delta, upper.t]. a has no window appearance either,
+    since d(a, t) >= d(lower) for t >= lower.t, so a is only left, at
+    lower.t; the source may be anywhere up to upper.t.
     """
+    b, t_up = spec.upper
     frm, t_lo = spec.lower or (source, 0)
-    t_frm = t_lo if spec.lower else spec.upper.t
-    return any(keep(frm, w, t) for t, w in pairs_between(incident.get(frm, []), t_lo, t_frm))
+    t_frm = t_lo if spec.lower else t_up
+
+    def held(v: int, t1: int, t2: int) -> bool:
+        return any(keep(v, w, t) for t, w in pairs_between(incident.get(v, []), t1, t2))
+
+    return held(b, t_up - spec.delta, t_up) and held(frm, t_lo, t_frm)
 
 
 def source_admission(appearances: list[tuple[int, int | float]]
                      ) -> Callable[[VertexAppearance, int | float], bool]:
     """Admission for source-side corridors, from the source's appearances
     as time-sorted (t, d) pairs: ``admits(upper, d_up)`` is False only
-    where ``holds_start`` is False on the source side below upper.
+    where ``holds_ends`` is False on the source side below upper.
 
     The source s is never the upper corner, and the source side has no
     lower corner, so ``keep`` passes a pair (s, w, t) only if s is a window
@@ -197,36 +199,3 @@ def source_admission(appearances: list[tuple[int, int | float]]
 
     return admits
 
-
-def upper_admission(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],
-                    upper: VertexAppearance, delta: int
-                    ) -> Callable[[VertexAppearance | None, int | float], bool]:
-    """Whether a corridor below upper holds upper's vertex b, for every
-    lower corner of upper at once: ``admits(lower, d_lo)`` answers for the
-    corridor from lower, at distance d_lo, to upper. ``lower`` None, with
-    d_lo INF, is the source side, read as lower.t = 0.
-
-    b has no window appearance, because d(v, .) never decreases in time:
-    d(b, t) <= d(upper) for t <= upper.t. So b is only entered, at t in
-    [max(lower.t, upper.t - delta), upper.t], and ``keep`` passes (b, w, t)
-    there iff d_up < d(w, t) < d_lo, or w is the lower corner's vertex at
-    t = lower.t (whose d is d_lo). So over b's pairs in [upper.t - delta,
-    upper.t] with d_up < d(w, t) < INF, sorted by t, a suffix minimum of
-    d(w, t) answers each lower corner with one bisect and one set lookup.
-    """
-    b, t_up = upper
-    get = dt.entries.get
-    d_up = dt.entries[upper]
-    stamps, dists, pairs = [], [], set()
-    for t, w in pairs_between(incident.get(b, []), t_up - delta, t_up):
-        if d_up < (d := get((w, t), INF)) < INF:
-            stamps.append(t)
-            dists.append(d)
-            pairs.add((t, w))
-    suffix = [*accumulate(reversed(dists), min)][::-1] + [INF]
-
-    def admits(lower: VertexAppearance | None, d_lo: int | float) -> bool:
-        a, t_lo = lower or (None, 0)  # stamps start at 1
-        return suffix[bisect_left(stamps, t_lo)] < d_lo or (t_lo, a) in pairs
-
-    return admits

@@ -91,7 +91,9 @@ class SolveStats:
     fill searches each link's lengths below ``first_sieve_length`` in place
     with one shortest-connector search, so areas_built counts only
     corridors with a probe that may reach the sieve and that hold both ends
-    of their search (``areas.upper_admission``, ``areas.holds_start``).
+    of their search: the source filter (``areas.source_admission``) reads
+    the source side alone, then each link it passes builds one rule
+    (``areas.keep_rule``), which ``areas.holds_ends`` asks about both ends.
     finder_calls counts the connector searches run: each finder call
     counts itself, and a table fill adds one per in-place search, one per
     link whose corridor holds both ends. table_entries counts every entry

@@ -28,12 +28,10 @@ appearances. Only a predecessor that already holds a finite value can
 contribute, so the fill keeps, per distance, the appearances it has
 reached, and a far entry draws its predecessors from those lists alone.
 A link whose corridor cannot hold both ends of its search is dropped,
-and each end is asked once, in one order: a source-side link first by
-``areas.source_admission``, one bisect; every link then by
-``areas.upper_admission``, built once per appearance, which decides
-exactly whether the corridor enters the appearance's vertex; only then
-does a link build its spec and one ``areas.keep_rule``, which
-``areas.holds_start`` asks whether the corridor holds the search's start.
+in one order: a source-side link first by ``areas.source_admission``, one
+bisect on the source side alone; every other link then builds its spec
+and one ``areas.keep_rule``, which ``areas.holds_ends`` asks whether the
+corridor holds both ends, the appearance's vertex first, then the start.
 Each remaining link runs one in-place search for its shortest connector
 below ``first_sieve_length`` under that ``keep``; only when that finds
 none does it build the corridor from the same ``keep`` and probe the
@@ -60,8 +58,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import takewhile
 
-from .areas import (area_graph, area_spec, holds_start, keep_rule, source_admission,
-                    upper_admission)
+from .areas import area_graph, area_spec, holds_ends, keep_rule, source_admission
 from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
                         level_search, walk_hops)
 from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
@@ -124,11 +121,13 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                delta: int, k: int, cfg: FinderConfig, *,
                stats: SolveStats | None = None) -> DpTable:
     """Fill the appearance table for budget k; requires z to be dt's
-    target, s != z and finite d(s) <= k."""
+    target, s != z, delta >= 1 and finite d(s) <= k."""
     if z != dt.target:
         raise ValueError(f"target {z} is not the distance table's target {dt.target}")
     if s == z:
         raise ValueError("source and target must differ")
+    if delta < 1:
+        raise ValueError("delta must be at least 1")
     return _fill(g, dt, incident_index(g.time_edges), s, delta, k, cfg,
                  SolveStats() if stats is None else stats)
 
@@ -153,6 +152,12 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
     such a chain changes its value or link. table_entries counts every
     entry; entries_visited counts every entry without ``arrivals``, and
     those the link loop ran for with them.
+
+    Each link is checked in one order: a source-side link first by
+    ``source_admission``, which reads the source side alone; every link
+    it passes builds one ``keep_rule``, and ``holds_ends`` asks that rule
+    whether the corridor holds both ends of the search. Only a link that
+    holds both runs its search. No check moves a counter.
     """
     # s's appearances in time order are the distinct stamps of its pairs;
     # d never decreases in time, so the earliest value is the temporal
@@ -190,35 +195,29 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
             table.preds[app] = (None, ())
             reached.setdefault(d, []).append(app)
             continue
-        # links are (predecessor appearance, its distance, its value); the
-        # near zone chains once from the source side at value 0
+        # links are (predecessor appearance, its value); the near zone
+        # chains once from the source side at value 0
         if d >= near_floor:
-            links = [(None, INF, 0)] if ell > 0 else []
+            links = [(None, 0)] if ell > 0 else []
             probes = 2 * ell
         else:  # far zone: a strictly farther, no-later, reached appearance
-            links = ((pred, d_pred, table.entries[pred])
+            links = ((pred, table.entries[pred])
                      for d_pred in range(d + 1, d + ell + 2)
                      for pred in takewhile(lambda a: a[1] <= t_up,
                                            reached.get(d_pred, ())))
             probes = 2 * ell + 1
         best: int | float = INF
         best_link = None
-        admits_upper = None  # upper_admission of app, built on first use
-        for pred, d_pred, base in links:
+        for pred, base in links:
             if base + 1 >= best:
                 continue
-            # a few table lookups reject most links before their corridor
-            # rule is built; each end of the search is checked once, the
-            # upper one exactly by upper_admission, the start by holds_start
+            # one bisect rejects most source-side links before their
+            # corridor rule is built; the rule then checks both ends
             if pred is None and not admits_source(app, d):
-                continue
-            if admits_upper is None:
-                admits_upper = upper_admission(dt, incident, app, delta)
-            if not admits_upper(pred, d_pred):
                 continue
             spec = area_spec(dt, pred, app, delta)
             keep = keep_rule(dt, incident, spec)
-            if not holds_start(incident, spec, keep, s):
+            if not holds_ends(incident, spec, keep, s):
                 continue
             frm, t_lo = (s, 0) if pred is None else pred
             limit = min(probes, best - base - 1)  # only improvements

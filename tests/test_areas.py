@@ -9,8 +9,7 @@ from conftest import S, A, B, C, D, E, Z, corridor, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, area_graph,
                  area_spec, compute_distances, find_exact_restless_path_brute,
                  random_temporal_graph)
-from rtp.areas import (AreaSpec, holds_start, keep_rule, source_admission,
-                       upper_admission)
+from rtp.areas import AreaSpec, holds_ends, keep_rule, source_admission
 from rtp.path_finder import incident_index, search_index
 
 
@@ -98,16 +97,16 @@ def test_area_graph_matches_definitional_filter_on_long_lifetimes():
     _compare_random_corridors(4712, 400, max_vertices=15, max_lifetime=30, max_delta=None)
 
 
-def test_holds_start_matches_built_corridors():
+def test_holds_ends_matches_built_corridors():
     # every corridor of every instance: hop corridors between any two
     # finite appearances, and the source-side corridor below each one not
-    # of the source (the table fill asks for no such corridor). Each end
-    # has one exact check: upper_admission for the upper corner's vertex,
-    # on both kinds of corridor, and holds_start for the search's start.
-    # The source filter before them never rejects a corridor that holds
-    # both ends, and each admission rejects more than half its corridors
+    # of the source (the table fill asks for no such corridor). The end
+    # check, the corridor's rule asked about the upper corner's vertex and
+    # the search's start, is exact on both kinds of corridor. The source
+    # filter before it never rejects a corridor that holds both ends, and
+    # each check rejects more than half its corridors
     counts = {"hop": 0, "source": 0, "skipped": 0, "source admitted": 0,
-              "upper admitted": 0}
+              "hop held": 0}
     for g, s, z, delta, _k in random_instances(2718, 1900, max_vertices=10, max_lifetime=12):
         dt = compute_distances(g, z)
         incident = incident_index(g.time_edges)
@@ -116,35 +115,30 @@ def test_holds_start_matches_built_corridors():
             (t, d) for (v, t), d in dt.entries.items() if v == s))
         for upper, d_up in finite:
             b, t_up = upper
-            admits_upper = upper_admission(dt, incident, upper, delta)
-            lowers = [((a, t_lo), d_lo) for (a, t_lo), d_lo in finite
+            lowers = [(a, t_lo) for (a, t_lo), d_lo in finite
                       if d_lo > d_up and t_lo <= t_up and a != b]
             if b != s:
-                lowers.append((None, INF))
-            for lower, d_lo in lowers:
+                lowers.append(None)
+            for lower in lowers:
                 spec = area_spec(dt, lower, upper, delta)
                 frm = s if lower is None else lower[0]
                 keep = keep_rule(dt, incident, spec)
                 vertices = oracles.endpoints(area_graph(g, spec, keep).time_edges)
-                start = holds_start(incident, spec, keep, s)
-                entered = admits_upper(lower, d_lo)
-                assert start == (frm in vertices), spec
-                assert entered == (b in vertices), spec
-                passes = entered and start
+                passes = holds_ends(incident, spec, keep, s)
                 assert passes == ({frm, b} <= vertices), spec
                 if lower is None:
                     admitted = admits_source(spec.upper, d_up)
                     assert admitted or not passes, spec
                     counts["source admitted"] += admitted
                 else:
-                    counts["upper admitted"] += entered
+                    counts["hop held"] += passes
                 counts["source" if lower is None else "hop"] += 1
                 counts["skipped"] += not passes
     assert counts["hop"] + counts["source"] >= 100_000, counts
     assert counts["source"] >= 5_000 and counts["skipped"] >= 50_000, counts
-    # each admission rejects more than half of its corridors
+    # each check rejects more than half of its corridors
     assert 2 * counts["source admitted"] < counts["source"], counts
-    assert 2 * counts["upper admitted"] < counts["hop"], counts
+    assert 2 * counts["hop held"] < counts["hop"], counts
 
 
 def test_in_place_search_matches_materialized_corridors():
@@ -166,15 +160,12 @@ def test_in_place_search_matches_materialized_corridors():
             b, t_up = upper
             if b == s:
                 continue
-            admits_upper = upper_admission(dt, incident, upper, delta)
-            lowers = [((a, t_lo), d_lo) for (a, t_lo), d_lo in finite
+            lowers = [(a, t_lo) for (a, t_lo), d_lo in finite
                       if d_lo > d_up and t_lo <= t_up and a != b]
-            for lower, d_lo in [(None, INF), *lowers]:
-                if not admits_upper(lower, d_lo):
-                    continue
+            for lower in [None, *lowers]:
                 spec = area_spec(dt, lower, upper, delta)
                 keep = keep_rule(dt, incident, spec)
-                if not holds_start(incident, spec, keep, s):
+                if not holds_ends(incident, spec, keep, s):
                     continue
                 area = area_graph(g, spec, keep)
                 filtered = tuple(e for e in g.time_edges if keep(e.u, e.v, e.t))

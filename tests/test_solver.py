@@ -801,6 +801,15 @@ def test_fill_table_rejects_source_equal_to_target(fig1):
         fill_table(fig1, dt, Z, Z, 2, 5, FinderConfig(backend="brute"))
 
 
+@pytest.mark.parametrize("delta", [-3, 0])
+def test_fill_table_rejects_delta_below_one(fig1, delta):
+    # unchecked, a negative delta fills a table holding only the source's
+    # entries, and 0 raises only where some link builds its corridor's spec
+    dt = compute_distances(fig1, Z)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        fill_table(fig1, dt, S, Z, delta, 5, FinderConfig(backend="brute"))
+
+
 def test_one_incident_index_per_solve(fig1, monkeypatch):
     # the walk bracket's index is the one the table fill reads
     import rtp.solver
@@ -831,35 +840,29 @@ def test_corridors_are_built_only_where_both_ends_fit(monkeypatch, no_walk_brack
                                                      no_prune):
     # the unpruned table fill asks for 1033 corridors here, all on the source side,
     # and most cannot hold both ends of their search. Each link meets one
-    # first check, the source filter, and the 128 it admits meet the upper
-    # check next, which admits 105 to the start check; that holds 97. So a
-    # few distance-table lookups reject most links before their rule is
-    # built. Skipping the rest leaves every probe in place, and every probe
-    # is short enough for brute, which builds no corridor. Each link that
-    # holds both ends runs one search, and counts it
+    # first check, the source filter, and the 128 it admits build their
+    # rule, which the end check asks about both ends; 97 hold them. So one
+    # bisect rejects most links before their rule is built. Skipping the
+    # rest leaves every probe in place, and every probe is short enough
+    # for brute, which builds no corridor. Each link that holds both ends
+    # runs one search, and counts it
     import rtp.solver
-    sources, uppers, held = [], [], []
+    sources, held = [], []
 
-    def counted(admission, record):
-        def build(*args):
-            admits = admission(*args)
-            return lambda *link: record.append((link[0], admits(*link))) or record[-1][1]
-        return build
+    def counted(*args):
+        admits = inner_source(*args)
+        return lambda *link: sources.append(admits(*link)) or sources[-1]
 
-    monkeypatch.setattr(rtp.solver, "source_admission",
-                        counted(rtp.solver.source_admission, sources))
-    monkeypatch.setattr(rtp.solver, "upper_admission",
-                        counted(rtp.solver.upper_admission, uppers))
-    inner = rtp.solver.holds_start
-    monkeypatch.setattr(rtp.solver, "holds_start",
-                        lambda *args: held.append(inner(*args)) or held[-1])
+    inner_source, inner_ends = rtp.solver.source_admission, rtp.solver.holds_ends
+    monkeypatch.setattr(rtp.solver, "source_admission", counted)
+    monkeypatch.setattr(rtp.solver, "holds_ends", lambda incident, spec, *rest: held.append(
+        (spec.lower, inner_ends(incident, spec, *rest))) or held[-1][1])
     g = random_temporal_graph(120, 120, 7.5, 120)
     res = solve(g, 65, 31, 2, 4, 0.01, FinderConfig())
-    far = [pred for pred, _ in uppers if pred is not None]
+    far = [lower for lower, _ in held if lower is not None]
     assert len(sources) + len(far) == 1033
-    assert sum(ok for _, ok in sources) == len(uppers) - len(far) == 128
-    assert sum(ok for _, ok in uppers) == len(held) == 105
-    assert res.stats.finder_calls == sum(held) == 97
+    assert sum(sources) == len(held) - len(far) == 128
+    assert res.stats.finder_calls == sum(ok for _, ok in held) == 97
     assert res.stats.areas_built == 0
 
 
