@@ -7,7 +7,10 @@ lies in the corners' time span. The corridor keeps the time-edges a
 restless path can cross departing only from window appearances or the
 lower corner, and ending at the upper corner within its waiting window.
 That rule is written once, as the predicate ``keep_rule(dt, incident,
-spec)``, over the distance table and the graph's incident index.
+spec)``, over the distance table and the graph's incident index. A corner
+pair is checked once too, by ``area_spec``; an ``AreaSpec`` is a plain
+record, which the table fill builds directly from corners it picked by
+the same rules.
 
 The source-side variant has no lower corner: it admits every reachable
 appearance farther from the target than the upper corner.
@@ -16,9 +19,10 @@ A corridor is a view, not a copy: ``keep`` answers for one time-edge from
 the distance table in a few lookups. A table fill skips every corridor that
 cannot hold both ends of its search. ``source_admission`` first rejects,
 with one bisect, a source-side link whose source has no window appearance
-by the upper corner's time. Every other link builds its spec and one
-``keep``, and ``holds_ends`` asks that ``keep`` about a few incident pairs
-of each end: the upper corner's vertex first, then the search's start.
+by the upper corner's time. Every other link builds its ``AreaSpec`` and
+one ``keep``, and ``holds_ends`` asks that ``keep`` about a few incident
+pairs of each end: the upper corner's vertex first, then the search's
+start.
 A link's in-place search walks the graph's incident index under ``keep``
 (``path_finder.search_index``), and only a probe that may reach the sieve
 gets the edge list, from ``area_graph`` under the same ``keep``. That list
@@ -30,43 +34,41 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .distances import INF, DistanceTable
 from .path_finder import pairs_between
 from .temporal_graph import TemporalGraph, TimeEdge, VertexAppearance
 
 
-@dataclass(frozen=True)
-class AreaSpec:
-    """Corner pair for one corridor; lower is None for the source side."""
+class AreaSpec(NamedTuple):
+    """Corner pair for one corridor; lower is None for the source side.
+
+    A plain record with no checks of its own: ``area_spec`` is the one
+    checker of a corner pair, and the table fill, whose corners meet
+    every rule by construction, builds its specs directly.
+    """
 
     upper: VertexAppearance
     lower: VertexAppearance | None
     delta: int
 
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError("delta must be at least 1")
-        if self.lower is not None:
-            if self.lower.v == self.upper.v:
-                raise ValueError("corner vertices must differ")
-            if self.lower.t > self.upper.t:
-                raise ValueError("lower corner must not be later than upper corner")
-
 
 def area_spec(dt: DistanceTable, lower: tuple[int, int] | None,
               upper: tuple[int, int], delta: int) -> AreaSpec:
-    """Build an AreaSpec, checking the corner distances against dt.
-
-    Both corners must be non-isolated appearances, and the lower corner
-    must be strictly farther from the target than the upper corner. A
-    corner may be a plain ``(v, t)`` tuple, such as a table key; the spec
-    holds it as a ``VertexAppearance``.
+    """Build an AreaSpec, checking its corner pair against dt: delta >= 1,
+    both corners non-isolated appearances, and a lower corner on another
+    vertex, no later than the upper corner and strictly farther from the
+    target. A corner may be a plain ``(v, t)`` tuple, such as a table key;
+    the spec holds it as a ``VertexAppearance``.
     """
-    spec = AreaSpec(upper=VertexAppearance._make(upper),
-                    lower=None if lower is None else VertexAppearance._make(lower),
-                    delta=delta)
+    if delta < 1:
+        raise ValueError("delta must be at least 1")
+    if lower is not None:
+        if lower[0] == upper[0]:
+            raise ValueError("corner vertices must differ")
+        if lower[1] > upper[1]:
+            raise ValueError("lower corner must not be later than upper corner")
     d_upper = dt.entries.get(upper)
     if d_upper is None:
         raise ValueError("corner appearances must be non-isolated")
@@ -77,7 +79,8 @@ def area_spec(dt: DistanceTable, lower: tuple[int, int] | None,
         if not d_upper < d_lower:
             raise ValueError(
                 f"lower corner distance {d_lower} must exceed upper corner distance {d_upper}")
-    return spec
+    return AreaSpec(VertexAppearance._make(upper),
+                    None if lower is None else VertexAppearance._make(lower), delta)
 
 
 def keep_rule(dt: DistanceTable, incident: dict[int, list[tuple[int, int]]],

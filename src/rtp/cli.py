@@ -79,8 +79,6 @@ def cmd_solve(args) -> int:
     g = _read_graph(args.input)
     s = _vertex(g, args.source)
     z = _vertex(g, args.target)
-    if s == z:
-        raise CliError("source and target must differ")
     cfg = FinderConfig(backend=args.backend, error_prob=args.error_prob, seed=args.seed)
 
     if args.dump_area:

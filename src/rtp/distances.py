@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .path_finder import incident_index, pairs_between
+from .path_finder import check_ends, incident_index, pairs_between
 from .temporal_graph import TemporalGraph
 
 INF = math.inf
@@ -223,8 +223,5 @@ def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int 
     """
     if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
         raise ValueError("source or target is not a vertex of the graph")
-    if s == z:
-        raise ValueError("source and target must differ")
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
+    check_ends(s, z, delta)
     return walk_hops(incident_index(g.time_edges), s, z, delta, 1, INF, INF)

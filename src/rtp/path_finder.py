@@ -118,6 +118,14 @@ class SolveStats:
     elapsed_seconds: float = 0.0
 
 
+def check_ends(s: int, z: int, delta: int) -> None:
+    """The rule every s-z entry point shares: distinct ends, delta >= 1."""
+    if s == z:
+        raise ValueError("source and target must differ")
+    if delta < 1:
+        raise ValueError("delta must be at least 1")
+
+
 def incident_index(edges: Iterable[TimeEdge]) -> dict[int, list[tuple[int, int]]]:
     """Vertex -> the (t, neighbour) pairs of its time-edges, sorted, which
     is each vertex's canonical order, whatever the order of `edges`."""
@@ -199,12 +207,9 @@ def find_exact_restless_path_brute(edges: Sequence[TimeEdge], s: int, z: int,
     """Exhaustive search for a restless s-z path of exactly `length` steps
     over the time-edges `edges`, in any order: the first in index order, as
     ``search_index`` over their index at [length, length] finds it."""
-    if s == z:
-        raise ValueError("source and target must differ")
+    check_ends(s, z, delta)
     if length < 1:
         raise ValueError("length must be at least 1")
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
     if stats is not None:
         stats.finder_calls += 1
     return search_index(incident_index(edges), s, z, delta, length, length)
@@ -403,12 +408,9 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     seed stream. At length 1 that witness is the last s-z time-edge in
     canonical order.
     """
-    if s == z:
-        raise ValueError("source and target must differ")
+    check_ends(s, z, delta)
     if length < 1:
         raise ValueError("length must be at least 1")
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
     if stats is None:
         stats = SolveStats()
     stats.finder_calls += 1

@@ -58,10 +58,10 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import takewhile
 
-from .areas import area_graph, area_spec, holds_ends, keep_rule, source_admission
+from .areas import AreaSpec, area_graph, holds_ends, keep_rule, source_admission
 from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
                         level_search, walk_hops)
-from .path_finder import (FinderConfig, SolveStats, find_exact_restless_path,
+from .path_finder import (FinderConfig, SolveStats, check_ends, find_exact_restless_path,
                           first_sieve_length, incident_index, pairs_between, search_index)
 from .rng import SeedStream
 from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge, VertexAppearance,
@@ -124,10 +124,7 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
     target, s != z, delta >= 1 and finite d(s) <= k."""
     if z != dt.target:
         raise ValueError(f"target {z} is not the distance table's target {dt.target}")
-    if s == z:
-        raise ValueError("source and target must differ")
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
+    check_ends(s, z, delta)
     return _fill(g, dt, incident_index(g.time_edges), s, delta, k, cfg,
                  SolveStats() if stats is None else stats)
 
@@ -155,9 +152,12 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
 
     Each link is checked in one order: a source-side link first by
     ``source_admission``, which reads the source side alone; every link
-    it passes builds one ``keep_rule``, and ``holds_ends`` asks that rule
-    whether the corridor holds both ends of the search. Only a link that
-    holds both runs its search. No check moves a counter.
+    it passes builds its ``AreaSpec`` directly, with no call to
+    ``areas.area_spec``, the one checker of a corner pair, whose rules its
+    corners meet by construction. It then builds one ``keep_rule``, and
+    ``holds_ends`` asks that rule whether the corridor holds both ends of
+    the search. Only a link that holds both runs its search. No check
+    moves a counter.
     """
     # s's appearances in time order are the distinct stamps of its pairs;
     # d never decreases in time, so the earliest value is the temporal
@@ -215,7 +215,11 @@ def _fill(g: TemporalGraph, dt: DistanceTable, incident: dict[int, list[tuple[in
             # corridor rule is built; the rule then checks both ends
             if pred is None and not admits_source(app, d):
                 continue
-            spec = area_spec(dt, pred, app, delta)
+            # no corner check: both corners are table entries, delta was
+            # checked on entry, and pred lies on a farther level and is no
+            # later than app, so, as d never decreases in time, the two
+            # vertices differ
+            spec = AreaSpec(app, pred, delta)
             keep = keep_rule(dt, incident, spec)
             if not holds_ends(incident, spec, keep, s):
                 continue
@@ -306,10 +310,7 @@ def _start_query(g: TemporalGraph, s: int, z: int, delta: int, k: int, p: float
     k_eff, the budget that no simple path of g exceeds."""
     if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
         raise ValueError("source or target is not a vertex of the graph")
-    if s == z:
-        raise ValueError("source and target must differ")
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
+    check_ends(s, z, delta)
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0.0 < p < 1.0:

@@ -101,11 +101,12 @@ def _sorted_time_edges(vertex_count: int, lifetime: int,
     by_key: dict[tuple[int, int, int], TimeEdge] = {}
     for e in edges:
         if not isinstance(e, TimeEdge):
-            e = TimeEdge(*e)
-        if not 1 <= e.t <= lifetime:
-            raise ValueError(f"time stamp out of range: {e.t}")
+            e = TimeEdge(*e)  # rejects a self-loop
+        # the parser's checks, in its order and words
         if not (0 <= e.u and e.v < vertex_count):
-            raise ValueError(f"vertex id out of range: {(e.u, e.v)}")
+            raise ValueError(f"vertex id out of range: {e.u} {e.v}")
+        if not 1 <= e.t <= lifetime:
+            raise ValueError(f"time stamp out of [1, {lifetime}]: {e.t}")
         key = (e.t, e.u, e.v)
         if key in by_key:
             raise ValueError(f"duplicate time-edge {(e.u, e.v)} at time {e.t}")

@@ -9,7 +9,7 @@ from conftest import S, A, B, C, D, E, Z, corridor, random_instances
 from rtp import (INF, TemporalGraph, TimeEdge, VertexAppearance, area_graph,
                  area_spec, compute_distances, find_exact_restless_path_brute,
                  random_temporal_graph)
-from rtp.areas import AreaSpec, holds_ends, keep_rule, source_admission
+from rtp.areas import holds_ends, keep_rule, source_admission
 from rtp.path_finder import incident_index, search_index
 
 
@@ -288,10 +288,13 @@ def test_chained_areas_share_only_the_chaining_vertex():
 def test_spec_validation():
     g = TemporalGraph.from_time_edges(3, 2, [TimeEdge(0, 1, 1), TimeEdge(1, 2, 2)])
     dt = compute_distances(g, 2)
-    with pytest.raises(ValueError):  # same vertex at both corners
-        AreaSpec(upper=VertexAppearance(1, 2), lower=VertexAppearance(1, 1), delta=2)
-    with pytest.raises(ValueError):  # lower later than upper
-        AreaSpec(upper=VertexAppearance(1, 1), lower=VertexAppearance(0, 2), delta=2)
+    # area_spec is the one checker of a corner pair; AreaSpec checks nothing
+    with pytest.raises(ValueError, match="corner vertices must differ"):
+        area_spec(dt, VertexAppearance(1, 1), VertexAppearance(1, 2), 2)
+    with pytest.raises(ValueError, match="lower corner must not be later"):
+        area_spec(dt, VertexAppearance(0, 2), VertexAppearance(1, 1), 2)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        area_spec(dt, None, VertexAppearance(1, 2), 0)
     with pytest.raises(ValueError):  # distances not strictly decreasing
         area_spec(dt, VertexAppearance(1, 2), VertexAppearance(0, 1), 2)
     with pytest.raises(ValueError):  # isolated corner

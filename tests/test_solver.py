@@ -638,6 +638,29 @@ def test_walk_bracket_decides_only_nos_the_table_path_shares(backend):
     assert decided >= 8, decided
 
 
+def test_fill_builds_only_specs_area_spec_accepts(monkeypatch):
+    # the fill builds each link's AreaSpec with no check of its own;
+    # area_spec, the one checker of a corner pair, accepts every one as is
+    import rtp.solver
+    inner = rtp.solver.keep_rule
+    links = 0
+
+    def checked(dt, incident, spec):
+        nonlocal links
+        assert area_spec(dt, spec.lower, spec.upper, spec.delta) == spec, spec
+        links += 1
+        return inner(dt, incident, spec)
+
+    monkeypatch.setattr(rtp.solver, "keep_rule", checked)
+    for i, (g, s, z, delta, k) in enumerate(random_instances(20240501, 300)):
+        for backend in ("brute", "sieve", "auto"):
+            cfg = FinderConfig(backend=backend, seed=i)
+            with without_walk_bracket():
+                solve(g, s, z, delta, k, 0.01, cfg)
+            solve_windowed(g, s, z, delta, k, 0.01, cfg)
+    assert links >= 3000, links
+
+
 def test_walk_decided_no_builds_no_table(fig1, monkeypatch):
     # fig1's shortest restless walk has length 5, so k = 4 is an exact no
     import rtp.solver

@@ -86,6 +86,25 @@ def test_parse_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 0, 1)],  # self-loop
+    [(0, 5, 9)],  # both the vertex and the stamp out of range: the vertex first
+    [(0, 5, 1)],
+    [(0, 1, 0)],
+    [(0, 1, 9)],
+    [(0, 1, 1), (0, 1, 1)],  # duplicate
+])
+def test_constructor_and_parser_reject_a_bad_edge_alike(edges):
+    # edges are written with u < v, since the constructor names the
+    # normalized ends and the parser the ends as written
+    text = "2 1\n" + "".join(f"{u} {v} {t}\n" for u, v, t in edges)
+    with pytest.raises(TelParseError) as parsed:
+        parse_temporal_graph(text)
+    with pytest.raises(ValueError) as built:
+        TemporalGraph.from_time_edges(2, 1, edges)
+    assert str(parsed.value) == f"line {parsed.value.line}: {built.value}"
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(TelParseError) as err:
         parse_temporal_graph("3 2\n0 1 1\n1 1 2\n")
