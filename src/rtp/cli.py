@@ -20,7 +20,7 @@ import sys
 from .areas import area_graph, area_spec, keep_rule
 from .distances import INF, compute_distances, restless_walk_distance
 from .generate import random_temporal_graph
-from .path_finder import FinderConfig, incident_index
+from .path_finder import FinderConfig, graph_index
 from .rng import MASK64
 from .solver import solve, solve_windowed
 from .temporal_graph import (TelParseError, TemporalGraph, TimeEdge,
@@ -87,7 +87,7 @@ def cmd_solve(args) -> int:
         upper = _parse_appearance(upper_text)
         lower = _parse_appearance(lower_text) if lower_text else None
         spec = area_spec(dt, lower, upper, args.delta)
-        area = area_graph(g, spec, keep_rule(dt, incident_index(g.time_edges), spec))
+        area = area_graph(g, spec, keep_rule(dt, graph_index(g), spec))
         sub = TemporalGraph.from_time_edges(g.vertex_count, g.lifetime,
                                             area.time_edges, g.aliases)
         sys.stdout.write(serialize_temporal_graph(sub))

@@ -4,7 +4,10 @@ d(v, t) is the length of a shortest temporal v-z path that departs at time
 t or later. ``compute_distances`` fills a ``DistanceTable`` with the values
 of all non-isolated vertex appearances (v on some edge at t), the entries
 alone with no derived index, by ``level_search``: one level search outward
-from z over the graph's ``path_finder.incident_index``. d never decreases
+from z over the graph's ``path_finder.incident_index``, the one
+``path_finder.graph_index`` shares while the graph lives, so a table and a
+walk distance of one graph, or a solve's searches and its table, build it
+once between them; neither search mutates it. d never decreases
 in time, so each vertex's appearances at distance h are the stamps its
 latest departure toward z gains once h hops are allowed, and the next
 level scans only the pairs at those stamps, each pair once. The table is
@@ -31,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .path_finder import check_ends, incident_index, pairs_between
+from .path_finder import check_ends, graph_index, pairs_between
 from .temporal_graph import TemporalGraph
 
 INF = math.inf
@@ -66,10 +69,10 @@ class DistanceTable:
 
 def compute_distances(g: TemporalGraph, z: int) -> DistanceTable:
     """Fill the full distance table: ``level_search`` over the graph's
-    ``incident_index``, outward from z."""
+    shared ``path_finder.graph_index``, outward from z."""
     if not 0 <= z < g.vertex_count:
         raise ValueError(f"target {z} is not a vertex of the graph")
-    return level_search(incident_index(g.time_edges), z)
+    return level_search(graph_index(g), z)
 
 
 def level_search(incident: dict[int, list[tuple[int, int]]], z: int) -> DistanceTable:
@@ -217,11 +220,11 @@ def departure_stamps(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
 def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int | float:
     """Minimum length of a delta-restless temporal s-z walk, or INF.
 
-    ``walk_hops`` over the whole graph's index, unbounded. A walk may
-    revisit vertices, so this is a lower bound for restless path length and
-    a fast no-certificate.
+    ``walk_hops`` over the graph's shared ``path_finder.graph_index``,
+    unbounded. A walk may revisit vertices, so this is a lower bound for
+    restless path length and a fast no-certificate.
     """
     if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
         raise ValueError("source or target is not a vertex of the graph")
     check_ends(s, z, delta)
-    return walk_hops(incident_index(g.time_edges), s, z, delta, 1, INF, INF)
+    return walk_hops(graph_index(g), s, z, delta, 1, INF, INF)

@@ -38,13 +38,14 @@ the yes side carries no error on either backend, with or without -O.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .gf2 import gf_mul, spread
 from .rng import SeedStream
-from .temporal_graph import RestlessPath, TimeEdge, check_restless_path
+from .temporal_graph import RestlessPath, TemporalGraph, TimeEdge, check_restless_path
 
 _BACKENDS = ("brute", "sieve", "auto")
 _TINY_EDGE_COUNT = 16
@@ -136,6 +137,43 @@ def incident_index(edges: Iterable[TimeEdge]) -> dict[int, list[tuple[int, int]]
     for pairs in index.values():
         pairs.sort()  # linear when `edges` is in canonical order
     return index
+
+
+# graph_index's one entry: (weak reference to a graph, its time-edges,
+# their incident_index), or None
+_shared: tuple[weakref.ref, tuple[TimeEdge, ...], dict[int, list[tuple[int, int]]]] | None = None
+
+
+def graph_index(g: TemporalGraph) -> dict[int, list[tuple[int, int]]]:
+    """``incident_index(g.time_edges)``, shared while g lives: a query's
+    searches, its distance table and its fill, and a distance table and
+    walk distance of one graph, all read one index, built once.
+
+    One slot holds the last graph indexed, weakly, with its time-edges and
+    their index. A call hits iff the slot's graph is g and its time-edges
+    are still g's. A miss drops the old entry, then builds and stores g's;
+    g's death drops its entry. So at most one index is held, and none
+    outlives its graph. Readers never mutate the index. The slot is read
+    and replaced whole, so threads that index different graphs may miss
+    more often, but never read another graph's index."""
+    global _shared
+    entry = _shared
+    if entry is not None and entry[0]() is g and entry[1] is g.time_edges:
+        return entry[2]
+    _shared = None
+    edges = g.time_edges
+    index = incident_index(edges)
+    _shared = (weakref.ref(g, _drop_shared), edges, index)
+    return index
+
+
+def _drop_shared(ref: weakref.ref) -> None:
+    """The callback of a shared graph's death: empty the slot if it still
+    holds that graph."""
+    global _shared
+    entry = _shared
+    if entry is not None and entry[0] is ref:
+        _shared = None
 
 
 def search_index(incident: dict[int, list[tuple[int, int]]], s: int, z: int,

@@ -2,12 +2,15 @@
 
 With d the unrestricted temporal s-z distance and k the length budget, the
 slack ell = k - d bounds how far any solution can stray from monotone
-progress toward z. Every query is first bracketed by walks, over one
-``incident_index`` of the graph: d is the fewest hops of a temporal walk
-(``distances.walk_hops`` with no waiting bound; such a walk is a path),
-and when the shortest delta-restless s-z walk is longer than the budget,
-no restless path fits either, so the answer is an exact no that builds no
-table, runs no probe and spends no share of the error budget. That walk
+progress toward z. Every query is first bracketed by walks, over the
+graph's ``incident_index``, which ``path_finder.graph_index`` builds once
+and shares, read-only, while the graph lives: the query's distance table
+and fill, and any later call on the same graph, read the same index. d
+is the fewest hops of a temporal walk (``distances.walk_hops`` with no
+waiting bound; such a walk is a path), and when the shortest
+delta-restless s-z walk is longer than the budget, no restless path fits
+either, so the answer is an exact no that builds no table, runs no probe
+and spends no share of the error budget. That walk
 search records, on the way, the fewest restless-walk hops f from s to
 every (vertex, arrival stamp) state within the budget. Only the other
 queries take the table path, which fills the table below over the same
@@ -62,7 +65,8 @@ from .areas import AreaSpec, area_graph, holds_ends, keep_rule, source_admission
 from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
                         level_search, walk_hops)
 from .path_finder import (FinderConfig, SolveStats, check_ends, find_exact_restless_path,
-                          first_sieve_length, incident_index, pairs_between, search_index)
+                          first_sieve_length, graph_index, incident_index, pairs_between,
+                          search_index)
 from .rng import SeedStream
 from .temporal_graph import (RestlessPath, TemporalGraph, TimeEdge, VertexAppearance,
                              validate_restless_path)
@@ -120,12 +124,13 @@ class SolveResult:
 def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                delta: int, k: int, cfg: FinderConfig, *,
                stats: SolveStats | None = None) -> DpTable:
-    """Fill the appearance table for budget k; requires z to be dt's
-    target, s != z, delta >= 1 and finite d(s) <= k."""
+    """Fill the appearance table for budget k over g's shared
+    ``graph_index``; requires z to be dt's target, s != z, delta >= 1 and
+    finite d(s) <= k."""
     if z != dt.target:
         raise ValueError(f"target {z} is not the distance table's target {dt.target}")
     check_ends(s, z, delta)
-    return _fill(g, dt, incident_index(g.time_edges), s, delta, k, cfg,
+    return _fill(g, dt, graph_index(g), s, delta, k, cfg,
                  SolveStats() if stats is None else stats)
 
 
@@ -305,9 +310,10 @@ def reconstruct(dp: DpTable, end: VertexAppearance) -> tuple[TimeEdge, ...]:
 
 def _start_query(g: TemporalGraph, s: int, z: int, delta: int, k: int, p: float
                  ) -> tuple[float, dict[int, list[tuple[int, int]]], int | float, int]:
-    """Check a query and start it: its clock, the ``incident_index`` of g
-    that every search of the query reads, the temporal s-z distance and
-    k_eff, the budget that no simple path of g exceeds."""
+    """Check a query and start it: its clock, g's shared ``graph_index``,
+    which every search of the query and its distance table read, the
+    temporal s-z distance and k_eff, the budget that no simple path of g
+    exceeds."""
     if not (0 <= s < g.vertex_count and 0 <= z < g.vertex_count):
         raise ValueError("source or target is not a vertex of the graph")
     check_ends(s, z, delta)
@@ -316,7 +322,7 @@ def _start_query(g: TemporalGraph, s: int, z: int, delta: int, k: int, p: float
     if not 0.0 < p < 1.0:
         raise ValueError("error probability must be in (0, 1)")
     started = time.perf_counter()
-    incident = incident_index(g.time_edges)
+    incident = graph_index(g)
     # a fewest-hop temporal walk is a path, so it is never longer than n - 1
     d_source = walk_hops(incident, s, z, INF, 1, INF, g.vertex_count - 1)
     return started, incident, d_source, min(k, max(1, g.vertex_count - 1))

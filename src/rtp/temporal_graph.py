@@ -126,7 +126,7 @@ class TemporalGraph:
     """
 
     __slots__ = ("vertex_count", "lifetime", "time_edges", "aliases",
-                 "_alias_to_id")
+                 "_alias_to_id", "__weakref__")
 
     def __init__(self, vertex_count: int, lifetime: int,
                  layers: Iterable[Iterable[tuple[int, int]]],

@@ -35,8 +35,17 @@ type, and its walk distance; hashes the canonical TEL serialization of
 each query's text parsed again, which is the text itself on a correct
 parse, so a change to the parser shows there; and sums the tables'
 ``work``, the pairs their level searches scanned, which the hashes leave
-out. The library is imported from ``src/`` next to this directory; the
-script only reads ``bench/``. pytest does not collect it.
+out. After each pool's hash lines, one more line,
+
+    <name> index_builds=<n> edges_indexed=<m>
+
+counts the ``path_finder.incident_index`` builds made while the pool is
+built and answered, and the time-edges they indexed, outside both hashes:
+the script wraps ``incident_index`` in every ``rtp`` module that imports
+it and counts each built index's pairs, two per time-edge, so an index
+that is shared counts once, where it is built.
+The library is imported from ``src/`` next to this directory; the script
+only reads ``bench/``. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ import hashlib
 import pathlib
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -57,6 +67,31 @@ from rtp import FinderConfig, SolveStats  # noqa: E402
 
 SOLVE_WORKLOADS = ("corridor", "sieve", "windowed")
 WORKLOADS = SOLVE_WORKLOADS + ("bulk",)
+
+
+@contextmanager
+def counting_index_builds():
+    """Count ``incident_index`` builds, and the time-edges they index,
+    through every ``rtp`` module that imports it, as ``builds`` and
+    ``edges`` of the yielded Counter."""
+    build = rtp.path_finder.incident_index
+    built = Counter()
+
+    def counted(edges):
+        index = build(edges)
+        built["builds"] += 1
+        built["edges"] += sum(map(len, index.values())) // 2
+        return index
+
+    owners = [m for name, m in sys.modules.items()
+              if name.split(".")[0] == "rtp" and getattr(m, "incident_index", None) is build]
+    for owner in owners:
+        owner.incident_index = counted
+    try:
+        yield built
+    finally:
+        for owner in owners:
+            owner.incident_index = build
 
 
 def answer_key(result) -> tuple:
@@ -131,15 +166,19 @@ def main(argv: list[str] | None = None) -> None:
         if args.workload and name not in args.workload:
             continue
         if name == "bulk":
-            count, answers, graphs, work = bulk_fingerprint(args.seed, args.head)
-            print(f"bulk {count} answers {answers} graphs {graphs} work={work}", flush=True)
-            continue
-        count, answers, counted, totals = fingerprint(name, args.seed, args.head,
-                                                      tuple(args.skip_counter), args.backend)
-        print(f"{name} {count} answers {answers} counters {counted}")
-        table_path = totals.pop("table_path")
-        print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals))
-              + f" table_path={table_path}", flush=True)
+            with counting_index_builds() as built:
+                count, answers, graphs, work = bulk_fingerprint(args.seed, args.head)
+            print(f"bulk {count} answers {answers} graphs {graphs} work={work}")
+        else:
+            with counting_index_builds() as built:
+                count, answers, counted, totals = fingerprint(
+                    name, args.seed, args.head, tuple(args.skip_counter), args.backend)
+            print(f"{name} {count} answers {answers} counters {counted}")
+            table_path = totals.pop("table_path")
+            print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals))
+                  + f" table_path={table_path}")
+        print(f"{name} index_builds={built['builds']} edges_indexed={built['edges']}",
+              flush=True)
 
 
 if __name__ == "__main__":

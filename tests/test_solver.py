@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (S, A, B, C, D, E, Z, corridor, random_instances, unpruned_fill,
-                      without_walk_bracket)
+from conftest import (FIG1_TEXT, S, A, B, C, D, E, Z, corridor, random_instances,
+                      unpruned_fill, without_walk_bracket)
 from rtp import (INF, FinderConfig, SolveStats, TemporalGraph, TimeEdge,
                  VertexAppearance, area_spec, compute_distances,
                  fill_table, parse_temporal_graph, random_temporal_graph,
@@ -833,18 +833,37 @@ def test_fill_table_rejects_delta_below_one(fig1, delta):
         fill_table(fig1, dt, S, Z, delta, 5, FinderConfig(backend="brute"))
 
 
-def test_one_incident_index_per_solve(fig1, monkeypatch):
-    # the walk bracket's index is the one the table fill reads
+def test_one_incident_index_per_solve(monkeypatch):
+    # a live graph's index is built once: the walk bracket's index is the
+    # one the distance table and the fill read, and later entry points on
+    # the same graph build none. Builds are counted where they happen.
+    import rtp.path_finder
     import rtp.solver
-    inner = rtp.solver.incident_index
-    built = []
-    monkeypatch.setattr(rtp.solver, "incident_index",
-                        lambda edges: built.append(len(edges)) or inner(edges))
-    res = solve(fig1, S, Z, 2, 5, 0.01, FinderConfig(backend="brute"))
+    build, fill = rtp.path_finder.incident_index, rtp.solver._fill
+    built, read = [], []
+
+    def counted(edges):
+        built.append(build(edges))
+        return built[-1]
+
+    def reading(g, dt, incident, *args):
+        read.append(incident)
+        return fill(g, dt, incident, *args)
+
+    monkeypatch.setattr(rtp.path_finder, "incident_index", counted)
+    monkeypatch.setattr(rtp.solver, "_fill", reading)
+    g = parse_temporal_graph(FIG1_TEXT)  # a graph no other test has indexed
+    res = solve(g, S, Z, 2, 5, 0.01, FinderConfig(backend="brute"))
     assert res.decision and res.stats.table_entries == 15
-    assert built == [len(fig1.time_edges)]
-    fill_table(fig1, compute_distances(fig1, Z), S, Z, 2, 5, FinderConfig(backend="brute"))
-    assert built == [len(fig1.time_edges)] * 2
+    assert len(built) == 1 and read[0] is built[0]
+    fill_table(g, compute_distances(g, Z), S, Z, 2, 5, FinderConfig(backend="brute"))
+    assert restless_walk_distance(g, S, Z, 2) == 5
+    assert len(built) == 1 and len(read) == 2 and read[1] is built[0]
+    # the same text parsed again is an equal but distinct graph
+    again = parse_temporal_graph(FIG1_TEXT)
+    assert again == g and again is not g
+    assert compute_distances(again, Z) == compute_distances(g, Z)
+    assert len(built) == 3 and built[1] is not built[0] and built[1] == built[0]
 
 
 def test_fill_table_stats_accumulate_over_calls(fig1):
@@ -1008,7 +1027,6 @@ def test_windowed_solve_builds_no_graph_and_one_index_per_window(monkeypatch):
     # a window is one incident index of the query graph's time-edges in its
     # stamps: no graph is built for it, its table and fill read that index,
     # and its witness is checked against the query graph
-    import rtp.distances
     import rtp.path_finder
     import rtp.solver
     # long sparse lifetimes, where some queries solve two windows or more
@@ -1031,7 +1049,7 @@ def test_windowed_solve_builds_no_graph_and_one_index_per_window(monkeypatch):
         return inner(graph, incident, *args)
 
     monkeypatch.setattr(TemporalGraph, "_assign", counted_assign)
-    for module in (rtp.solver, rtp.distances, rtp.path_finder):
+    for module in (rtp.solver, rtp.path_finder):
         monkeypatch.setattr(module, "incident_index", counted_build)
     monkeypatch.setattr(rtp.solver, "_table_witness", recorded)
     solved = many = yes = 0

@@ -49,6 +49,22 @@ def test_time_edge_has_slots_only():
         assert again == TimeEdge(1, 3, 2)
 
 
+@pytest.mark.parametrize("clone", [
+    *(lambda g, p=protocol: pickle.loads(pickle.dumps(g, p))
+      for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy, copy.deepcopy])
+def test_graph_round_trips_keep_edges_and_aliases(clone):
+    # a graph can be weakly referenced (its shared index follows it), and
+    # that slot travels in no round trip
+    g = parse_temporal_graph(FIG1_TEXT)
+    again = clone(g)
+    assert again == g and again is not g
+    assert (again.vertex_count, again.lifetime) == (7, 6)
+    assert again.aliases == g.aliases and again.id_for("e") == E
+    assert serialize_temporal_graph(again) == serialize_temporal_graph(g)
+    assert not hasattr(again, "__dict__")
+
+
 def test_parse_fig1(fig1):
     assert fig1.vertex_count == 7
     assert fig1.lifetime == 6
