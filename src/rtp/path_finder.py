@@ -59,9 +59,10 @@ class FinderConfig:
 
     backend picks brute, sieve or auto; which probes may reach the sieve
     follows from it alone (``first_sieve_length``). error_prob bounds the
-    probability that the sieve reports absent when a path exists, and so
-    sets its trial count; solve and solve_windowed replace it with their
-    per-call share of the query's p. seed feeds the sieve's coefficients.
+    probability that any randomized decision booked to one ``SolveStats``
+    misses a path: the i-th runs the trials of a miss bound error_prob *
+    2^-i (``_trials_for``). solve and solve_windowed set it to the query's
+    p. seed feeds the sieve's coefficients.
     """
 
     backend: str = "auto"
@@ -388,18 +389,17 @@ def _sieve_decide(layers: _Layers, length: int, trials: int, stream: SeedStream,
     return False, ops
 
 
-def _trials_for(error_prob: float) -> int:
-    """Trials that bring the miss probability of one decision within
-    error_prob. A trial evaluates a polynomial of degree 2*length over
-    GF(2^64), so by Schwartz-Zippel it misses a path with probability at
-    most 2*length/2^64, which is at most 2^-58 for length <= 32. Longer
-    sieve probes are out of reach anyway: a trial sums 2^length subsets."""
-    trials = 1
-    miss = 2.0 ** -_TRIAL_FAILURE_LOG2
-    while miss > error_prob:
-        trials += 1
-        miss *= 2.0 ** (-_TRIAL_FAILURE_LOG2)
-    return trials
+def _trials_for(error_prob: float, i: int) -> int:
+    """Trials that bring the miss probability of the i-th randomized
+    decision (i >= 1) of one ``SolveStats`` within error_prob * 2^-i: the
+    least t with 2^(-58t) <= error_prob * 2^-i, computed in log space, so
+    no error_prob in (0, 1) underflows. The shares of distinct indices sum
+    to at most error_prob. A trial evaluates a polynomial of degree
+    2*length over GF(2^64), so by Schwartz-Zippel it misses a path with
+    probability at most 2*length/2^64, which is at most 2^-58 for length
+    <= 32. Longer sieve probes are out of reach anyway: a trial sums
+    2^length subsets."""
+    return math.ceil((i - math.log2(error_prob)) / _TRIAL_FAILURE_LOG2)
 
 
 def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
@@ -408,7 +408,9 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
                                    stats: SolveStats | None = None
                                    ) -> RestlessPath | None:
     """Randomized exact-length search; absent answers may be wrong with
-    probability at most cfg.error_prob, returned paths are always valid.
+    probability at most cfg.error_prob * 2^-i, where the call's decision is
+    the i-th randomized one booked to `stats` (i = its sieve_trials plus
+    one), and returned paths are always valid.
     seed, when given, replaces cfg.seed for this call. Every length is
     answered by the sieve itself; the dispatcher and the table fill send
     length-1 probes to brute (``first_sieve_length``). Every structure and
@@ -427,8 +429,9 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     Keeping only a yes candidate's survivors never drops a time-edge kept
     earlier: it is on every later path. A candidate is screened over the
     index under the keep rule "key still a candidate". Once `length` edges
-    remain they are the path; a false negative (below 2^-58 per trial)
-    only leaves extra ones. The witness is the path the in-place DFS
+    remain they are the path; a peel decision runs the call's trial count
+    and spends no share of error_prob, as a false negative only leaves
+    extra ones. The witness is the path the in-place DFS
     (``search_index`` at [length, length]) finds over the edges left.
 
     A call makes no decision at all when its structure is empty, as no
@@ -461,7 +464,9 @@ def find_exact_restless_path_sieve(edges: Sequence[TimeEdge], s: int, z: int,
     if path is not None:
         return search_index(incident, s, z, delta, length, length, keep=_kept_in(path))
     stream = SeedStream(cfg.seed if seed is None else seed)
-    trials = _trials_for(cfg.error_prob)
+    # every decision runs at least one trial, so the indices of one stats
+    # object never repeat
+    trials = _trials_for(cfg.error_prob, stats.sieve_trials + 1)
     found, ops = _sieve_decide(layers, length, trials, stream, stats)
     stats.sieve_ops += ops
     if not found:

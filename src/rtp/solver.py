@@ -10,7 +10,7 @@ is the fewest hops of a temporal walk (``distances.walk_hops`` with no
 waiting bound; such a walk is a path), and when the shortest
 delta-restless s-z walk is longer than the budget, no restless path fits
 either, so the answer is an exact no that builds no table, runs no probe
-and spends no share of the error budget. That walk
+and makes no randomized decision. That walk
 search records, on the way, the fewest restless-walk hops f from s to
 every (vertex, arrival stamp) state within the budget. Only the other
 queries take the table path, which fills the table below over the same
@@ -43,8 +43,10 @@ minus one, so the header's vertex count, which sets ell, does not set
 the probes; each exact-length probe draws the next seed of the fill's
 stream. The instance is a yes iff some appearance of z gets a value at
 most k; the witness is reassembled from recorded predecessor links and
-re-validated, so yes answers carry no error. No answers inherit at most
-the configured probability from the randomized exact-length subroutine.
+re-validated, so yes answers carry no error. A no is wrong only if a
+randomized exact-length decision misses: the i-th one booked to the
+query's ``SolveStats`` misses with probability at most p * 2^-i, whatever
+came before it, so all of them together miss with probability at most p.
 
 Entries are filled in order of decreasing distance (per level: increasing
 time, then vertex id), which makes every dependency available and, with
@@ -56,7 +58,6 @@ implementation stays single-threaded.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import takewhile
@@ -103,7 +104,6 @@ class SolveResult:
     temporal_distance: int | float
     ell: int | None
     error_prob: float
-    subcall_error_prob: float | None
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -126,7 +126,8 @@ def fill_table(g: TemporalGraph, dt: DistanceTable, s: int, z: int,
                stats: SolveStats | None = None) -> DpTable:
     """Fill the appearance table for budget k over g's shared
     ``graph_index``; requires z to be dt's target, s != z, delta >= 1 and
-    finite d(s) <= k."""
+    finite d(s) <= k. The fill's randomized decisions, booked to `stats`,
+    miss with probability at most cfg.error_prob in total."""
     if z != dt.target:
         raise ValueError(f"target {z} is not the distance table's target {dt.target}")
     check_ends(s, z, delta)
@@ -328,45 +329,14 @@ def _start_query(g: TemporalGraph, s: int, z: int, delta: int, k: int, p: float
     return started, incident, d_source, min(k, max(1, g.vertex_count - 1))
 
 
-def _share(p: float, parts: int, split: str) -> float:
-    """p split evenly over `parts` calls. A share that underflows to 0 is
-    rejected, not clamped: a larger share would weaken the bound on p, and
-    a share below the smallest positive double cannot be carried by
-    FinderConfig.error_prob. Honouring it would need a log2 budget threaded
-    through FinderConfig, fill_table and _trials_for, for a p no caller
-    uses."""
-    share = p / parts
-    if share == 0.0:
-        raise ValueError(f"error probability p={p!r} is too small: its split "
-                         f"{split} = p/{parts} underflows to 0")
-    return share
-
-
 def _result(started: float, stats: SolveStats, witness: RestlessPath | None,
-            k: int, k_eff: int, d_source: int | float, p: float,
-            sub_p: float | None) -> SolveResult:
+            k: int, k_eff: int, d_source: int | float, p: float) -> SolveResult:
     stats.elapsed_seconds = time.perf_counter() - started
     return SolveResult(
         decision=witness is not None, witness=witness, stats=stats, k=k,
         k_effective=k_eff, temporal_distance=d_source,
         ell=k_eff - d_source if d_source <= k_eff else None,
-        error_prob=p, subcall_error_prob=sub_p)
-
-
-def _fill_share(p: float, k_eff: int, d_source: int) -> float:
-    """The share of p for each probe of a fill with budget k_eff above
-    temporal distance d_source <= k_eff.
-
-    A false no needs a false no at one relevant probe per link of a
-    solution's chain: the probe of that link's connector length. Each link
-    takes at least one step, so a chain has at most k_eff links, and the
-    2*chain*(2*ell+1) >= 2*k_eff shares of p cover them (the chain count
-    ceil(k_eff/ell) alone does not: a chain may have up to d links). Only
-    randomized sieve decisions spend their share; brute, screened-out and
-    certified probes answer exactly."""
-    ell = k_eff - d_source
-    chain = math.ceil(k_eff / max(1, ell))
-    return _share(p, 2 * chain * (2 * ell + 1), "p/(2*chain*(2*ell+1))")
+        error_prob=p)
 
 
 def _no_walk_within(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
@@ -387,17 +357,14 @@ def solve(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     k exists; on yes, return a validated witness."""
     started, incident, d_source, k_eff = _start_query(g, s, z, delta, k, p)
     stats = SolveStats()
-    witness = sub_p = None
-    # with no temporal path within budget, the counters stay all zero
-    if d_source <= k_eff:
-        # a no of the walk bracket builds no table, and still reports the
-        # split a fill would have used
-        sub_p = _fill_share(p, k_eff, d_source)
-        hops: dict[tuple[int, int], int] = {}
-        if not _no_walk_within(incident, s, z, delta, k_eff, hops):
-            witness = _table_witness(g, incident, compute_distances(g, z), s, z, delta, k_eff,
-                                     replace(cfg, error_prob=sub_p), stats, hops)
-    return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)
+    witness = None
+    hops: dict[tuple[int, int], int] = {}
+    # with no temporal path within budget, or a no of the walk bracket, no
+    # table is built and the counters stay all zero
+    if d_source <= k_eff and not _no_walk_within(incident, s, z, delta, k_eff, hops):
+        witness = _table_witness(g, incident, compute_distances(g, z), s, z, delta, k_eff,
+                                 replace(cfg, error_prob=p), stats, hops)
+    return _result(started, stats, witness, k, k_eff, d_source, p)
 
 
 def _table_witness(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
@@ -409,8 +376,8 @@ def _table_witness(g: TemporalGraph, incident: dict[int, list[tuple[int, int]]],
     ``incident_index`` whose time-edges are g's or a stamp range of them
     and whose distance table to z is dt, with d(s) <= k_eff there, and the
     witness of z's best entry within k_eff, reconstructed and validated
-    against g (None if no entry is within k_eff). cfg carries the fill's
-    share of p. The fill visits only the entries that ``arrivals``, the
+    against g (None if no entry is within k_eff). cfg carries the query's
+    p. The fill visits only the entries that ``arrivals``, the
     bracket's hop record, picks (None: every entry)."""
     dp = _fill(g, dt, incident, s, delta, k_eff, cfg, stats, arrivals)
     # z's stamps in time order; of equal values, the earliest stamp wins
@@ -434,11 +401,7 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     built. The temporal distance is that search from stamp 1, bounded at
     n - 1. Departures with d(s, t0) > k_eff = min(k, max(1, n - 1)) are
     skipped; d grows with t0, so the rest are a prefix of s's stamps,
-    which ``departure_stamps`` finds by bisection. The error budget is
-    split evenly over the departures (subcall_error_prob), one share each,
-    solved or rejected: a false no needs a false no from a window that
-    holds a solution, and at most len(departures) windows are solved, so
-    their shares sum to at most p.
+    which ``departure_stamps`` finds by bisection.
 
     Then the query is bracketed once, as in ``solve``: when the shortest
     delta-restless s-z walk of all of g is longer than k_eff, no window
@@ -448,18 +411,20 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     Every other window is no graph but one ``incident_index`` of g's
     time-edges in its stamps; its distance table is ``level_search`` over
     that index, and its fill reads the same index, with no bracket of its
-    own, and splits the window's share again over its own chain. The fill
-    materializes corridors from g and the witness is validated against g:
-    every corner comes from the window's table, so a corridor's ``keep``
-    passes no edge outside the window, and a window's path is one of g.
-    The fill has no forward bound: the bracket here records no walk
-    states, since on windowed queries that search cost more than the
-    entries it would skip. Every window adds its counters to the query's
-    one ``SolveStats``."""
+    own. The fill materializes corridors from g and the witness is
+    validated against g: every corner comes from the window's table, so a
+    corridor's ``keep`` passes no edge outside the window, and a window's
+    path is one of g. The fill has no forward bound: the bracket here
+    records no walk states, since on windowed queries that search cost
+    more than the entries it would skip. Every window adds its counters to
+    the query's one ``SolveStats``, and books its randomized decisions
+    there, so the windows spend one error budget p between them: the i-th
+    decision of the query misses with probability at most p * 2^-i, in
+    whichever window it runs."""
     started, incident, d_source, k_eff = _start_query(g, s, z, delta, k, p)
     stats = SolveStats()
+    cfg = replace(cfg, error_prob=p)
     departures = departure_stamps(incident, s, z, k_eff) if d_source <= k_eff else []
-    sub_p = _share(p, len(departures), "p/len(departures)") if departures else None
     if departures and _no_walk_within(incident, s, z, delta, k_eff):
         departures = []
     witness = None
@@ -467,13 +432,11 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
         t_hi = t0 + (k - 1) * delta + 1
         # the window has g's vertices, so its k_eff is this one, and within
         # it this is its temporal distance
-        d_window = walk_hops(incident, s, z, INF, t0, t_hi, k_eff)
-        if d_window > k_eff:
+        if walk_hops(incident, s, z, INF, t0, t_hi, k_eff) > k_eff:
             continue
         window = incident_index(g.edges_between(t0, t_hi))
-        witness = _table_witness(
-            g, window, level_search(window, z), s, z, delta, k_eff,
-            replace(cfg, error_prob=_fill_share(sub_p, k_eff, d_window)), stats)
+        witness = _table_witness(g, window, level_search(window, z), s, z, delta, k_eff,
+                                 cfg, stats)
         if witness is not None:
             break
-    return _result(started, stats, witness, k, k_eff, d_source, p, sub_p)
+    return _result(started, stats, witness, k, k_eff, d_source, p)

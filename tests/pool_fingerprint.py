@@ -18,16 +18,16 @@ builds, still shows in the hashes. Per solve workload, two lines:
     <name> <queries> answers <sha256> counters <sha256>
     <name> totals <counter>=<sum over the pool> ...
 
-The answers hash covers each answer's decision, witness steps,
-``subcall_error_prob`` and ``temporal_distance``; the counters hash covers
-every ``SolveStats`` field but ``elapsed_seconds``, and the totals line
-sums each of those fields over the pool, then gives ``table_path``, the
-number of queries with nonzero ``table_entries``: those that reached a
-table fill. So a change that redefines one counter still shows whether
-the answers, and the other counters, stay the same. ``--skip-counter
-NAME``, which may be repeated, leaves that field out of the counters hash
-and the totals, so the hashes of a commit that adds a counter can be
-compared with those of one without it. Bulk answers with a distance table
+The answers hash covers each answer's decision, witness steps and
+``temporal_distance``; the counters hash covers every ``SolveStats``
+field but ``elapsed_seconds``, and the totals line sums each of those
+fields over the pool, then gives ``table_path``, the number of queries
+with nonzero ``table_entries``: those that reached a table fill. So a
+change that redefines one counter still shows whether the answers, and
+the other counters, stay the same. ``--skip-counter NAME``, which may be
+repeated, leaves that field out of the counters hash and the totals, so
+the hashes of a commit that adds a counter can be compared with those of
+one without it. Bulk answers with a distance table
 and a walk distance, so its one line, ``bulk <queries> answers <sha256>
 graphs <sha256> work=<sum>``, hashes each query's table entries, as
 sorted ``(v, t, d)`` triples so that the hash does not depend on the key
@@ -99,7 +99,7 @@ def answer_key(result) -> tuple:
     steps = None
     if result.witness is not None:
         steps = tuple((e.u, e.v, e.t) for e in result.witness.steps)
-    return (result.decision, steps, result.subcall_error_prob, result.temporal_distance)
+    return (result.decision, steps, result.temporal_distance)
 
 
 def counters(result, skip: tuple[str, ...] = ()) -> dict[str, int]:

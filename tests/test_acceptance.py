@@ -112,7 +112,7 @@ def test_criterion_4_no_side_error_rate():
     raw_noes = trials = 0
     for seed in range(400):
         stats = SolveStats()
-        found, _ops = _sieve_decide(layers, 3, _trials_for(0.2), SeedStream(seed), stats)
+        found, _ops = _sieve_decide(layers, 3, _trials_for(0.2, 1), SeedStream(seed), stats)
         raw_noes += not found
         trials += stats.sieve_trials
     assert raw_noes / 400 <= bound, (raw_noes, bound)
@@ -214,7 +214,7 @@ def test_criterion_8_scaling_shape():
         for length in range(1, 2 * ell + 2):
             assert find_exact_restless_path_sieve(g.time_edges, 0, 11, 2, length, cfg) is None
             if layers[length][-1]:  # else no walk of the full length: a certain no
-                found, ops = _sieve_decide(layers[length], length, _trials_for(cfg.error_prob),
+                found, ops = _sieve_decide(layers[length], length, _trials_for(cfg.error_prob, 1),
                                            SeedStream(600 + length), stats)
                 assert not found
                 stats.sieve_ops += ops

@@ -111,11 +111,18 @@ def test_solve_usage_errors(fig1_file, capsys):
     assert code == 2 and "differ" in err
 
 
-def test_solve_error_prob_too_small_to_split(fig1_file, capsys):
-    code, _, err = run(capsys, [
-        "solve", "-i", fig1_file, "-s", "s", "-z", "z", "--delta", "2", "--k", "5",
-        "--error-prob", "5e-324"])
-    assert code == 2 and "p=5e-324" in err and "underflows" in err
+@pytest.mark.parametrize("backend", ["brute", "sieve", "auto"])
+@pytest.mark.parametrize("window", [[], ["--time-window"]], ids=["plain", "time-window"])
+def test_solve_smallest_positive_error_prob(fig1_file, capsys, backend, window):
+    # p = 5e-324 is split over nothing, so it solves fig1 as p = 0.01 does
+    witnesses = []
+    for p in ("5e-324", "0.01"):
+        code, out, _ = run(capsys, [
+            "solve", "-i", fig1_file, "-s", "s", "-z", "z", "--delta", "2", "--k", "5",
+            "--backend", backend, "--error-prob", p, *window])
+        assert code == 0
+        witnesses.append(json.loads(out)["witness"])
+    assert witnesses[0] == witnesses[1]
 
 
 def test_solve_parse_error_exit_2(tmp_path, capsys):

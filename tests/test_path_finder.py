@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -30,7 +31,7 @@ def decide_unscreened(triples, s, z, delta, length, seed, stats):
     layers = oracles.arc_layers(triples, s, z, delta, length, False)
     if not layers[-1]:
         return False, 0
-    return _sieve_decide(layers, length, _trials_for(FinderConfig().error_prob),
+    return _sieve_decide(layers, length, _trials_for(FinderConfig().error_prob, 1),
                          SeedStream(seed), stats)
 
 
@@ -276,6 +277,26 @@ def test_one_rule_for_probes_that_may_reach_the_sieve(monkeypatch, auto_first_si
             assert stats.finder_calls == 1
         first = first_sieve_length(cfg)
         assert reached == [length for length in range(1, 7) if length >= first], cfg
+
+
+def test_trials_for_pins_its_edges():
+    # the i-th decision of one stats object runs within p * 2^-i, at 2^-58
+    # per trial; the count is taken in log space, so 2^-1074 needs no split
+    assert _trials_for(0.01, 51) == 1 and _trials_for(0.01, 52) == 2
+    assert _trials_for(2 ** -57, 1) == 1
+    assert _trials_for(5e-324, 1) == 19
+    assert _trials_for(0.999, 1) == 1
+
+
+def test_trials_for_is_the_least_count_within_the_share():
+    # exact powers of two put log2(1/p) + i on multiples of 58
+    grid = [0.999, 0.5, 0.2, 0.05, 0.01, 5e-324]
+    grid += [10.0 ** -e for e in range(1, 324)] + [2.0 ** -e for e in range(1, 1075)]
+    for p in grid:
+        for i in range(1, 201):
+            need = -math.log2(p) + i
+            t = _trials_for(p, i)
+            assert t >= 1 and 58 * t >= need and (t == 1 or 58 * (t - 1) < need), (p, i, t)
 
 
 def test_sieve_trial_work_scales_with_subsets_and_length():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -132,102 +133,101 @@ def test_parameter_validation(fig1, entry):
         entry(fig1, S, Z, 2, 5, 0.0, cfg)
 
 
-def test_subcall_budget_formula(fig1):
-    res = solve(fig1, S, Z, 2, 5, 0.2, FinderConfig(backend="brute"))
-    # ell = 3: ceil(5/3) = 2 chain links, 7 probes each, doubled
-    assert res.subcall_error_prob == pytest.approx(0.2 / (2 * 2 * 7))
+def revisit_gadgets(seed: int, count: int):
+    """Seeded (graph, s, z, delta, k) queries from s = 0 to z = 4 at delta
+    1 over one to three gadgets, 6 stamps apart, past a window's span. From
+    gadget stamp t: s-a at t, a-b and a-c at t + 1 and t + 2, a-z at t + 3
+    (a, b, c = 1, 2, 3), so every length-4 s-z walk revisits a, which
+    neither the sieve's screen nor its certificate rules out. Half of the
+    queries add b-c and c-z to the last gadget, a path; every query adds up
+    to 3 random time-edges."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        gadgets = rng.randint(1, 3)
+        edges = {(u, v, 6 * i + t) for i in range(gadgets) for u, v, t in
+                 [(0, 1, 1), (1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (1, 4, 4)]}
+        if rng.random() < 0.5:
+            edges |= {(2, 3, 6 * gadgets - 3), (3, 4, 6 * gadgets - 2)}
+        nv = rng.randint(5, 7)
+        edges |= {(*sorted(rng.sample(range(nv), 2)), rng.randint(1, 6 * gadgets))
+                  for _ in range(rng.randint(0, 3))}
+        out.append((TemporalGraph.from_time_edges(nv, 6 * gadgets, edges), 0, 4, 1,
+                    rng.randint(4, 5)))
+    return out
 
 
-def test_budget_split_that_underflows_is_rejected(fig1):
-    # 5e-324 is a valid p, but every share of it would round to 0; a clamped
-    # share would break the bound, so the query is refused, naming the split
-    with pytest.raises(ValueError, match=r"p=5e-324 .* p/\(2\*chain\*\(2\*ell\+1\)\) = p/28"):
-        solve(fig1, S, Z, 2, 5, 5e-324, FinderConfig(backend="brute"))
-    with pytest.raises(ValueError, match=r"p=5e-324 .* p/len\(departures\) = p/2"):
-        solve_windowed(fig1, S, Z, 2, 5, 5e-324, FinderConfig(backend="brute"))
-    res = solve(fig1, S, Z, 2, 5, 1e-320, FinderConfig(backend="brute"))
-    assert res.decision and 0.0 < res.subcall_error_prob < 1e-320
-
-
-def test_budget_covers_every_link_of_the_witness_chain():
-    # a false no needs a false no at one relevant probe per link of a
-    # solution's chain, so the reconstructed chain's links, one share of p
-    # each, must fit in p, also when they outnumber ceil(k_eff/ell)
-    p = 0.05
-    rng = random.Random(31)
-    instances = random_instances(97, 300, max_vertices=10, max_lifetime=10, max_k=7)
-    for _ in range(60):  # long chronological paths, a little noise: long chains
-        n = rng.randint(5, 10)
-        edges = {(i, i + 1, i + 1) for i in range(n)}
-        edges |= {(*sorted(rng.sample(range(n + 4), 2)), rng.randint(1, n))
-                  for _ in range(n // 3)}
-        g = TemporalGraph.from_time_edges(n + 4, n, edges)
-        instances.append((g, 0, n, rng.randint(1, 2), n + rng.randint(1, 3)))
-    yes = longer = 0
-    for i, (g, s, z, delta, k) in enumerate(instances):
-        cfg = FinderConfig(backend="brute", seed=i)
-        res = solve(g, s, z, delta, k, p, cfg)
-        if not res.decision:
-            continue
-        dt = compute_distances(g, z)
-        dp = fill_table(g, dt, s, z, delta, res.k_effective,
-                        dataclasses.replace(cfg, error_prob=res.subcall_error_prob))
-        end = min((VertexAppearance(z, t) for t in oracles.appearance_times(dt, z)),
-                  key=lambda app: dp.entries.get(app, INF))
-        assert reconstruct(dp, end) == res.witness.steps
-        links = 0
-        app = end
-        while app is not None:
-            app, steps = dp.preds[app]
-            links += bool(steps)  # a source appearance closes the chain
-        assert 1 <= links <= res.k_effective
-        assert links * res.subcall_error_prob <= p
-        yes += 1
-        longer += links > -(-res.k_effective // max(1, res.ell))
-    assert yes >= 100 and longer >= 5, (yes, longer)
-
-
-def test_windowed_budget_covers_its_windows(monkeypatch):
-    # one share per window solved; each window's table path splits it again
+def test_every_randomized_decision_spends_its_own_share(monkeypatch):
+    # the i-th randomized decision booked to one SolveStats runs the trials
+    # of miss bound p * 2^-i: within each query, a solve's, a windowed
+    # solve's across its windows, and a fill_table's, the indices strictly
+    # increase from 1 and the decisions' miss bounds sum to at most p
+    import rtp.path_finder
     import rtp.solver
-    inner = rtp.solver._fill_share
-    results = []  # (window's share, its split over its chain), per window solved
+    inner_trials = rtp.path_finder._trials_for
+    inner_witness = rtp.solver._table_witness
+    decisions = []  # (error_prob, index, trials), per randomized decision
+    windows = []  # the decisions made before each table path of the query
 
-    def recorded(share, k_eff, d_window):
-        results.append((share, inner(share, k_eff, d_window)))
-        return results[-1][1]
+    def recorded(error_prob, i):
+        decisions.append((error_prob, i, inner_trials(error_prob, i)))
+        return decisions[-1][2]
 
-    monkeypatch.setattr(rtp.solver, "_fill_share", recorded)
-    p = 0.05
-    many = 0
-    # windows over budget are rejected before their solve, so few queries
-    # solve two or more: enough instances to meet the floor
-    for g, s, z, delta, k in random_instances(5, 1000, max_lifetime=12, deltas=(1, 2)):
-        results.clear()
-        res = solve_windowed(g, s, z, delta, k, p, FinderConfig(backend="brute"))
-        for share, split in results:
-            assert share == res.subcall_error_prob
-            assert split <= share
-        assert sum(share for share, _ in results) <= p * (1 + 1e-12)
-        # one share per departure, solved or rejected
-        dt = compute_distances(g, z)
-        departures = [t0 for t0 in oracles.appearance_times(dt, s)
-                      if dt.get(s, t0) <= res.k_effective]
-        assert len(results) <= len(departures)
-        if departures:
-            assert len(departures) * res.subcall_error_prob <= p * (1 + 1e-12)
-        many += len(results) >= 2
-    assert many >= 5, many
+    def counted(*args):
+        windows.append(len(decisions))
+        return inner_witness(*args)
+
+    def check(p):
+        indices = [i for _, i, _ in decisions]
+        assert indices == sorted(set(indices)) and indices[:1] in ([], [1]), decisions
+        assert all(error_prob == p and 2.0 ** (-58 * t) <= p * 2.0 ** -i
+                   for error_prob, i, t in decisions), decisions
+        assert sum(2.0 ** (-58 * t) for _, _, t in decisions) <= p
+        return len(decisions) >= 2
+
+    monkeypatch.setattr(rtp.path_finder, "_trials_for", recorded)
+    monkeypatch.setattr(rtp.solver, "_table_witness", counted)
+    many = Counter()  # queries with two or more decisions, per entry point
+    for p in (0.05, 2.0 ** -100):
+        for i, (g, s, z, delta, k) in enumerate(revisit_gadgets(37, 100)):
+            cfg = FinderConfig(backend="sieve", seed=i)
+            decisions.clear()
+            res = solve(g, s, z, delta, k, p, cfg)
+            many["solve"] += check(p)
+            decisions.clear()
+            windows.clear()
+            solve_windowed(g, s, z, delta, k, p, cfg)
+            check(p)
+            # two or more windows solved, each making a decision
+            many["windows"] += sum(a < b for a, b in zip(windows, [*windows[1:],
+                                                                   len(decisions)])) >= 2
+            decisions.clear()
+            fill_table(g, compute_distances(g, z), s, z, delta, res.k_effective,
+                       dataclasses.replace(cfg, error_prob=p))
+            many["fill_table"] += check(p)
+    assert min(many["solve"], many["windows"], many["fill_table"]) >= 100, many
+
+
+@pytest.mark.parametrize("backend", ["brute", "sieve", "auto"])
+@pytest.mark.parametrize("entry", [solve, solve_windowed])
+def test_smallest_positive_p_solves(fig1, entry, backend):
+    # 5e-324 = 2^-1074 is split over nothing: each decision takes its
+    # trial count in log space, so no p in (0, 1) underflows, and a yes
+    # stops at its first nonzero trial, whatever the trial count
+    cfg = FinderConfig(backend=backend, seed=7)
+    tiny = entry(fig1, S, Z, 2, 5, 5e-324, cfg)
+    usual = entry(fig1, S, Z, 2, 5, 0.01, cfg)
+    assert tiny.decision and tiny.witness.steps == usual.witness.steps
+    assert tiny.stats.sieve_trials == usual.stats.sieve_trials == (2 if backend == "sieve" else 0)
 
 
 def solve_every_window(g, s, z, delta, k, p, cfg):
     """``solve_windowed`` without its window gate: every departure window
-    gets its graph and a solve. Returns (witness, subcall_error_prob,
+    gets its graph and a solve with the query's p. Returns (witness,
     summed stats, windows whose solve stopped at d_source > k_eff)."""
     dt = compute_distances(g, z)
     k_eff = min(k, max(1, g.vertex_count - 1))
     departures = [t0 for t0 in oracles.appearance_times(dt, s) if dt.get(s, t0) <= k_eff]
-    sub_p = p / len(departures) if departures else None
     stats = SolveStats()
     witness = None
     stopped = 0
@@ -235,20 +235,20 @@ def solve_every_window(g, s, z, delta, k, p, cfg):
         window = TemporalGraph.from_time_edges(
             g.vertex_count, g.lifetime,
             g.edges_between(t0, t0 + (k - 1) * delta + 1), g.aliases)
-        res = solve(window, s, z, delta, k, sub_p, cfg)
+        res = solve(window, s, z, delta, k, p, cfg)
         stopped += res.ell is None
         for f in dataclasses.fields(SolveStats):
             setattr(stats, f.name, getattr(stats, f.name) + getattr(res.stats, f.name))
         if res.decision:
             witness = res.witness
             break
-    return witness, sub_p, stats, stopped
+    return witness, stats, stopped
 
 
 @pytest.mark.parametrize("backend", ["brute", "sieve"])
 def test_window_gate_changes_no_result(backend, no_walk_bracket, no_prune):
     # a rejected window's solve stops before its first probe, so skipping
-    # it leaves the decision, witness, split and every counter as they were;
+    # it leaves the decision, witness and every counter as they were;
     # without the walk bracket every other window reaches the table path;
     # and unpruned, a window solved alone fills every entry, as the
     # windowed solve's own windows do
@@ -259,12 +259,11 @@ def test_window_gate_changes_no_result(backend, no_walk_bracket, no_prune):
                                               max_lifetime=60, deltas=(1, 2)):
         cfg = FinderConfig(backend=backend, seed=17)
         got = solve_windowed(g, s, z, delta, k, 0.05, cfg)
-        witness, sub_p, stats, skipped = solve_every_window(
+        witness, stats, skipped = solve_every_window(
             g, s, z, delta, k, 0.05, cfg)
         assert got.decision == (witness is not None)
         if witness is not None:
             assert got.witness.steps == witness.steps
-        assert got.subcall_error_prob == sub_p
         assert [getattr(got.stats, c) for c in counters] == \
             [getattr(stats, c) for c in counters], (g, s, z, delta, k)
         yes += got.decision
@@ -619,7 +618,7 @@ def test_temporal_distance_is_the_tables_source_distance():
 @pytest.mark.parametrize("backend", ["brute", "sieve"])
 def test_walk_bracket_decides_only_nos_the_table_path_shares(backend):
     # wherever the shortest restless walk is over budget, the table path
-    # answers no too, with the same split; solve answers it with no work
+    # answers no too; solve answers it with no work
     counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
     decided = 0
     for i, (g, s, z, delta, k) in enumerate(random_instances(20240501, 1000)):
@@ -630,7 +629,6 @@ def test_walk_bracket_decides_only_nos_the_table_path_shares(backend):
         with without_walk_bracket():
             table = solve(g, s, z, delta, k, 0.01, cfg)
         assert not res.decision and not table.decision, (g.time_edges, s, z, delta, k)
-        assert res.subcall_error_prob == table.subcall_error_prob
         assert res.temporal_distance == table.temporal_distance and res.ell == table.ell
         assert all(getattr(res.stats, c) == 0 for c in counters)
         assert table.stats.table_entries > 0
@@ -669,8 +667,6 @@ def test_walk_decided_no_builds_no_table(fig1, monkeypatch):
     def refused(*args):
         raise AssertionError("a walk-decided no built a distance table")
 
-    with without_walk_bracket():
-        table = solve(fig1, S, Z, 2, 4, 0.01, FinderConfig(backend="brute"))
     monkeypatch.setattr(rtp.solver, "compute_distances", refused)
     counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "elapsed_seconds"]
     for runner in (solve, solve_windowed):
@@ -679,9 +675,6 @@ def test_walk_decided_no_builds_no_table(fig1, monkeypatch):
             assert not res.decision and res.witness is None
             assert (res.temporal_distance, res.ell) == (2, 2)
             assert all(getattr(res.stats, c) == 0 for c in counters), res.stats
-    assert res.subcall_error_prob == 0.01  # one departure within k = 4: stamp 1
-    assert solve(fig1, S, Z, 2, 4, 0.01, FinderConfig()).subcall_error_prob == \
-        table.subcall_error_prob == pytest.approx(0.01 / (2 * 2 * 5))
 
 
 def test_pruned_table_path_keeps_decisions_and_brute_witnesses():
@@ -701,7 +694,6 @@ def test_pruned_table_path_keeps_decisions_and_brute_witnesses():
         assert pruned.decision == full.decision, (g.time_edges, s, z, delta, k)
         if full.decision:
             assert pruned.witness.steps == full.witness.steps
-        assert pruned.subcall_error_prob == full.subcall_error_prob
         assert pruned.stats.table_entries == full.stats.table_entries
         yes += full.decision
         pruned_calls += pruned.stats.finder_calls
