@@ -24,8 +24,9 @@ path length; given a record, it also keeps the fewest hops of every state
 reached in fewer hops than its bound, plus z's, which bounds a table fill
 from the source side. With no waiting bound it is a fewest-hop temporal
 walk, which is a path, so it gives d(s, t) for one source without a
-table: a windowed solve takes its temporal distance, its departures
-(``departure_stamps``) and every per-window distance check from it.
+table: a windowed solve takes from it its temporal distance, the check
+that rejects a departure window, and the check that ends its loop over
+the source's stamps once d(s, t) is past the budget.
 """
 
 from __future__ import annotations
@@ -200,21 +201,6 @@ def walk_hops(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
                 i += 1
         frontier = reached
     return found
-
-
-def departure_stamps(incident: dict[int, list[tuple[int, int]]], s: int, z: int,
-                     bound: int) -> list[int]:
-    """The stamps t of s's appearances with d(s, t) <= ``bound``, in
-    increasing order; s != z.
-
-    d(s, t) is ``walk_hops`` from t on with no waiting bound, bounded at
-    ``bound``. d never decreases in t, so the list is a prefix of s's
-    distinct stamps, and bisection finds its end in O(log stamps) searches.
-    """
-    stamps = list(dict.fromkeys(t for t, _ in incident.get(s, [])))
-    end = bisect_left(stamps, True,
-                      key=lambda t: walk_hops(incident, s, z, INF, t, INF, bound) > bound)
-    return stamps[:end]
 
 
 def restless_walk_distance(g: TemporalGraph, s: int, z: int, delta: int) -> int | float:

@@ -63,8 +63,7 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import takewhile
 
 from .areas import AreaSpec, area_graph, holds_ends, keep_rule, source_admission
-from .distances import (INF, DistanceTable, compute_distances, departure_stamps,
-                        level_search, walk_hops)
+from .distances import INF, DistanceTable, compute_distances, level_search, walk_hops
 from .path_finder import (FinderConfig, SolveStats, check_ends, find_exact_restless_path,
                           first_sieve_length, graph_index, incident_index, pairs_between,
                           search_index)
@@ -399,15 +398,19 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     from ``walk_hops`` with no waiting bound over one incident index of g:
     a fewest-hop temporal walk is a path, so no distance table of g is
     built. The temporal distance is that search from stamp 1, bounded at
-    n - 1. Departures with d(s, t0) > k_eff = min(k, max(1, n - 1)) are
-    skipped; d grows with t0, so the rest are a prefix of s's stamps,
-    which ``departure_stamps`` finds by bisection.
+    n - 1, and k_eff = min(k, max(1, n - 1)).
 
-    Then the query is bracketed once, as in ``solve``: when the shortest
-    delta-restless s-z walk of all of g is longer than k_eff, no window
-    holds a path, and the answer is an exact no with all-zero counters. A
-    window whose own distance d(s, t0) exceeds the budget is rejected by
-    the search held to the window's stamps, before its index is built.
+    When the temporal distance is within k_eff, the query is bracketed
+    once, as in ``solve``: when the shortest delta-restless s-z walk of
+    all of g is longer than k_eff, no window holds a path, and the answer
+    is an exact no with all-zero counters. Otherwise one loop takes s's
+    distinct stamps in time order.
+    A window whose own distance d(s, t0) exceeds k_eff is rejected by the
+    search held to the window's stamps, before its index is built; one
+    more search, with no upper stamp, then asks for d(s, t0) on all of g.
+    When that too exceeds k_eff the loop stops: d never decreases in t0,
+    so no later window fits either.
+
     Every other window is no graph but one ``incident_index`` of g's
     time-edges in its stamps; its distance table is ``level_search`` over
     that index, and its fill reads the same index, with no bracket of its
@@ -424,19 +427,21 @@ def solve_windowed(g: TemporalGraph, s: int, z: int, delta: int, k: int,
     started, incident, d_source, k_eff = _start_query(g, s, z, delta, k, p)
     stats = SolveStats()
     cfg = replace(cfg, error_prob=p)
-    departures = departure_stamps(incident, s, z, k_eff) if d_source <= k_eff else []
-    if departures and _no_walk_within(incident, s, z, delta, k_eff):
-        departures = []
     witness = None
-    for t0 in departures:
-        t_hi = t0 + (k - 1) * delta + 1
-        # the window has g's vertices, so its k_eff is this one, and within
-        # it this is its temporal distance
-        if walk_hops(incident, s, z, INF, t0, t_hi, k_eff) > k_eff:
-            continue
-        window = incident_index(g.edges_between(t0, t_hi))
-        witness = _table_witness(g, window, level_search(window, z), s, z, delta, k_eff,
-                                 cfg, stats)
-        if witness is not None:
-            break
+    if d_source <= k_eff and not _no_walk_within(incident, s, z, delta, k_eff):
+        for t0 in dict.fromkeys(t for t, _ in incident[s]):
+            t_hi = t0 + (k - 1) * delta + 1
+            # the window has g's vertices, so its k_eff is this one, and
+            # within it this is its temporal distance
+            if walk_hops(incident, s, z, INF, t0, t_hi, k_eff) > k_eff:
+                # d(s, t0) never decreases in t0: past k_eff on all of g,
+                # no later window fits either
+                if walk_hops(incident, s, z, INF, t0, INF, k_eff) > k_eff:
+                    break
+                continue
+            window = incident_index(g.edges_between(t0, t_hi))
+            witness = _table_witness(g, window, level_search(window, z), s, z, delta,
+                                     k_eff, cfg, stats)
+            if witness is not None:
+                break
     return _result(started, stats, witness, k, k_eff, d_source, p)

@@ -37,13 +37,14 @@ parse, so a change to the parser shows there; and sums the tables'
 ``work``, the pairs their level searches scanned, which the hashes leave
 out. After each pool's hash lines, one more line,
 
-    <name> index_builds=<n> edges_indexed=<m>
+    <name> index_builds=<n> edges_indexed=<m> walk_searches=<w>
 
 counts the ``path_finder.incident_index`` builds made while the pool is
-built and answered, and the time-edges they indexed, outside both hashes:
-the script wraps ``incident_index`` in every ``rtp`` module that imports
-it and counts each built index's pairs, two per time-edge, so an index
-that is shared counts once, where it is built.
+built and answered, the time-edges they indexed, and the
+``distances.walk_hops`` searches run, outside both hashes: the script
+wraps ``incident_index`` and ``walk_hops`` in every ``rtp`` module that
+imports them, and counts each built index's pairs, two per time-edge, so
+an index that is shared counts once, where it is built.
 The library is imported from ``src/`` next to this directory; the script
 only reads ``bench/``. pytest does not collect it.
 """
@@ -70,28 +71,35 @@ WORKLOADS = SOLVE_WORKLOADS + ("bulk",)
 
 
 @contextmanager
-def counting_index_builds():
-    """Count ``incident_index`` builds, and the time-edges they index,
-    through every ``rtp`` module that imports it, as ``builds`` and
-    ``edges`` of the yielded Counter."""
-    build = rtp.path_finder.incident_index
-    built = Counter()
+def counting_builds_and_walks():
+    """Count ``incident_index`` builds, the time-edges they index, and
+    ``walk_hops`` searches, through every ``rtp`` module that imports
+    either, as ``builds``, ``edges`` and ``walks`` of the yielded Counter."""
+    build, walk = rtp.path_finder.incident_index, rtp.distances.walk_hops
+    counted = Counter()
 
-    def counted(edges):
+    def counted_build(edges):
         index = build(edges)
-        built["builds"] += 1
-        built["edges"] += sum(map(len, index.values())) // 2
+        counted["builds"] += 1
+        counted["edges"] += sum(map(len, index.values())) // 2
         return index
 
-    owners = [m for name, m in sys.modules.items()
-              if name.split(".")[0] == "rtp" and getattr(m, "incident_index", None) is build]
-    for owner in owners:
-        owner.incident_index = counted
+    def counted_walk(*args):
+        counted["walks"] += 1
+        return walk(*args)
+
+    swaps = [(owner, name, original, wrapper)
+             for module, owner in sys.modules.items() if module.split(".")[0] == "rtp"
+             for name, original, wrapper in (("incident_index", build, counted_build),
+                                             ("walk_hops", walk, counted_walk))
+             if getattr(owner, name, None) is original]
+    for owner, name, _, wrapper in swaps:
+        setattr(owner, name, wrapper)
     try:
-        yield built
+        yield counted
     finally:
-        for owner in owners:
-            owner.incident_index = build
+        for owner, name, original, _ in swaps:
+            setattr(owner, name, original)
 
 
 def answer_key(result) -> tuple:
@@ -166,19 +174,19 @@ def main(argv: list[str] | None = None) -> None:
         if args.workload and name not in args.workload:
             continue
         if name == "bulk":
-            with counting_index_builds() as built:
+            with counting_builds_and_walks() as built:
                 count, answers, graphs, work = bulk_fingerprint(args.seed, args.head)
             print(f"bulk {count} answers {answers} graphs {graphs} work={work}")
         else:
-            with counting_index_builds() as built:
+            with counting_builds_and_walks() as built:
                 count, answers, counted, totals = fingerprint(
                     name, args.seed, args.head, tuple(args.skip_counter), args.backend)
             print(f"{name} {count} answers {answers} counters {counted}")
             table_path = totals.pop("table_path")
             print(f"{name} totals " + " ".join(f"{k}={totals[k]}" for k in sorted(totals))
                   + f" table_path={table_path}")
-        print(f"{name} index_builds={built['builds']} edges_indexed={built['edges']}",
-              flush=True)
+        print(f"{name} index_builds={built['builds']} edges_indexed={built['edges']} "
+              f"walk_searches={built['walks']}", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -9,8 +10,8 @@ import oracles
 from conftest import S, A, B, C, D, E, Z, random_instances
 from rtp import (INF, FinderConfig, TemporalGraph, TimeEdge, VertexAppearance,
                  area_spec, compute_distances, fill_table, random_temporal_graph,
-                 restless_walk_distance)
-from rtp.distances import departure_stamps, walk_hops
+                 restless_walk_distance, solve_windowed)
+from rtp.distances import walk_hops
 from rtp.path_finder import incident_index
 
 
@@ -162,7 +163,7 @@ def test_source_distance_of_absent_vertex():
     assert dt.source_distance(2) == INF
 
 
-def test_fewest_hops_matches_the_window_tables():
+def test_temporal_walk_matches_the_window_tables():
     # every departure window solve_windowed may build, at every bound: the
     # search over the whole graph's index, held to the window's stamps with
     # no waiting bound, is the window table's d(s, t0) within the bound, INF
@@ -190,27 +191,34 @@ def test_fewest_hops_matches_the_window_tables():
     assert windows >= 1000 and exact >= 1000 and cut >= 100, (windows, exact, cut)
 
 
-def test_departure_stamps_match_the_table():
-    # at every bound, the bisected walk search lists the stamps of s's
-    # appearances whose table value is within the bound, in time order, and
-    # nothing past it
-    def column(dt, s):
-        return [(t, dt.get(s, t)) for t in oracles.appearance_times(dt, s)]
+def test_walk_from_each_stamp_matches_the_table():
+    # from each stamp t of s, the walk search with no waiting bound and no
+    # upper stamp is d(s, t) within its bound and exceeds the bound
+    # otherwise; the stamps within the bound are a prefix of s's stamps, so
+    # a windowed solve may stop at the first stamp past its budget
+    def within(incident, dt, s, z, bound):
+        column = [(t, dt.get(s, t)) for t in oracles.appearance_times(dt, s)]
+        for t, d in column:
+            got = walk_hops(incident, s, z, INF, t, INF, bound)
+            if d <= bound:
+                assert got == d, (incident, s, z, t, bound, got, d)
+            else:
+                assert got > bound, (incident, s, z, t, bound, got, d)
+        stamps = [t for t, d in column if d <= bound]
+        assert stamps == [t for t, _ in column[:len(stamps)]], (s, z, bound, column)
+        return stamps, column
 
     exact = cut = empty = absent = 0
     for g, s, z, _delta, _k in random_instances(2024, 300, max_vertices=10,
                                                 max_lifetime=30):
         dt = compute_distances(g, z)
-        full = column(dt, s)
-        absent += not full
         incident = incident_index(g.time_edges)
         for bound in range(1, 8):
-            want = [t for t, d in full if d <= bound]
-            got = departure_stamps(incident, s, z, bound)
-            assert got == want, (g.time_edges, s, z, bound, got, want)
-            exact += bool(want)
-            cut += 0 < len(want) < len(full)
-            empty += not want and dt.source_distance(s) < INF  # bound below d
+            stamps, column = within(incident, dt, s, z, bound)
+            exact += bool(stamps)
+            cut += 0 < len(stamps) < len(column)
+            empty += not stamps and dt.source_distance(s) < INF  # bound below d
+        absent += not column
     assert exact >= 1000 and cut >= 300 and empty >= 50 and absent >= 10, \
         (exact, cut, empty, absent)
     # dense stamps, where same-stamp chains decide the values, from every s
@@ -222,18 +230,23 @@ def test_departure_stamps_match_the_table():
             if s == z:
                 continue
             for bound in (1, 2, 3, g.vertex_count):
-                assert departure_stamps(incident, s, z, bound) == \
-                    [t for t, d in column(dt, s) if d <= bound], (s, z, bound)
+                within(incident, dt, s, z, bound)
 
 
-def test_departure_stamps_of_absent_source():
-    incident = incident_index(TemporalGraph.from_time_edges(
-        3, 2, [TimeEdge(0, 1, 1)]).time_edges)
-    assert departure_stamps(incident, 2, 0, 5) == []
-    assert departure_stamps(incident, 1, 0, 1) == [1]
+def test_walk_from_an_absent_source():
+    # a source on no time-edge has no walk, and a windowed solve from it
+    # answers no with every counter at zero
+    g = TemporalGraph.from_time_edges(3, 2, [TimeEdge(0, 1, 1)])
+    incident = incident_index(g.time_edges)
+    assert walk_hops(incident, 2, 0, INF, 1, INF, 5) == INF
+    assert walk_hops(incident, 1, 0, INF, 1, INF, 1) == 1
+    res = solve_windowed(g, 2, 0, 1, 5, 0.01, FinderConfig(backend="brute"))
+    assert not res.decision and res.temporal_distance == INF
+    assert not any(v for name, v in dataclasses.asdict(res.stats).items()
+                   if name != "elapsed_seconds")
 
 
-def test_fewest_hops_follows_equal_stamp_chains():
+def test_temporal_walk_follows_equal_stamp_chains():
     # z = 1 is reached only along 3-0, 0-2, 2-1, all at stamp 2, which
     # canonical order lists out of chain order; the stamp-1 edge 0-1
     # comes before 0 is reached
@@ -243,7 +256,7 @@ def test_fewest_hops_follows_equal_stamp_chains():
             for bound in (1, 2, 3, 4)] == [INF, INF, 3, 3]
 
 
-def test_fewest_hops_is_temporal_not_restless():
+def test_temporal_walk_is_not_restless():
     # the only route waits 8 stamps at vertex 1, past any waiting bound
     # below 8: the search with no waiting bound counts it,
     # restless_walk_distance does not

@@ -509,9 +509,9 @@ def test_windowed_solve_agrees_with_plain():
 
 
 def test_windowed_distance_and_slack_match_the_table():
-    # temporal_distance and ell come from the bounded sweep's first value,
-    # or, when no departure is within k_eff (every k below d), from the
-    # forward fallback; the bench pool has k = d + ell and never takes it
+    # temporal_distance and ell come from the walk search from stamp 1,
+    # also when every departure is past k_eff (every k below d), which the
+    # bench pool, with k = d + ell, never asks
     below = 0
     for g, s, z, delta, k in random_instances(7070, 600, max_vertices=10,
                                               max_lifetime=20):
@@ -989,7 +989,7 @@ def test_json_dict_shape(fig1):
     assert set(payload["stats"]) == {f.name for f in dataclasses.fields(SolveStats)}
 
 
-def test_windowed_stats_sum_inner_solves(monkeypatch, no_walk_bracket):
+def test_windowed_stats_sum_window_fills(monkeypatch, no_walk_bracket):
     # each window that passes its gate reaches the table path, which adds
     # its counters to the query's one SolveStats
     import rtp.solver
@@ -1004,7 +1004,7 @@ def test_windowed_stats_sum_inner_solves(monkeypatch, no_walk_bracket):
         return witness
 
     monkeypatch.setattr(rtp.solver, "_table_witness", recorded)
-    summed = 0  # windowed solves with at least two inner solves that search
+    summed = 0  # windowed solves with at least two window fills that search
     for g, s, z, delta, k in random_instances(3, 100, max_lifetime=12, deltas=(1, 2)):
         added.clear()
         res = solve_windowed(g, s, z, delta, k, 0.01,
@@ -1013,6 +1013,43 @@ def test_windowed_stats_sum_inner_solves(monkeypatch, no_walk_bracket):
             assert getattr(res.stats, c) == sum(a[c] for a in added), c
         summed += sum(a["finder_calls"] > 0 for a in added) >= 2
     assert summed >= 2
+
+
+def test_windowed_solve_stops_at_the_first_departure_past_the_budget(monkeypatch):
+    # d(s, t0) never decreases in t0, so the loop over s's stamps stops at
+    # the first one whose walk over all of g is past k_eff. Here the
+    # searches are the temporal distance, the bracket (a restless walk of 4
+    # hops revisits vertex 1), the gate at 1, whose window holds no path,
+    # then the gate and the stop at 5, however many late stamps s has
+    import rtp.solver
+    search = rtp.solver.walk_hops
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(rtp.solver, "walk_hops", counted)
+    for last in (50, 10_004):
+        g = TemporalGraph.from_time_edges(
+            10, last, [(0, 1, 1), (1, 2, 2), (1, 2, 3), (1, 3, 4)]
+            + [(0, 4, t) for t in range(5, last + 1)])
+        searches.clear()
+        res = solve_windowed(g, 0, 3, 1, 4, 0.01, FinderConfig(backend="brute"))
+        assert not res.decision
+        assert res.temporal_distance == 2 and res.k_effective == 4
+        assert len(searches) == 5, (last, searches)
+    # a query the bracket answers no runs the temporal distance and the
+    # bracket, and gates no departure
+    bracketed = 0
+    for g, s, z, delta, k in random_instances(6060, 300, max_vertices=12,
+                                              max_lifetime=60, deltas=(1, 2)):
+        searches.clear()
+        res = solve_windowed(g, s, z, delta, k, 0.01, FinderConfig(backend="brute"))
+        if res.temporal_distance <= res.k_effective < restless_walk_distance(g, s, z, delta):
+            assert len(searches) == 2, (g.time_edges, s, z, delta, k)
+            bracketed += 1
+    assert bracketed >= 20, bracketed
 
 
 def test_windowed_solve_builds_no_graph_and_one_index_per_window(monkeypatch):
